@@ -2,8 +2,9 @@
 
 Contents:
 
-- :mod:`repro.cluster.sim` -- a small generator-based discrete-event
-  simulation kernel (environment, processes, FIFO resources).
+- :mod:`repro.cluster.sim` -- a small callback-driven discrete-event
+  simulation kernel (environment, events, FIFO / fair-queued resources),
+  driven by the cursor engine in :mod:`repro.cluster.engine`.
 - :class:`ClusterSpec` -- the hardware description (cores, bandwidth, CPU
   speed factors) mirroring the paper's two-node testbed.
 - :class:`EpochModel` -- the analytic epoch-time model over the paper's four
@@ -15,7 +16,7 @@ Contents:
 
 from repro.cluster.spec import ClusterSpec, standard_cluster
 from repro.cluster.epoch_model import EpochEstimate, EpochMetrics, EpochModel
-from repro.cluster.sim import Environment, Interrupt, Resource, Store
+from repro.cluster.sim import Environment, Resource
 from repro.cluster.trainer import EpochStats, TrainerSim, WorkAdjustment
 
 __all__ = [
@@ -25,9 +26,7 @@ __all__ = [
     "EpochMetrics",
     "EpochModel",
     "EpochStats",
-    "Interrupt",
     "Resource",
-    "Store",
     "TrainerSim",
     "WorkAdjustment",
     "standard_cluster",

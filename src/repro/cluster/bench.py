@@ -2,16 +2,15 @@
 
 Times ``TrainerSim.run_epoch`` under the frozen seed kernel
 (``kernel="reference"``: :mod:`repro.cluster.refsim` plus the sequential
-work builder) against the overhauled path (``kernel="fast"``: the slotted
-:mod:`repro.cluster.sim` kernel, the vectorized work builder, and the
-batched cursor engine) at several dataset scales, and writes the results
+work builder) against the overhauled path (``kernel="fast"``, the
+default: the slotted :mod:`repro.cluster.sim` kernel, the vectorized work
+builder, and the cursor engine) at several dataset scales, and writes the results
 to ``BENCH_sim.json`` with a schema that stays stable across PRs.
 
 Every scale also runs an identity gate: the fast path's
 :class:`~repro.cluster.trainer.EpochStats` must serialize *byte-for-byte
-equal* to the reference path's, and a faulted run on the optimized kernel
-must match the seed kernel exactly (fault injection never takes the
-engine, so this pins the generator path too).  Auxiliary gates cover
+equal* to the reference path's, and a faulted run on the engine must
+match the seed kernel and launcher exactly.  Auxiliary gates cover
 spans, timelines, the sharded trainer, the shared-link multi-job sim and
 the end-to-end profile->plan->simulate flow.  A speed number from a path
 that diverges is meaningless, so ``identical: false`` fails the run.
@@ -127,8 +126,8 @@ def bench_scale(
     fast = trainer.run_epoch(splits, epoch=1, kernel="fast")
     identical = stats_fingerprint(ref) == stats_fingerprint(fast)
 
-    # Fault injection bypasses the cursor engine, so this additionally
-    # pins the generator-process path on the optimized kernel.
+    # Fault injection drives the engine's crash, brownout and corruption
+    # paths, pinned here against the seed launcher.
     faults = (
         FaultSchedule()
         .with_crash(0.3 * ref.epoch_time_s, duration=0.15 * ref.epoch_time_s)
@@ -140,9 +139,9 @@ def bench_scale(
         .with_corruption(0.02)
     )
     ref_faulted = trainer.run_epoch(splits, epoch=1, faults=faults, kernel="reference")
-    auto_faulted = trainer.run_epoch(splits, epoch=1, faults=faults, kernel="auto")
+    fast_faulted = trainer.run_epoch(splits, epoch=1, faults=faults)
     identical_faulted = stats_fingerprint(ref_faulted) == stats_fingerprint(
-        auto_faulted
+        fast_faulted
     )
 
     seconds = {
@@ -176,21 +175,20 @@ def bench_scale(
 def aux_gates(num_samples: int = 240, seed: int = 7) -> Dict[str, bool]:
     """Identity gates for every mode the per-scale loop does not time.
 
-    spans/timeline pin the instrumented generator path on the optimized
-    kernel; sharded and multijob pin the engine under per-shard pools and
-    fair-queued shared links.
+    spans/timeline pin the engine's instrumented runs; sharded and
+    multijob pin it under per-shard pools and fair-queued shared links.
     """
     trainer, splits = _make_trainer(num_samples, seed)
 
     ref = trainer.run_epoch(splits, epoch=1, record_spans=True, kernel="reference")
-    auto = trainer.run_epoch(splits, epoch=1, record_spans=True, kernel="auto")
+    fast = trainer.run_epoch(splits, epoch=1, record_spans=True)
     spans_ok = stats_fingerprint(ref) == stats_fingerprint(
-        auto
-    ) and span_fingerprint(ref) == span_fingerprint(auto)
+        fast
+    ) and span_fingerprint(ref) == span_fingerprint(fast)
 
     ref_tl = trainer.run_epoch(splits, epoch=1, record_timeline=True, kernel="reference")
-    auto_tl = trainer.run_epoch(splits, epoch=1, record_timeline=True, kernel="auto")
-    timeline_ok = stats_fingerprint(ref_tl) == stats_fingerprint(auto_tl)
+    fast_tl = trainer.run_epoch(splits, epoch=1, record_timeline=True)
+    timeline_ok = stats_fingerprint(ref_tl) == stats_fingerprint(fast_tl)
 
     sharded = ShardedTrainerSim(
         trainer.dataset,

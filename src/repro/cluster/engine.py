@@ -1,79 +1,86 @@
-"""Batched fast-path execution of one training job's epoch.
+"""The cursor engine: one training job's epoch on the DES.
 
-:func:`launch_training_job_fast` is a drop-in replacement for
-:func:`repro.cluster.trainer.launch_training_processes` on the hot path --
-fault-free runs with no timeline and no tracer attached.  Instead of one
-generator :class:`~repro.cluster.sim.Process` per sample (plus relay
-events for every yield), each sample is a slot-based cursor: a single
-``__slots__`` object whose bound ``step`` method is registered directly as
-the event callback and dispatches on a small state integer.  Batches join
-through a plain countdown instead of an :class:`~repro.cluster.sim.AllOf`,
-and timeouts go straight onto the heap as pooled callback slots.
+:func:`launch_training_job` runs every ``run_epoch`` except
+``kernel="reference"``, faults, spans and timeline included.  Each
+sample, batch and GPU consumer is a ``__slots__`` cursor whose bound
+``step`` method is the event callback, dispatching on a state integer.
 
-**The mirror contract.**  The cursors replay the generator path push for
-push: every heap entry lands at the same ``(time, sequence)`` position the
-generator code would have produced, and entries whose pops had no side
-effects (generator-end events nobody waits on) are dropped outright.
-Resource acquire/release calls happen in the same order with the same
-arguments, so grant order, ``busy_time`` accumulation order, and traffic
-arithmetic are identical float-op for float-op.  That is what lets
-``TrainerSim.run_epoch`` switch between the two paths and produce
-byte-identical :class:`~repro.cluster.trainer.EpochStats` -- the contract
-``repro.cluster.bench`` gates on every run.
+**The mirror contract.**  The cursors replay the seed launcher
+(:func:`repro.cluster.refsim.launch_training_processes`) push for push:
+every heap entry lands at the same ``(time, sequence)`` position the
+generator code produced, and entries whose pops had no side effects
+(process-end events nobody waits on) are dropped.  Resource calls,
+fault accounting, span events and timeline entries happen at the same
+transitions in the same order, so ``EpochStats``, fault reports, span
+streams and timelines are byte-identical to ``kernel="reference"`` --
+the contract ``repro.cluster.bench`` and the identity tests gate.
 
-Per-yield cost drops from a generator frame resume + relay ``Event``
-(callback list and all) to one slot fire + an integer compare, and
-per-sample allocation drops from a ``Process`` + ~10 events to one cursor
-object -- the difference between 10^4- and 10^6-sample epochs.
+=============================  ============================================
+generator path                 cursor mirror
+=============================  ============================================
+``env.process(...)``           start slot pushed at construction
+wait on ``timeout(d)``         ``env._call_at(env.now + d, step)``
+wait on a ``grant``            ``grant.callbacks.append(step)``
+process end event              batch-countdown slot (``_BatchRun.child_end``)
+all-of join fires              all-done slot (``_BatchRun.all_done``)
+``batch_ready`` wait           same event; relay slot when already processed
+process end (unused)           dropped (the pop had no side effects)
+``crash_watch`` process        ``_CrashWatch``: start slot, then window slot
+``prefix_proc`` sub-process    ``_PrefixRun`` (faulted runs only): own start
+                               slot, end slot resumes the sample
+``proc.interrupt()``           unhook the pending wake (grant callback or
+                               neutered slot), push a throw-in slot
+``except Interrupt``           throw-in: ``release`` if the grant is held
+                               by then, else ``cancel``
+storage down at arrival        refusal: failure noted, sample demoted
+demotion                       ``fallback_work`` swaps in split-0 work
+brownout in ``transmit``       chunk time ``chunk / (bandwidth * factor)``
+corrupted payload              full re-send, capped at ``_MAX_PAYLOAD_SENDS``
+``tracer.*`` / ``timeline.*``  same call, same transition, same order
+=============================  ============================================
 
-The correspondence, step by step (see ``trainer.sample_proc``):
-
-====================  ==================================================
-generator path        cursor mirror
-====================  ==================================================
-``env.process(...)``  start slot pushed at construction
-``yield timeout(d)``  ``env._call_at(env.now + d, step)``
-``yield grant``       ``grant.callbacks.append(step)``
-process end event     batch-countdown slot (``_BatchRun.child_end``)
-``AllOf`` fires       all-done slot (``_BatchRun.all_done``)
-``batch_ready`` wait  same event; relay slot when already processed
-process end (unused)  dropped (the pop had no side effects)
-====================  ==================================================
+One deliberate departure: the seed launcher raises "event triggered
+twice" when two crash windows open at the same instant (the second
+re-interrupts a prefix whose first interrupt is in flight).  The engine
+treats a prefix already being interrupted as gone and simulates on.
 """
 
-from typing import Any, Dict, List, Optional
+import itertools
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.cluster.sim import Environment, Event, Resource
 from repro.cluster.spec import ClusterSpec
+from repro.faults.schedule import FaultReport, FaultSchedule
+from repro.metrics.timeline import Timeline
+from repro.telemetry.spans import Tracer, trace_id
 from repro.workloads.models import ModelProfile
 
-# Imported for type checking only: a runtime import would be circular
-# (trainer imports this module's launcher).
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
+if TYPE_CHECKING:  # pragma: no cover -- trainer imports this module
     from repro.cluster.trainer import JobHandles, SampleWork
 
-__all__ = ["launch_training_job_fast"]
+__all__ = ["launch_training_job"]
+
+#: Retransmission cap per payload; only reachable when corruption_rate is
+#: so close to 1 that the wire is unusable anyway.
+_MAX_PAYLOAD_SENDS = 25
 
 
-class _FastJob:
+class _Job:
     """Shared per-job state every cursor reads (spec scalars pre-bound)."""
 
     __slots__ = (
         "env", "handles", "work", "batches", "model", "traffic", "batch_ready",
-        "rtt_half", "storage_cpu_factor", "compute_cpu_factor",
-        "bandwidth", "link_chunk", "overhead", "flow_key",
+        "rtt", "rtt_half", "storage_cpu_factor", "compute_cpu_factor", "bandwidth",
+        "link_chunk", "overhead", "flow_key", "timeline", "tracer", "epoch",
+        "faults", "report", "fallback_work", "active_offloads", "messages",
     )
 
     def __init__(
-        self,
-        env: Environment,
-        spec: ClusterSpec,
-        work: Dict[int, "SampleWork"],
-        batches: List[List[int]],
-        model: ModelProfile,
-        handles: "JobHandles",
+        self, env: Environment, spec: ClusterSpec, work: Dict[int, "SampleWork"],
+        batches: List[List[int]], model: ModelProfile, handles: "JobHandles",
+        timeline: Optional[Timeline], faults: Optional[FaultSchedule], report: FaultReport,
+        fallback_work: Optional[Callable[[int], "SampleWork"]], tracer: Optional[Tracer],
+        epoch: int,
     ) -> None:
         self.env = env
         self.handles = handles
@@ -82,6 +89,7 @@ class _FastJob:
         self.model = model
         self.traffic: Dict[str, Any] = {"bytes": 0, "done": 0}
         self.batch_ready: List[Event] = [env.event() for _ in batches]
+        self.rtt = spec.network_rtt_s
         self.rtt_half = spec.network_rtt_s / 2.0
         self.storage_cpu_factor = spec.storage_cpu_factor
         self.compute_cpu_factor = spec.compute_cpu_factor
@@ -89,27 +97,47 @@ class _FastJob:
         self.link_chunk = spec.link_chunk_bytes
         self.overhead = spec.response_overhead_bytes
         self.flow_key = handles.flow_key
+        self.timeline = timeline
+        self.tracer = tracer
+        self.epoch = epoch
+        self.faults = faults
+        self.report = report
+        self.fallback_work = fallback_work
+        #: In-flight prefixes a crash window may interrupt, in start order.
+        self.active_offloads: Dict["_PrefixRun", int] = {}
+        self.messages = itertools.count()
+
+    def half_rtt(self) -> float:
+        """One-way request/response latency at the current instant."""
+        if self.faults is None:
+            return self.rtt_half
+        return (self.rtt + self.faults.extra_rtt_s(self.env.now)) / 2.0
 
 
-# _SampleRun states (the yield points of trainer.sample_proc):
-_S_START = 0        # process start slot fired
-_S_ARRIVED = 1      # half-RTT request latency elapsed
-_S_PREFIX_GRANT = 2  # storage core granted
-_S_PREFIX_DONE = 3  # offloaded prefix finished
-_S_CHUNK_GRANT = 4  # link granted for one chunk
-_S_CHUNK_DONE = 5   # chunk crossed the link
-_S_RESPONDED = 6    # trailing half-RTT elapsed
-_S_SUFFIX_GRANT = 7  # compute core granted
-_S_SUFFIX_DONE = 8  # local suffix finished
+# _SampleRun states (the wait points of the seed's per-sample process):
+_S_START = 0         # process start slot fired
+_S_ARRIVED = 1       # half-RTT request latency elapsed
+_S_PREFIX_GRANT = 2  # storage core granted (inline prefix, fault-free)
+_S_PREFIX_DONE = 3   # offloaded prefix finished (inline prefix, fault-free)
+_S_PREFIX_ENDED = 4  # prefix sub-process ended (faulted runs)
+_S_CHUNK_GRANT = 5   # link granted for one chunk
+_S_CHUNK_DONE = 6    # chunk crossed the link
+_S_RESPONDED = 7     # trailing half-RTT elapsed
+_S_SUFFIX_GRANT = 8  # compute core granted
+_S_SUFFIX_DONE = 9   # local suffix finished
 
 
 class _SampleRun:
-    """One sample's fetch, mirroring ``sample_proc`` state for state."""
+    """One sample's fetch, mirroring the seed's per-sample process.
+
+    Without faults the prefix runs inline (the seed's fault-free process
+    has no sub-process); with faults it runs as a :class:`_PrefixRun`.
+    """
 
     __slots__ = ("job", "item", "batch", "step", "state", "grant", "pool",
-                 "remaining", "payload")
+                 "remaining", "payload", "sends", "trace")
 
-    def __init__(self, job: _FastJob, item: "SampleWork", batch: "_BatchRun") -> None:
+    def __init__(self, job: _Job, item: "SampleWork", batch: "_BatchRun") -> None:
         self.job = job
         self.item = item
         self.batch = batch
@@ -119,19 +147,29 @@ class _SampleRun:
         self.pool: Optional[Resource] = None
         self.remaining = 0
         self.payload = 0
+        self.sends = 0
+        self.trace = trace_id(item.sample_id, job.epoch) if job.tracer is not None else ""
         env = job.env
         env._call_at(env.now, self.step)
 
     def _step(self, event: Any) -> None:
         job = self.job
         env = job.env
+        tracer = job.tracer
         state = self.state
         if state == _S_CHUNK_GRANT:  # hottest states first
             self.state = _S_CHUNK_DONE
             chunk = self.remaining
             if chunk > job.link_chunk:
                 chunk = job.link_chunk
-            env._call_at(env.now + chunk / job.bandwidth, self.step)
+            faults = job.faults
+            if faults is None:
+                env._call_at(env.now + chunk / job.bandwidth, self.step)
+            else:
+                factor = faults.bandwidth_factor(env.now)
+                if factor < 1.0:
+                    job.report.brownout_chunks += 1
+                env._call_at(env.now + chunk / (job.bandwidth * factor), self.step)
         elif state == _S_CHUNK_DONE:
             link = job.handles.link
             link.release(self.grant)
@@ -145,54 +183,253 @@ class _SampleRun:
                 self.grant.callbacks.append(self.step)
             else:
                 job.traffic["bytes"] += self.payload
+                if job.faults is not None and self._corrupted():
+                    self._send()
+                    return
+                if tracer is not None:
+                    tracer.end(self.trace, "link.transmit")
                 self.state = _S_RESPONDED
-                env._call_at(env.now + job.rtt_half, self.step)
+                env._call_at(env.now + job.half_rtt(), self.step)
         elif state == _S_START:
+            if tracer is not None:
+                item = self.item
+                tracer.begin(
+                    self.trace, "sample.fetch", split=item.split, wire_bytes=item.wire_bytes,
+                    **job.handles.span_attrs(item.sample_id),
+                )
             self.state = _S_ARRIVED
-            env._call_at(env.now + job.rtt_half, self.step)
+            env._call_at(env.now + job.half_rtt(), self.step)
         elif state == _S_ARRIVED:
             item = self.item
-            if item.split > 0:
+            if item.split == 0:
+                self._start_transmit()
+            elif job.faults is not None and job.faults.storage_down(env.now):
+                # Fetch refused outright: the node is down right now.
+                job.report.note_failure(env.now)
+                if tracer is not None:
+                    tracer.instant(self.trace, "fault.storage_down")
+                self._demote()
+                self._start_transmit()
+            else:
+                if tracer is not None:
+                    tracer.begin(
+                        self.trace, "storage.prefix", split=item.split,
+                        **job.handles.span_attrs(item.sample_id),
+                    )
+                if job.faults is not None:
+                    # A crash window may interrupt it: run it as a sub-process.
+                    job.report.offload_attempts += 1
+                    job.active_offloads[_PrefixRun(self)] = item.sample_id
+                    self.state = _S_PREFIX_ENDED
+                    return
                 pool = job.handles.storage_pool(item.sample_id)
                 assert pool is not None  # split > 0 implies an offload-capable spec
                 self.pool = pool
                 self.state = _S_PREFIX_GRANT
                 self.grant = pool.acquire()
                 self.grant.callbacks.append(self.step)
-            else:
-                self._start_transmit()
         elif state == _S_PREFIX_GRANT:
             self.state = _S_PREFIX_DONE
-            env._call_at(
-                env.now + self.item.prefix_cpu_s * job.storage_cpu_factor, self.step
-            )
+            env._call_at(env.now + self.item.prefix_cpu_s * job.storage_cpu_factor, self.step)
         elif state == _S_PREFIX_DONE:
             assert self.pool is not None
             self.pool.release(self.grant)
+            if tracer is not None:
+                tracer.end(self.trace, "storage.prefix", cpu_s=self.item.prefix_cpu_s)
+            self._start_transmit()
+        elif state == _S_PREFIX_ENDED:
+            prefix = event.value
+            job.active_offloads.pop(prefix, None)
+            if tracer is not None:
+                outcome = "ok" if prefix.ok else "interrupted"
+                tracer.end(self.trace, "storage.prefix", outcome=outcome)
+            report = job.report
+            if prefix.ok:
+                recovering = report.first_failure_s is not None and report.recovered_at_s is None
+                report.note_success(env.now)
+                if recovering and job.timeline is not None:
+                    job.timeline.record_fault(env.now, "recovery", self.item.sample_id)
+            else:
+                report.note_failure(env.now)
+                self._demote()
             self._start_transmit()
         elif state == _S_RESPONDED:
             if self.item.suffix_cpu_s > 0:
+                if tracer is not None:
+                    tracer.begin(self.trace, "compute.suffix")
                 self.state = _S_SUFFIX_GRANT
                 self.grant = job.handles.compute_cpu.acquire()
                 self.grant.callbacks.append(self.step)
             else:
-                env._call_at(env.now, self.batch.child_end)
+                self._finish()
         elif state == _S_SUFFIX_GRANT:
             self.state = _S_SUFFIX_DONE
-            env._call_at(
-                env.now + self.item.suffix_cpu_s * job.compute_cpu_factor, self.step
-            )
+            env._call_at(env.now + self.item.suffix_cpu_s * job.compute_cpu_factor, self.step)
         else:  # _S_SUFFIX_DONE
             job.handles.compute_cpu.release(self.grant)
-            env._call_at(env.now, self.batch.child_end)
+            if tracer is not None:
+                tracer.end(self.trace, "compute.suffix", cpu_s=self.item.suffix_cpu_s)
+            self._finish()
+
+    def _demote(self) -> None:
+        """Degrade to No-Off: raw fetch + local preprocessing, never lost."""
+        job = self.job
+        item = self.item
+        job.report.demoted_samples += 1
+        if job.timeline is not None:
+            job.timeline.record_fault(job.env.now, "demotion", item.sample_id)
+        if job.tracer is not None:
+            job.tracer.instant(self.trace, "fault.demote", planned_split=item.split)
+        assert job.fallback_work is not None
+        self.item = job.fallback_work(item.sample_id)
 
     def _start_transmit(self) -> None:
         job = self.job
         self.payload = self.item.wire_bytes + job.overhead
+        if job.tracer is not None:
+            job.tracer.begin(self.trace, "link.transmit", payload_bytes=self.payload)
+        self._send()
+
+    def _send(self) -> None:
+        """Queue the first chunk of one full send of the payload."""
+        job = self.job
         self.remaining = self.payload
         self.state = _S_CHUNK_GRANT
         self.grant = job.handles.link.acquire(job.flow_key, front=False)
         self.grant.callbacks.append(self.step)
+
+    def _corrupted(self) -> bool:
+        """Draw this send's corruption coin; True when the payload goes again.
+
+        A damaged payload never reaches the pipeline; the re-send's bytes
+        count as traffic, exactly as a checksum-triggered re-fetch would.
+        """
+        job = self.job
+        assert job.faults is not None
+        if not job.faults.corrupts(next(job.messages)):
+            return False
+        send = self.sends
+        self.sends = send + 1
+        job.report.corrupted_payloads += 1
+        if self.sends < _MAX_PAYLOAD_SENDS:
+            job.report.corrupt_retries += 1
+        if job.timeline is not None:
+            job.timeline.record_fault(job.env.now, "corruption", self.item.sample_id)
+        if job.tracer is not None:
+            job.tracer.instant(self.trace, "fault.corruption", send=send)
+        return self.sends < _MAX_PAYLOAD_SENDS
+
+    def _finish(self) -> None:
+        job = self.job
+        if job.tracer is not None:
+            job.tracer.end(self.trace, "sample.fetch")
+        job.env._call_at(job.env.now, self.batch.child_end)
+
+
+# _PrefixRun states (the wait points of the seed's ``prefix_proc``):
+_P_START = 0   # start slot pending
+_P_GRANT = 1   # waiting for a storage core
+_P_RUN = 2     # holding the core for the prefix's CPU time
+_P_THROWN = 3  # interrupted; throw-in slot pending
+
+
+class _PrefixRun:
+    """An offloaded prefix under fault injection (the seed's ``prefix_proc``).
+
+    A sub-process of its sample -- start slot at construction, end slot
+    resuming the sample with this cursor as the value -- so a crash window
+    can interrupt it wherever it waits.  ``ok`` is False if interrupted.
+    """
+
+    __slots__ = ("sample", "step", "state", "pool", "grant", "wake", "ok", "triggered")
+
+    def __init__(self, sample: _SampleRun) -> None:
+        self.sample = sample
+        self.step = self._step
+        self.state = _P_START
+        self.pool: Optional[Resource] = None
+        self.grant: Optional[Event] = None
+        self.ok = False
+        self.triggered = False  # end slot pushed: crash watches skip it
+        env = sample.job.env
+        self.wake = env._call_at(env.now, self.step)  # the pending slot, if any
+
+    def _step(self, event: Any) -> None:
+        sample = self.sample
+        job = sample.job
+        env = job.env
+        if self.state == _P_START:
+            self.pool = pool = job.handles.storage_pool(sample.item.sample_id)
+            assert pool is not None  # split > 0 implies an offload-capable spec
+            self.state = _P_GRANT
+            self.grant = pool.acquire()
+            self.grant.callbacks.append(self.step)
+        elif self.state == _P_GRANT:
+            assert job.faults is not None
+            self.state = _P_RUN
+            cpu_s = sample.item.prefix_cpu_s * job.storage_cpu_factor
+            self.wake = env._call_at(
+                env.now + cpu_s * job.faults.storage_cpu_factor(env.now), self.step
+            )
+        else:  # _P_RUN
+            assert self.pool is not None
+            self.pool.release(self.grant)
+            self.ok = True
+            self._end()
+
+    def interrupt(self) -> None:
+        """Abandon the pending wait and deliver the crash through the queue."""
+        if self.state == _P_GRANT:
+            assert self.grant is not None
+            self.grant.callbacks.remove(self.step)
+        else:  # _P_START / _P_RUN: the pending slot fires into the void
+            self.wake.fn = None
+        self.state = _P_THROWN
+        env = self.sample.job.env
+        env._call_at(env.now, self._throw_in)
+
+    def _throw_in(self, event: Any) -> None:
+        # Never started: nothing acquired.  Otherwise the grant may have
+        # landed since the interrupt, so check before choosing.
+        pool, grant = self.pool, self.grant
+        if pool is not None and grant is not None:
+            if pool.holds(grant):
+                pool.release(grant)
+            else:
+                pool.cancel(grant)
+        self._end()
+
+    def _end(self) -> None:
+        self.triggered = True
+        env = self.sample.job.env
+        env._call_at(env.now, self.sample.step, self)
+
+
+class _CrashWatch:
+    """One crash window's watcher: interrupts every prefix in flight."""
+
+    __slots__ = ("job", "start")
+
+    def __init__(self, job: _Job, start: float) -> None:
+        self.job = job
+        self.start = start
+        job.env._call_at(job.env.now, self.arm)
+
+    def arm(self, event: Any) -> None:
+        env = self.job.env
+        env._call_at(env.now + self.start, self.fire)
+
+    def fire(self, event: Any) -> None:
+        job = self.job
+        for prefix, sample_id in list(job.active_offloads.items()):
+            if prefix.triggered or prefix.state == _P_THROWN:
+                continue
+            job.report.crash_interrupts += 1
+            if job.timeline is not None:
+                job.timeline.record_fault(job.env.now, "crash-interrupt", sample_id)
+            if job.tracer is not None:
+                job.tracer.instant(trace_id(sample_id, job.epoch), "fault.crash_interrupt")
+            prefix.interrupt()
 
 
 class _BatchRun:
@@ -200,14 +437,13 @@ class _BatchRun:
 
     __slots__ = ("job", "index", "ids", "token", "pending")
 
-    def __init__(self, job: _FastJob, index: int, ids: List[int]) -> None:
+    def __init__(self, job: _Job, index: int, ids: List[int]) -> None:
         self.job = job
         self.index = index
         self.ids = ids
         self.token: Optional[Event] = None
         self.pending = 0
-        env = job.env
-        env._call_at(env.now, self.start)
+        job.env._call_at(job.env.now, self.start)
 
     def start(self, event: Any) -> None:
         # First resume: claim a prefetch-window token, wait for it.
@@ -218,15 +454,14 @@ class _BatchRun:
     def granted(self, event: Any) -> None:
         # Token granted: launch every sample, join them via countdown
         # (one child_end slot per sample plays the child's process-end
-        # event; the final one stands in for the AllOf join).
+        # event; the final one stands in for the all-of join).
         job = self.job
-        env = job.env
         work = job.work
         self.pending = len(self.ids)
         for sample_id in self.ids:
             _SampleRun(job, work[sample_id], self)
         if not self.ids:
-            env._call_at(env.now, self.all_done)
+            job.env._call_at(job.env.now, self.all_done)
 
     def child_end(self, event: Any) -> None:
         self.pending -= 1
@@ -235,10 +470,13 @@ class _BatchRun:
             env._call_at(env.now, self.all_done)
 
     def all_done(self, event: Any) -> None:
-        self.job.batch_ready[self.index].trigger(self.token)
+        job = self.job
+        if job.timeline is not None:
+            job.timeline.trace(self.index).ready_at = job.env.now
+        job.batch_ready[self.index].trigger(self.token)
 
 
-# _GpuRun states (the yield points of trainer.gpu_proc):
+# _GpuRun states (the wait points of the seed's ``gpu_proc``):
 _G_START = 0       # process start slot fired
 _G_READY = 1       # batch_ready[index] delivered
 _G_GRANT = 2       # GPU granted
@@ -250,25 +488,23 @@ class _GpuRun:
 
     __slots__ = ("job", "index", "token", "grant", "step", "state")
 
-    def __init__(self, job: _FastJob) -> None:
+    def __init__(self, job: _Job) -> None:
         self.job = job
         self.index = 0
         self.token: Optional[Event] = None
         self.grant: Optional[Event] = None
         self.state = _G_START
         self.step = self._step
-        env = job.env
-        env._call_at(env.now, self.step)
+        job.env._call_at(job.env.now, self.step)
 
     def _wait_ready(self) -> None:
         job = self.job
         ready = job.batch_ready[self.index]
         self.state = _G_READY
         if ready.processed:
-            # Deliver through the queue, like Process._wait_on on an
+            # Deliver through the queue, like a process waiting on an
             # already-fired event.
-            env = job.env
-            env._call_at(env.now, self.step, ready.value)
+            job.env._call_at(job.env.now, self.step, ready.value)
         else:
             ready.callbacks.append(self.step)
 
@@ -283,9 +519,20 @@ class _GpuRun:
             self.grant.callbacks.append(self.step)
         elif state == _G_GRANT:
             self.state = _G_BATCH_DONE
-            ids = job.batches[self.index]
-            env._call_at(env.now + job.model.batch_time_s(len(ids)), self.step)
+            index = self.index
+            if job.timeline is not None:
+                job.timeline.trace(index).gpu_start = env.now
+            if job.tracer is not None:
+                job.tracer.begin(
+                    f"b{index}-e{job.epoch}", "gpu.batch", batch=index, **job.handles.span_attrs()
+                )
+            env._call_at(env.now + job.model.batch_time_s(len(job.batches[index])), self.step)
         elif state == _G_BATCH_DONE:
+            index = self.index
+            if job.timeline is not None:
+                job.timeline.trace(index).gpu_end = env.now
+            if job.tracer is not None:
+                job.tracer.end(f"b{index}-e{job.epoch}", "gpu.batch")
             job.handles.gpu.release(self.grant)
             job.handles.prefetch.release(self.token)
             self.index += 1
@@ -293,40 +540,61 @@ class _GpuRun:
                 self._wait_ready()
             else:
                 self._finish()
-        else:  # _G_START
-            if job.batches:
-                self._wait_ready()
-            else:
-                self._finish()
+        elif job.batches:  # _G_START
+            self._wait_ready()
+        else:
+            self._finish()
 
     def _finish(self) -> None:
         job = self.job
         job.traffic["done"] = 1
         job.traffic["finished_at"] = job.env.now
+        if job.timeline is not None:
+            job.timeline.epoch_end = job.env.now
 
 
-def launch_training_job_fast(
+def launch_training_job(
     env: Environment,
     spec: ClusterSpec,
     work: Dict[int, "SampleWork"],
     batches: List[List[int]],
     model: ModelProfile,
     handles: "JobHandles",
+    timeline: Optional[Timeline] = None,
+    faults: Optional[FaultSchedule] = None,
+    fault_report: Optional[FaultReport] = None,
+    fallback_work: Optional[Callable[[int], "SampleWork"]] = None,
+    tracer: Optional[Tracer] = None,
     epoch: int = 0,
 ) -> Dict[str, Any]:
-    """Register one job's epoch on ``env`` via the batched cursor engine.
+    """Register one training job's epoch on ``env``.
 
-    Semantics and return value match
-    :func:`~repro.cluster.trainer.launch_training_processes` called
-    without faults, timeline, or tracer -- byte-identical stats, traffic,
-    and resource accounting.  Callers needing any of those switches must
-    use the generator path instead (``TrainerSim.run_epoch`` arbitrates).
+    Returns the job's live traffic counter (key ``"bytes"``); multi-job
+    callers watch its ``"done"`` flag and ``"finished_at"`` time.
 
-    ``epoch`` is accepted for signature parity with the generator
-    launcher; the fast path carries no tracer, so nothing consumes it.
+    faults: optional fault schedule on virtual time.  When present (and
+        non-empty), ``fallback_work`` must map a sample id to its split-0
+        work so failed offloads can demote; observations accumulate into
+        ``fault_report``.  An empty/None schedule simulates exactly the
+        fault-free epoch.
+    tracer: optional per-sample span collector; ``epoch`` names the traces
+        (trace id = sample id + epoch).  Emission never touches the event
+        queue, so a run with a tracer simulates identically to one without.
+    timeline: optional per-batch timeline (plus fault events) to fill in.
     """
-    job = _FastJob(env, spec, work, batches, model, handles)
+    if faults is not None and faults.is_empty:
+        faults = None
+    if faults is not None and fallback_work is None:
+        raise ValueError("fault injection needs fallback_work for demotions")
+    report = fault_report if fault_report is not None else FaultReport()
+    job = _Job(
+        env, spec, work, batches, model, handles,
+        timeline, faults, report, fallback_work, tracer, epoch,
+    )
     for index, ids in enumerate(batches):
         _BatchRun(job, index, ids)
     _GpuRun(job)
+    if faults is not None:
+        for window in faults.crashes:
+            _CrashWatch(job, window.start)
     return job.traffic

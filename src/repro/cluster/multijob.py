@@ -24,16 +24,9 @@ schedule is byte-identical with or without either.
 import dataclasses
 from typing import Dict, Optional, Sequence, cast
 
-from repro.cluster.engine import launch_training_job_fast
 from repro.cluster.sim import Environment
 from repro.cluster.spec import ClusterSpec
-from repro.cluster.trainer import (
-    JobHandles,
-    TrainerSim,
-    WorkAdjustment,
-    _kernel_module,
-    launch_training_processes,
-)
+from repro.cluster.trainer import JobHandles, TrainerSim, WorkAdjustment, _kernel
 from repro.data.dataset import Dataset
 from repro.data.sampler import BatchSampler, SequentialSampler
 from repro.metrics.timeline import Timeline
@@ -110,7 +103,7 @@ class SharedLinkSim:
         epoch: int = 0,
         record_timeline: bool = False,
         record_spans: bool = False,
-        kernel: str = "auto",
+        kernel: str = "fast",
     ) -> SharedLinkStats:
         """Run every job's epoch to completion on the shared link.
 
@@ -118,20 +111,13 @@ class SharedLinkSim:
             (stats.spans); each span carries a ``job`` label.
         record_timeline: attach one per-batch Timeline per job
             (stats.timelines, keyed by job name).
-        kernel: same contract as :meth:`TrainerSim.run_epoch` -- "auto"
-            runs every tenant on the batched cursor engine when neither
-            telemetry switch is set, "reference" replays the frozen seed
-            kernel, and all choices are byte-identical.
+        kernel: same contract as :meth:`TrainerSim.run_epoch` -- "fast"
+            runs every tenant on the cursor engine, "reference" replays
+            the frozen seed kernel and launcher, and both are
+            byte-identical.
         Neither telemetry switch perturbs the simulated schedule.
         """
-        kernel_mod = _kernel_module(kernel)
-        fast_eligible = not record_timeline and not record_spans
-        if kernel == "fast" and not fast_eligible:
-            raise ValueError(
-                "kernel='fast' covers only runs without timeline or spans; "
-                "use kernel='auto' to fall back automatically"
-            )
-        use_engine = kernel != "reference" and fast_eligible
+        kernel_mod, launch = _kernel(kernel)
         names = [job.name for job in jobs]
         if len(set(names)) != len(names):
             raise ValueError(f"job names must be unique, got {names}")
@@ -186,22 +172,17 @@ class SharedLinkSim:
                 flow_key=job.name,
                 job_label=job.name,
             )
-            if use_engine:
-                counters[job.name] = launch_training_job_fast(
-                    env, spec, work, batches, job.model, handles, epoch=epoch
-                )
-            else:
-                counters[job.name] = launch_training_processes(
-                    env,
-                    spec,
-                    work,
-                    batches,
-                    job.model,
-                    handles,
-                    timeline=timelines[job.name] if timelines is not None else None,
-                    tracer=tracer,
-                    epoch=epoch,
-                )
+            counters[job.name] = launch(
+                env,
+                spec,
+                work,
+                batches,
+                job.model,
+                handles,
+                timeline=timelines[job.name] if timelines is not None else None,
+                tracer=tracer,
+                epoch=epoch,
+            )
 
         env.run()
         makespan = env.now

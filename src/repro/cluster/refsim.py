@@ -1,25 +1,36 @@
-"""The frozen *seed* DES kernel: the byte-identity reference.
+"""The frozen *seed* DES kernel and launcher: the byte-identity oracle.
 
-This module is a byte-for-byte snapshot of ``repro.cluster.sim`` as it
-stood before the performance overhaul (the generator ``Process`` + relay
-``Event`` kernel), kept so the optimized kernel can be gated against it:
-``repro.cluster.bench`` and the identity tests run every epoch on both
-kernels and require byte-identical ``EpochStats``, traffic, fault reports
-and span streams.  Do not optimize or "fix" this file -- its value is
-that it never changes.  The behavioral contract both kernels must satisfy
-lives in ``tests/cluster/test_sim_semantics.py``, parameterized over the
-two modules.
+Byte-for-byte snapshots of the generator kernel (``Process`` + relay
+``Event``, ``AllOf``, ``Store``, interrupts) and of the seed launcher,
+:func:`launch_training_processes`, that drove every epoch before the
+cursor engine (:mod:`repro.cluster.engine`) learned it all.  Only
+``run_epoch(kernel="reference")`` runs them; ``repro.cluster.bench`` and
+the identity tests require byte-identical ``EpochStats``, fault reports,
+span streams and timelines from both paths.  Do not optimize or "fix"
+this file -- its value is that it never changes.
 """
+
+# Postponed annotations: the launcher names trainer types that would be a
+# circular runtime import.
+from __future__ import annotations
 
 import heapq
 import itertools
 from collections import OrderedDict
-from typing import Any, Callable, Generator, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Iterator, List, Optional
 
-# The exception types are shared with the live kernel (not snapshotted):
-# process code like ``launch_training_processes`` catches ``Interrupt`` by
-# identity, and it must catch it no matter which kernel is driving.
-from repro.cluster.sim import Interrupt, SimulationError
+# The retransmission cap is shared with the live engine, and the
+# SimulationError type with the live kernel's resources.
+from repro.cluster.engine import _MAX_PAYLOAD_SENDS
+from repro.cluster.sim import SimulationError
+from repro.cluster.spec import ClusterSpec
+from repro.faults.schedule import FaultReport, FaultSchedule
+from repro.metrics.timeline import Timeline
+from repro.telemetry.spans import Tracer, trace_id
+from repro.workloads.models import ModelProfile
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.trainer import JobHandles, SampleWork
 
 __all__ = [
     "AllOf",
@@ -33,7 +44,22 @@ __all__ = [
     "Store",
     "Timeout",
     "hold",
+    "launch_training_processes",
 ]
+
+
+class Interrupt(Exception):
+    """Thrown into a process by :meth:`Process.interrupt`.
+
+    ``cause`` carries whatever the interrupter passed (e.g. the fault that
+    killed the resource the process was using).  A process that catches the
+    interrupt continues normally; one that does not simply ends, with the
+    Interrupt instance as its value.
+    """
+
+    def __init__(self, cause: Any = None) -> None:
+        super().__init__(cause)
+        self.cause = cause
 
 
 class Event:
@@ -397,3 +423,287 @@ def hold(env: Environment, resource: Resource, duration: float) -> Iterator[Even
     yield request
     yield env.timeout(duration)
     resource.release(request)
+
+
+def launch_training_processes(
+    env: Environment,
+    spec: ClusterSpec,
+    work: Dict[int, SampleWork],
+    batches: List[List[int]],
+    model: ModelProfile,
+    handles: JobHandles,
+    timeline: Optional["Timeline"] = None,
+    faults: Optional[FaultSchedule] = None,
+    fault_report: Optional[FaultReport] = None,
+    fallback_work: Optional[Callable[[int], SampleWork]] = None,
+    tracer: Optional[Tracer] = None,
+    epoch: int = 0,
+) -> Dict[str, int]:
+    """Register one training job's processes on ``env``.
+
+    Returns the job's live traffic counter (key ``"bytes"``); the job is
+    finished when the environment drains (or when the returned
+    ``handles.gpu`` has processed ``len(batches)`` batches -- multi-job
+    callers watch the counter dict's ``"done"`` flag).
+
+    faults: optional fault schedule on virtual time.  When present (and
+        non-empty), ``fallback_work`` must map a sample id to its split-0
+        work so failed offloads can demote; observations accumulate into
+        ``fault_report``.  An empty/None schedule takes the exact
+        fault-free code path.
+    tracer: optional per-sample span collector; ``epoch`` names the traces
+        (trace id = sample id + epoch).  Emission never touches the event
+        queue, so a run with a tracer simulates identically to one without.
+    """
+    traffic = {"bytes": 0, "done": 0}
+    bandwidth = spec.bandwidth_bytes_per_s
+    batch_ready = [env.event() for _ in batches]
+    if faults is not None and faults.is_empty:
+        faults = None
+    if faults is not None and fallback_work is None:
+        raise ValueError("fault injection needs fallback_work for demotions")
+    report = fault_report if fault_report is not None else FaultReport()
+
+    def sample_proc(item: SampleWork):
+        trace = trace_id(item.sample_id, epoch) if tracer is not None else ""
+        if tracer is not None:
+            tracer.begin(
+                trace, "sample.fetch", split=item.split, wire_bytes=item.wire_bytes,
+                **handles.span_attrs(item.sample_id),
+            )
+        # Request leaves the compute node; half an RTT to arrive.
+        yield env.timeout(spec.network_rtt_s / 2.0)
+        if item.split > 0:
+            if tracer is not None:
+                tracer.begin(
+                    trace, "storage.prefix", split=item.split,
+                    **handles.span_attrs(item.sample_id),
+                )
+            pool = handles.storage_pool(item.sample_id)
+            assert pool is not None  # split > 0 implies an offload-capable spec
+            grant = pool.acquire()
+            yield grant
+            yield env.timeout(item.prefix_cpu_s * spec.storage_cpu_factor)
+            pool.release(grant)
+            if tracer is not None:
+                tracer.end(trace, "storage.prefix", cpu_s=item.prefix_cpu_s)
+        # Transmit in chunks: releasing the link between chunks lets
+        # concurrent flows interleave (fair sharing) instead of
+        # serializing whole payloads behind each other.
+        payload_bytes = item.wire_bytes + spec.response_overhead_bytes
+        if tracer is not None:
+            tracer.begin(trace, "link.transmit", payload_bytes=payload_bytes)
+        remaining = payload_bytes
+        first_chunk = True
+        while remaining > 0:
+            chunk = min(remaining, spec.link_chunk_bytes)
+            grant = handles.link.acquire(handles.flow_key, front=not first_chunk)
+            yield grant
+            yield env.timeout(chunk / bandwidth)
+            handles.link.release(grant)
+            remaining -= chunk
+            first_chunk = False
+        traffic["bytes"] += payload_bytes
+        if tracer is not None:
+            tracer.end(trace, "link.transmit")
+        yield env.timeout(spec.network_rtt_s / 2.0)
+        if item.suffix_cpu_s > 0:
+            if tracer is not None:
+                tracer.begin(trace, "compute.suffix")
+            grant = handles.compute_cpu.acquire()
+            yield grant
+            yield env.timeout(item.suffix_cpu_s * spec.compute_cpu_factor)
+            handles.compute_cpu.release(grant)
+            if tracer is not None:
+                tracer.end(trace, "compute.suffix", cpu_s=item.suffix_cpu_s)
+        if tracer is not None:
+            tracer.end(trace, "sample.fetch")
+
+    # -- fault-aware variant ------------------------------------------------
+    # Kept separate from sample_proc so the fault-free path stays
+    # byte-identical (acceptance criterion: an empty schedule changes
+    # nothing, not even float rounding order).
+
+    active_offloads: Dict[object, int] = {}  # prefix Process -> sample id
+    message_counter = itertools.count()
+
+    def crash_watch(window):
+        yield env.timeout(window.start)
+        victims = [p for p in list(active_offloads) if not p.triggered]
+        for proc in victims:
+            report.crash_interrupts += 1
+            if timeline is not None:
+                timeline.record_fault(
+                    env.now, "crash-interrupt", active_offloads.get(proc, -1)
+                )
+            if tracer is not None:
+                tracer.instant(
+                    trace_id(active_offloads.get(proc, -1), epoch),
+                    "fault.crash_interrupt",
+                )
+            proc.interrupt("storage-crash")
+
+    def prefix_proc(item: SampleWork):
+        """Run the offloaded prefix; returns True unless interrupted."""
+        pool = handles.storage_pool(item.sample_id)
+        assert pool is not None  # split > 0 implies an offload-capable spec
+        grant = pool.acquire()
+        try:
+            yield grant
+            yield env.timeout(
+                item.prefix_cpu_s
+                * spec.storage_cpu_factor
+                * faults.storage_cpu_factor(env.now)
+            )
+        except Interrupt:
+            if pool.holds(grant):
+                pool.release(grant)
+            else:
+                pool.cancel(grant)
+            return False
+        pool.release(grant)
+        return True
+
+    def transmit(payload_bytes: int):
+        """Move one payload across the (possibly browned-out) link."""
+        remaining = payload_bytes
+        first_chunk = True
+        while remaining > 0:
+            chunk = min(remaining, spec.link_chunk_bytes)
+            grant = handles.link.acquire(handles.flow_key, front=not first_chunk)
+            yield grant
+            factor = faults.bandwidth_factor(env.now)
+            if factor < 1.0:
+                report.brownout_chunks += 1
+            yield env.timeout(chunk / (bandwidth * factor))
+            handles.link.release(grant)
+            remaining -= chunk
+            first_chunk = False
+        traffic["bytes"] += payload_bytes
+
+    def faulty_sample_proc(item: SampleWork):
+        trace = trace_id(item.sample_id, epoch) if tracer is not None else ""
+        if tracer is not None:
+            tracer.begin(
+                trace, "sample.fetch", split=item.split, wire_bytes=item.wire_bytes,
+                **handles.span_attrs(item.sample_id),
+            )
+        yield env.timeout((spec.network_rtt_s + faults.extra_rtt_s(env.now)) / 2.0)
+        if item.split > 0:
+            offloaded = False
+            if faults.storage_down(env.now):
+                # Fetch refused outright: the node is down right now.
+                report.note_failure(env.now)
+                if tracer is not None:
+                    tracer.instant(trace, "fault.storage_down")
+            else:
+                report.offload_attempts += 1
+                if tracer is not None:
+                    tracer.begin(
+                        trace, "storage.prefix", split=item.split,
+                        **handles.span_attrs(item.sample_id),
+                    )
+                proc = env.process(prefix_proc(item))
+                active_offloads[proc] = item.sample_id
+                outcome = yield proc
+                active_offloads.pop(proc, None)
+                offloaded = outcome is True
+                if tracer is not None:
+                    tracer.end(
+                        trace,
+                        "storage.prefix",
+                        outcome="ok" if offloaded else "interrupted",
+                    )
+                if offloaded:
+                    recovering = (
+                        report.first_failure_s is not None
+                        and report.recovered_at_s is None
+                    )
+                    report.note_success(env.now)
+                    if recovering and timeline is not None:
+                        timeline.record_fault(env.now, "recovery", item.sample_id)
+                else:
+                    report.note_failure(env.now)
+            if not offloaded:
+                # Degrade to No-Off: raw fetch + local preprocessing.  The
+                # sample is served either way -- never lost.
+                report.demoted_samples += 1
+                if timeline is not None:
+                    timeline.record_fault(env.now, "demotion", item.sample_id)
+                if tracer is not None:
+                    tracer.instant(trace, "fault.demote", planned_split=item.split)
+                item = fallback_work(item.sample_id)
+        payload_bytes = item.wire_bytes + spec.response_overhead_bytes
+        if tracer is not None:
+            tracer.begin(trace, "link.transmit", payload_bytes=payload_bytes)
+        for send in range(_MAX_PAYLOAD_SENDS):
+            yield from transmit(payload_bytes)
+            if not faults.corrupts(next(message_counter)):
+                break
+            # Checksum caught a damaged payload: it never reaches the
+            # pipeline; the re-transmission's bytes count as traffic.
+            report.corrupted_payloads += 1
+            if send + 1 < _MAX_PAYLOAD_SENDS:
+                report.corrupt_retries += 1
+            if timeline is not None:
+                timeline.record_fault(env.now, "corruption", item.sample_id)
+            if tracer is not None:
+                tracer.instant(trace, "fault.corruption", send=send)
+        if tracer is not None:
+            tracer.end(trace, "link.transmit")
+        yield env.timeout((spec.network_rtt_s + faults.extra_rtt_s(env.now)) / 2.0)
+        if item.suffix_cpu_s > 0:
+            if tracer is not None:
+                tracer.begin(trace, "compute.suffix")
+            grant = handles.compute_cpu.acquire()
+            yield grant
+            yield env.timeout(item.suffix_cpu_s * spec.compute_cpu_factor)
+            handles.compute_cpu.release(grant)
+            if tracer is not None:
+                tracer.end(trace, "compute.suffix", cpu_s=item.suffix_cpu_s)
+        if tracer is not None:
+            tracer.end(trace, "sample.fetch")
+
+    make_sample_proc = sample_proc if faults is None else faulty_sample_proc
+
+    def batch_proc(index: int, ids: List[int]):
+        token = handles.prefetch.acquire()
+        yield token
+        children = [env.process(make_sample_proc(work[i])) for i in ids]
+        yield env.all_of(children)
+        if timeline is not None:
+            timeline.trace(index).ready_at = env.now
+        batch_ready[index].trigger(token)
+
+    def gpu_proc():
+        for index, ids in enumerate(batches):
+            yield batch_ready[index]
+            token = batch_ready[index].value
+            grant = handles.gpu.acquire()
+            yield grant
+            if timeline is not None:
+                timeline.trace(index).gpu_start = env.now
+            if tracer is not None:
+                tracer.begin(
+                    f"b{index}-e{epoch}", "gpu.batch", batch=index,
+                    **handles.span_attrs(),
+                )
+            yield env.timeout(model.batch_time_s(len(ids)))
+            if timeline is not None:
+                timeline.trace(index).gpu_end = env.now
+            if tracer is not None:
+                tracer.end(f"b{index}-e{epoch}", "gpu.batch")
+            handles.gpu.release(grant)
+            handles.prefetch.release(token)
+        traffic["done"] = 1
+        traffic["finished_at"] = env.now
+        if timeline is not None:
+            timeline.epoch_end = env.now
+
+    for index, ids in enumerate(batches):
+        env.process(batch_proc(index, ids))
+    env.process(gpu_proc())
+    if faults is not None:
+        for window in faults.crashes:
+            env.process(crash_watch(window))
+    return traffic

@@ -11,29 +11,24 @@ The interesting failure mode is placement skew: if the offload-heavy
 samples cluster on one shard, that node becomes the bottleneck while the
 others idle -- aggregate cores stop being the right capacity measure.
 
-:class:`ShardedTrainerSim` shares :class:`~repro.cluster.trainer.TrainerSim`'s
-``run_epoch`` signature in full -- ``record_spans``, ``record_timeline``,
-``adjustments`` and ``faults`` all work, and any caller written against the
-base class can be handed the sharded sim unchanged.  Per-sample spans land
+:class:`ShardedTrainerSim` runs :class:`~repro.cluster.trainer.TrainerSim`'s
+own ``run_epoch`` -- ``record_spans``, ``record_timeline``, ``adjustments``,
+``faults`` and ``kernel`` all work, and any caller written against the base
+class can be handed the sharded sim unchanged; the stats it returns are a
+:class:`ShardedStats`.  Per-sample spans land
 on the same ``trace_id(sample, epoch)`` ids as the single-node path, with a
 ``shard`` label naming the pool that ran the offloaded prefix.
 """
 
 import dataclasses
 from types import ModuleType
-from typing import Dict, List, Optional, Sequence, cast
+from typing import List, Optional, Sequence
 
 from repro.cluster import sim as _fast_kernel
 from repro.cluster.sim import Environment
 from repro.cluster.spec import ClusterSpec
-from repro.cluster.trainer import (
-    EpochStats,
-    JobHandles,
-    TrainerSim,
-    WorkAdjustment,
-)
+from repro.cluster.trainer import EpochStats, JobHandles, TrainerSim
 from repro.data.dataset import Dataset
-from repro.faults.schedule import FaultSchedule
 from repro.preprocessing.pipeline import Pipeline
 from repro.workloads.models import ModelProfile
 
@@ -176,33 +171,3 @@ class ShardedTrainerSim(TrainerSim):
             f.name: getattr(stats, f.name) for f in dataclasses.fields(EpochStats)
         }
         return ShardedStats(shard_utilization=utilization, **fields)
-
-    def run_epoch(
-        self,
-        splits: Optional[Sequence[int]] = None,
-        epoch: int = 0,
-        adjustments: Optional[Dict[int, WorkAdjustment]] = None,
-        record_timeline: bool = False,
-        faults: Optional[FaultSchedule] = None,
-        record_spans: bool = False,
-        kernel: str = "auto",
-    ) -> "ShardedStats":
-        """One epoch on the sharded cluster; see :meth:`TrainerSim.run_epoch`.
-
-        The full base-class surface is honoured: telemetry spans (with
-        per-shard labels), batch timelines, work adjustments, fault
-        schedules and kernel selection, all byte-identical to an
-        uninstrumented run.
-        """
-        return cast(
-            ShardedStats,
-            super().run_epoch(
-                splits=splits,
-                epoch=epoch,
-                adjustments=adjustments,
-                record_timeline=record_timeline,
-                faults=faults,
-                record_spans=record_spans,
-                kernel=kernel,
-            ),
-        )

@@ -1,83 +1,40 @@
-"""A minimal generator-based discrete-event simulation kernel.
+"""A minimal callback-driven discrete-event simulation kernel.
 
-Processes are Python generators that ``yield`` events; the environment
-advances a virtual clock and resumes processes when their events trigger.
-This is the substrate under :class:`repro.cluster.trainer.TrainerSim`; it is
-deliberately small (events, processes, timeouts, FIFO resources, stores,
-all-of joins) but fully general.
+Events carry callback lists; the environment fires them in ``(time,
+sequence)`` order off a binary heap.  The cursor engine
+(:mod:`repro.cluster.engine`) drives it for every
+:class:`~repro.cluster.trainer.TrainerSim` epoch; generator processes
+survive only in the frozen seed kernel, :mod:`repro.cluster.refsim`.
 
-This is the *optimized* kernel (the seed kernel survives byte-for-byte as
-:mod:`repro.cluster.refsim`).  The optimizations never change observable
-semantics -- every heap push lands at the same (time, sequence) position
-the seed kernel would have used, which is what makes the two kernels
-byte-identical on every :class:`~repro.cluster.trainer.EpochStats` field
-(gated by ``repro.cluster.bench`` and ``tests/cluster/test_kernel_identity``):
+Every push lands at the (time, sequence) position the seed kernel would
+have used, which keeps the two byte-identical on every
+:class:`~repro.cluster.trainer.EpochStats` field.  What makes it faster:
 
-- **Slot-based callback entries.**  Resuming a process that waited on an
-  already-fired event, starting a process, and delivering an interrupt
-  used to allocate a relay :class:`Event` (callback list and all) and
-  route it through ``trigger``.  Those now push a two-slot
-  :class:`_Callback` directly onto the heap at the identical position.
-- **Free-list allocation.**  Fired ``_Callback`` slots are recycled
-  through a free list instead of churning the allocator (a million-sample
-  epoch retires tens of millions of them).
-- **O(1) queue discipline.**  Resource wait queues and store buffers are
-  deques, so FIFO acquire/release and queue-jump chunk continuation stop
-  paying list-shift costs.
+- **Slot-based callbacks.**  Where the seed kernel allocated a relay
+  :class:`Event` to wake a process, callers push a two-slot
+  :class:`_Callback` via :meth:`Environment._call_at`; fired slots are
+  recycled through a free list.
+- **O(1) queue discipline.**  Resource wait queues are deques.
 - **A tight drain loop.**  ``run()`` binds the heap and ``heappop``
-  locally and skips per-event ``step()`` dispatch.
-
-Example::
-
-    env = Environment()
-
-    def worker(env, cpu):
-        req = cpu.acquire()
-        yield req
-        yield env.timeout(2.0)
-        cpu.release(req)
-
-    cpu = Resource(env, capacity=1)
-    env.process(worker(env, cpu))
-    env.run()
+  locally.
 """
 
 import heapq
 import itertools
 from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, Generator, Iterator, List, Optional
+from typing import Any, Callable, Deque, List, Optional
 
 __all__ = [
-    "AllOf",
     "Environment",
     "Event",
     "FairResource",
-    "Interrupt",
-    "Process",
     "Resource",
     "SimulationError",
-    "Store",
-    "Timeout",
-    "hold",
 ]
 
 
 class SimulationError(RuntimeError):
-    """A process misused the kernel (e.g. yielded a non-event)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    ``cause`` carries whatever the interrupter passed (e.g. the fault that
-    killed the resource the process was using).  A process that catches the
-    interrupt continues normally; one that does not simply ends, with the
-    Interrupt instance as its value.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
+    """A caller misused the kernel (e.g. triggered an event twice)."""
 
 
 class _Callback:
@@ -86,9 +43,9 @@ class _Callback:
     The slot-based replacement for single-shot relay events: two slots, no
     callback list, recycled through :attr:`Environment._cb_pool` after
     firing.  ``fn`` may be cleared to ``None`` to neuter a pending entry
-    (the interrupt path abandons in-flight resumes this way).  ``value``
-    mirrors :attr:`Event.value` so process resume code can read it without
-    caring which kind of entry woke it.
+    (the engine's interrupt path abandons in-flight wakes this way).
+    ``value`` mirrors :attr:`Event.value` so callback code can read it
+    without caring which kind of entry woke it.
     """
 
     __slots__ = ("fn", "value")
@@ -130,134 +87,11 @@ class Event:
         heapq.heappush(env._heap, (env.now, next(env._counter), self))
         return self
 
-    def wait(self, callback: Callable[["Event"], None]) -> None:
-        """Invoke ``callback`` when this event fires (immediately if fired)."""
-        if self.processed:
-            callback(self)
-        else:
-            self.callbacks.append(callback)
-
     def _fire(self) -> None:
         self.processed = True
         callbacks, self.callbacks = self.callbacks, []
         for callback in callbacks:
             callback(self)
-
-
-class Timeout(Event):
-    """An event that fires after a fixed virtual delay."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"timeout delay must be >= 0, got {delay}")
-        super().__init__(env)
-        self.triggered = True
-        self.value = value
-        heapq.heappush(env._heap, (env.now + delay, next(env._counter), self))
-
-
-class Process(Event):
-    """A running generator; also an event that fires when the generator ends.
-
-    The event's value is the generator's return value.  Processes are
-    *interruptible*: :meth:`interrupt` throws an :class:`Interrupt` into the
-    generator at its current yield point (fault injection uses this to fail
-    an offloaded prefix that is in flight when the storage node crashes).
-    """
-
-    __slots__ = ("_generator", "_send", "_waiting_on", "_waiting_cb")
-
-    def __init__(self, env: "Environment", generator: Generator) -> None:
-        super().__init__(env)
-        self._generator = generator
-        self._send = generator.send
-        self._waiting_on: Optional[Event] = None
-        # Start through the queue (the seed kernel pushed a pre-triggered
-        # relay event here; a callback slot lands at the same position).
-        self._waiting_cb: Optional[_Callback] = env._call_at(env.now, self._resume, None)
-
-    def _resume(self, event: Any) -> None:
-        self._waiting_on = None
-        self._waiting_cb = None
-        try:
-            target = self._send(event.value)
-        except StopIteration as stop:
-            self.trigger(stop.value)
-            return
-        self._wait_on(target)
-
-    def _wait_on(self, target: Event) -> None:
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process yielded {type(target).__name__}, expected an Event"
-            )
-        if target.processed:
-            # Deliver through the queue rather than synchronously, so long
-            # chains of already-fired events cannot recurse the C stack
-            # (and so resumption never jumps ahead of same-time events
-            # already scheduled).
-            self._waiting_cb = self.env._call_at(
-                self.env.now, self._resume, target.value
-            )
-        else:
-            target.callbacks.append(self._resume)
-            self._waiting_on = target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its yield point.
-
-        No-op if the process has already finished.  The event the process
-        was waiting on is abandoned (its eventual firing no longer resumes
-        this process); delivery happens through the queue at the current
-        virtual time.
-        """
-        if self.triggered:
-            return
-        target = self._waiting_on
-        if target is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-        pending = self._waiting_cb
-        if pending is not None:
-            pending.fn = None  # neuter the in-flight resume slot
-        self._waiting_on = None
-        self._waiting_cb = None
-        self.env._call_at(self.env.now, self._throw_in, cause)
-
-    def _throw_in(self, event: Any) -> None:
-        try:
-            target = self._generator.throw(Interrupt(event.value))
-        except StopIteration as stop:
-            self.trigger(stop.value)
-            return
-        except Interrupt as exc:
-            # Not caught by the generator: the process ends, its value is
-            # the interrupt itself (waiters can inspect .cause).
-            self.trigger(exc)
-            return
-        self._wait_on(target)
-
-
-class AllOf(Event):
-    """Fires when every child event has fired; value is the list of values."""
-
-    __slots__ = ("_remaining", "_events")
-
-    def __init__(self, env: "Environment", events: List[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._remaining = len(self._events)
-        if self._remaining == 0:
-            self.trigger([])
-            return
-        for child in self._events:
-            child.wait(self._child_done)
-
-    def _child_done(self, event: Event) -> None:
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.trigger([e.value for e in self._events])
 
 
 class Environment:
@@ -271,9 +105,6 @@ class Environment:
         self._counter = itertools.count()
         #: Free list of fired _Callback slots, recycled by the run loop.
         self._cb_pool: List[_Callback] = []
-
-    def _schedule(self, at: float, event: Event) -> None:
-        heapq.heappush(self._heap, (at, next(self._counter), event))
 
     def _call_at(
         self, at: float, fn: Callable[[_Callback], None], value: Any = None
@@ -295,42 +126,16 @@ class Environment:
         heapq.heappush(self._heap, (at, next(self._counter), cb))
         return cb
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
-
     def event(self) -> Event:
         return Event(self)
 
-    def process(self, generator: Generator) -> Process:
-        return Process(self, generator)
+    def run(self) -> None:
+        """Process events until the queue drains.
 
-    def all_of(self, events: List[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def step(self) -> None:
-        at, _, event = heapq.heappop(self._heap)
-        if at < self.now:
-            raise SimulationError(f"time went backwards: {at} < {self.now}")
-        self.now = at
-        event._fire()
-        if event.__class__ is _Callback:
-            event.fn = None
-            event.value = None
-            self._cb_pool.append(event)
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Process events until the queue drains (or virtual ``until``)."""
-        if until is not None:
-            while self._heap:
-                if self._heap[0][0] > until:
-                    self.now = until
-                    return
-                self.step()
-            return
-        # Hot drain loop: local bindings, no per-event method dispatch.
-        # Heap order guarantees non-decreasing times (schedules are always
-        # at now or now + delay with delay >= 0), so the monotonicity
-        # check lives only in step().
+        A tight loop with local bindings and no per-event dispatch.  Heap
+        order guarantees non-decreasing times (every push is at ``now`` or
+        ``now + delay`` with ``delay >= 0``), so no monotonicity check.
+        """
         heap = self._heap
         pop = heapq.heappop
         pool = self._cb_pool
@@ -492,40 +297,3 @@ class FairResource(Resource):
     @property
     def queue_length(self) -> int:
         return sum(len(q) for q in self._flow_queues.values())
-
-
-class Store:
-    """An unbounded FIFO queue of items with blocking ``get``."""
-
-    __slots__ = ("env", "name", "_items", "_getters")
-
-    def __init__(self, env: Environment, name: str = "store") -> None:
-        self.env = env
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().trigger(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        event = Event(self.env)
-        if self._items:
-            event.trigger(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-def hold(env: Environment, resource: Resource, duration: float) -> Iterator[Event]:
-    """Convenience process fragment: acquire, hold for ``duration``, release."""
-    request = resource.acquire()
-    yield request
-    yield env.timeout(duration)
-    resource.release(request)

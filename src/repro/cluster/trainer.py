@@ -19,44 +19,46 @@ and corrupted payloads are re-transmitted (the extra bytes count as
 traffic, exactly as a checksum-triggered re-fetch would on the wire).  An
 empty schedule leaves the simulation byte-identical to the fault-free
 path.
+
+Every epoch runs on the cursor engine (:mod:`repro.cluster.engine`);
+``kernel="reference"`` replays the frozen seed kernel and launcher
+(:mod:`repro.cluster.refsim`) instead, as the byte-identity oracle.
 """
 
 import dataclasses
-import itertools
 from types import ModuleType
-from typing import Callable, Dict, List, Optional, Sequence, cast
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.cluster import refsim as _reference_kernel
 from repro.cluster import sim as _fast_kernel
-from repro.cluster.engine import launch_training_job_fast
+from repro.cluster.engine import launch_training_job
 from repro.cluster.epoch_model import EpochMetrics
-from repro.cluster.sim import Environment, Interrupt, Resource
+from repro.cluster.sim import Environment, Resource
 from repro.cluster.spec import ClusterSpec
 from repro.data.dataset import Dataset
 from repro.data.sampler import BatchSampler, Sampler, SequentialSampler
 from repro.faults.schedule import FaultReport, FaultSchedule
 from repro.metrics.timeline import Timeline
 from repro.preprocessing.pipeline import Pipeline
-from repro.telemetry.spans import Tracer, trace_id
+from repro.telemetry.spans import Tracer
 from repro.workloads.models import ModelProfile
 
-#: Retransmission cap per payload; only reachable when corruption_rate is
-#: so close to 1 that the wire is unusable anyway.
-_MAX_PAYLOAD_SENDS = 25
+#: run_epoch(kernel=...) choices: "fast" (default) runs the cursor engine;
+#: "reference" replays the frozen seed kernel and launcher with the
+#: sequential work builder -- the byte-identity oracle.
+KERNEL_CHOICES = ("fast", "reference")
 
-#: run_epoch(kernel=...) choices.  "auto" takes the batched fast path
-#: wherever it applies and falls back to generator processes on the
-#: optimized kernel otherwise; "fast" demands the batched engine (raising
-#: when the run needs switches it does not carry); "reference" replays the
-#: frozen seed kernel (repro.cluster.refsim) with the sequential work
-#: builder -- the byte-identity baseline the bench gates against.
-KERNEL_CHOICES = ("auto", "fast", "reference")
+#: Registers one job's epoch on an environment (engine or seed launcher).
+Launcher = Callable[..., Dict[str, Any]]
 
 
-def _kernel_module(kernel: str) -> ModuleType:
+def _kernel(kernel: str) -> Tuple[ModuleType, Launcher]:
+    """The DES module and job launcher behind a ``kernel=`` choice."""
     if kernel not in KERNEL_CHOICES:
         raise ValueError(f"kernel must be one of {KERNEL_CHOICES}, got {kernel!r}")
-    return _reference_kernel if kernel == "reference" else _fast_kernel
+    if kernel == "reference":
+        return _reference_kernel, _reference_kernel.launch_training_processes
+    return _fast_kernel, launch_training_job
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,290 +176,6 @@ class JobHandles:
         return attrs
 
 
-def launch_training_processes(
-    env: Environment,
-    spec: ClusterSpec,
-    work: Dict[int, SampleWork],
-    batches: List[List[int]],
-    model: ModelProfile,
-    handles: JobHandles,
-    timeline: Optional["Timeline"] = None,
-    faults: Optional[FaultSchedule] = None,
-    fault_report: Optional[FaultReport] = None,
-    fallback_work: Optional[Callable[[int], SampleWork]] = None,
-    tracer: Optional[Tracer] = None,
-    epoch: int = 0,
-) -> Dict[str, int]:
-    """Register one training job's processes on ``env``.
-
-    Returns the job's live traffic counter (key ``"bytes"``); the job is
-    finished when the environment drains (or when the returned
-    ``handles.gpu`` has processed ``len(batches)`` batches -- multi-job
-    callers watch the counter dict's ``"done"`` flag).
-
-    faults: optional fault schedule on virtual time.  When present (and
-        non-empty), ``fallback_work`` must map a sample id to its split-0
-        work so failed offloads can demote; observations accumulate into
-        ``fault_report``.  An empty/None schedule takes the exact
-        fault-free code path.
-    tracer: optional per-sample span collector; ``epoch`` names the traces
-        (trace id = sample id + epoch).  Emission never touches the event
-        queue, so a run with a tracer simulates identically to one without.
-    """
-    traffic = {"bytes": 0, "done": 0}
-    bandwidth = spec.bandwidth_bytes_per_s
-    batch_ready = [env.event() for _ in batches]
-    if faults is not None and faults.is_empty:
-        faults = None
-    if faults is not None and fallback_work is None:
-        raise ValueError("fault injection needs fallback_work for demotions")
-    report = fault_report if fault_report is not None else FaultReport()
-
-    def sample_proc(item: SampleWork):
-        trace = trace_id(item.sample_id, epoch) if tracer is not None else ""
-        if tracer is not None:
-            tracer.begin(
-                trace, "sample.fetch", split=item.split, wire_bytes=item.wire_bytes,
-                **handles.span_attrs(item.sample_id),
-            )
-        # Request leaves the compute node; half an RTT to arrive.
-        yield env.timeout(spec.network_rtt_s / 2.0)
-        if item.split > 0:
-            if tracer is not None:
-                tracer.begin(
-                    trace, "storage.prefix", split=item.split,
-                    **handles.span_attrs(item.sample_id),
-                )
-            pool = handles.storage_pool(item.sample_id)
-            assert pool is not None  # split > 0 implies an offload-capable spec
-            grant = pool.acquire()
-            yield grant
-            yield env.timeout(item.prefix_cpu_s * spec.storage_cpu_factor)
-            pool.release(grant)
-            if tracer is not None:
-                tracer.end(trace, "storage.prefix", cpu_s=item.prefix_cpu_s)
-        # Transmit in chunks: releasing the link between chunks lets
-        # concurrent flows interleave (fair sharing) instead of
-        # serializing whole payloads behind each other.
-        payload_bytes = item.wire_bytes + spec.response_overhead_bytes
-        if tracer is not None:
-            tracer.begin(trace, "link.transmit", payload_bytes=payload_bytes)
-        remaining = payload_bytes
-        first_chunk = True
-        while remaining > 0:
-            chunk = min(remaining, spec.link_chunk_bytes)
-            grant = handles.link.acquire(handles.flow_key, front=not first_chunk)
-            yield grant
-            yield env.timeout(chunk / bandwidth)
-            handles.link.release(grant)
-            remaining -= chunk
-            first_chunk = False
-        traffic["bytes"] += payload_bytes
-        if tracer is not None:
-            tracer.end(trace, "link.transmit")
-        yield env.timeout(spec.network_rtt_s / 2.0)
-        if item.suffix_cpu_s > 0:
-            if tracer is not None:
-                tracer.begin(trace, "compute.suffix")
-            grant = handles.compute_cpu.acquire()
-            yield grant
-            yield env.timeout(item.suffix_cpu_s * spec.compute_cpu_factor)
-            handles.compute_cpu.release(grant)
-            if tracer is not None:
-                tracer.end(trace, "compute.suffix", cpu_s=item.suffix_cpu_s)
-        if tracer is not None:
-            tracer.end(trace, "sample.fetch")
-
-    # -- fault-aware variant ------------------------------------------------
-    # Kept separate from sample_proc so the fault-free path stays
-    # byte-identical (acceptance criterion: an empty schedule changes
-    # nothing, not even float rounding order).
-
-    active_offloads: Dict[object, int] = {}  # prefix Process -> sample id
-    message_counter = itertools.count()
-
-    def crash_watch(window):
-        yield env.timeout(window.start)
-        victims = [p for p in list(active_offloads) if not p.triggered]
-        for proc in victims:
-            report.crash_interrupts += 1
-            if timeline is not None:
-                timeline.record_fault(
-                    env.now, "crash-interrupt", active_offloads.get(proc, -1)
-                )
-            if tracer is not None:
-                tracer.instant(
-                    trace_id(active_offloads.get(proc, -1), epoch),
-                    "fault.crash_interrupt",
-                )
-            proc.interrupt("storage-crash")
-
-    def prefix_proc(item: SampleWork):
-        """Run the offloaded prefix; returns True unless interrupted."""
-        pool = handles.storage_pool(item.sample_id)
-        assert pool is not None  # split > 0 implies an offload-capable spec
-        grant = pool.acquire()
-        try:
-            yield grant
-            yield env.timeout(
-                item.prefix_cpu_s
-                * spec.storage_cpu_factor
-                * faults.storage_cpu_factor(env.now)
-            )
-        except Interrupt:
-            if pool.holds(grant):
-                pool.release(grant)
-            else:
-                pool.cancel(grant)
-            return False
-        pool.release(grant)
-        return True
-
-    def transmit(payload_bytes: int):
-        """Move one payload across the (possibly browned-out) link."""
-        remaining = payload_bytes
-        first_chunk = True
-        while remaining > 0:
-            chunk = min(remaining, spec.link_chunk_bytes)
-            grant = handles.link.acquire(handles.flow_key, front=not first_chunk)
-            yield grant
-            factor = faults.bandwidth_factor(env.now)
-            if factor < 1.0:
-                report.brownout_chunks += 1
-            yield env.timeout(chunk / (bandwidth * factor))
-            handles.link.release(grant)
-            remaining -= chunk
-            first_chunk = False
-        traffic["bytes"] += payload_bytes
-
-    def faulty_sample_proc(item: SampleWork):
-        trace = trace_id(item.sample_id, epoch) if tracer is not None else ""
-        if tracer is not None:
-            tracer.begin(
-                trace, "sample.fetch", split=item.split, wire_bytes=item.wire_bytes,
-                **handles.span_attrs(item.sample_id),
-            )
-        yield env.timeout((spec.network_rtt_s + faults.extra_rtt_s(env.now)) / 2.0)
-        if item.split > 0:
-            offloaded = False
-            if faults.storage_down(env.now):
-                # Fetch refused outright: the node is down right now.
-                report.note_failure(env.now)
-                if tracer is not None:
-                    tracer.instant(trace, "fault.storage_down")
-            else:
-                report.offload_attempts += 1
-                if tracer is not None:
-                    tracer.begin(
-                        trace, "storage.prefix", split=item.split,
-                        **handles.span_attrs(item.sample_id),
-                    )
-                proc = env.process(prefix_proc(item))
-                active_offloads[proc] = item.sample_id
-                outcome = yield proc
-                active_offloads.pop(proc, None)
-                offloaded = outcome is True
-                if tracer is not None:
-                    tracer.end(
-                        trace,
-                        "storage.prefix",
-                        outcome="ok" if offloaded else "interrupted",
-                    )
-                if offloaded:
-                    recovering = (
-                        report.first_failure_s is not None
-                        and report.recovered_at_s is None
-                    )
-                    report.note_success(env.now)
-                    if recovering and timeline is not None:
-                        timeline.record_fault(env.now, "recovery", item.sample_id)
-                else:
-                    report.note_failure(env.now)
-            if not offloaded:
-                # Degrade to No-Off: raw fetch + local preprocessing.  The
-                # sample is served either way -- never lost.
-                report.demoted_samples += 1
-                if timeline is not None:
-                    timeline.record_fault(env.now, "demotion", item.sample_id)
-                if tracer is not None:
-                    tracer.instant(trace, "fault.demote", planned_split=item.split)
-                item = fallback_work(item.sample_id)
-        payload_bytes = item.wire_bytes + spec.response_overhead_bytes
-        if tracer is not None:
-            tracer.begin(trace, "link.transmit", payload_bytes=payload_bytes)
-        for send in range(_MAX_PAYLOAD_SENDS):
-            yield from transmit(payload_bytes)
-            if not faults.corrupts(next(message_counter)):
-                break
-            # Checksum caught a damaged payload: it never reaches the
-            # pipeline; the re-transmission's bytes count as traffic.
-            report.corrupted_payloads += 1
-            if send + 1 < _MAX_PAYLOAD_SENDS:
-                report.corrupt_retries += 1
-            if timeline is not None:
-                timeline.record_fault(env.now, "corruption", item.sample_id)
-            if tracer is not None:
-                tracer.instant(trace, "fault.corruption", send=send)
-        if tracer is not None:
-            tracer.end(trace, "link.transmit")
-        yield env.timeout((spec.network_rtt_s + faults.extra_rtt_s(env.now)) / 2.0)
-        if item.suffix_cpu_s > 0:
-            if tracer is not None:
-                tracer.begin(trace, "compute.suffix")
-            grant = handles.compute_cpu.acquire()
-            yield grant
-            yield env.timeout(item.suffix_cpu_s * spec.compute_cpu_factor)
-            handles.compute_cpu.release(grant)
-            if tracer is not None:
-                tracer.end(trace, "compute.suffix", cpu_s=item.suffix_cpu_s)
-        if tracer is not None:
-            tracer.end(trace, "sample.fetch")
-
-    make_sample_proc = sample_proc if faults is None else faulty_sample_proc
-
-    def batch_proc(index: int, ids: List[int]):
-        token = handles.prefetch.acquire()
-        yield token
-        children = [env.process(make_sample_proc(work[i])) for i in ids]
-        yield env.all_of(children)
-        if timeline is not None:
-            timeline.trace(index).ready_at = env.now
-        batch_ready[index].trigger(token)
-
-    def gpu_proc():
-        for index, ids in enumerate(batches):
-            yield batch_ready[index]
-            token = batch_ready[index].value
-            grant = handles.gpu.acquire()
-            yield grant
-            if timeline is not None:
-                timeline.trace(index).gpu_start = env.now
-            if tracer is not None:
-                tracer.begin(
-                    f"b{index}-e{epoch}", "gpu.batch", batch=index,
-                    **handles.span_attrs(),
-                )
-            yield env.timeout(model.batch_time_s(len(ids)))
-            if timeline is not None:
-                timeline.trace(index).gpu_end = env.now
-            if tracer is not None:
-                tracer.end(f"b{index}-e{epoch}", "gpu.batch")
-            handles.gpu.release(grant)
-            handles.prefetch.release(token)
-        traffic["done"] = 1
-        traffic["finished_at"] = env.now
-        if timeline is not None:
-            timeline.epoch_end = env.now
-
-    for index, ids in enumerate(batches):
-        env.process(batch_proc(index, ids))
-    env.process(gpu_proc())
-    if faults is not None:
-        for window in faults.crashes:
-            env.process(crash_watch(window))
-    return traffic
-
-
 class TrainerSim:
     """Simulate training epochs for a (dataset, pipeline, model) workload."""
 
@@ -504,6 +222,18 @@ class TrainerSim:
             suffix_cpu_s=sum(costs[split:]),
         )
 
+    def _check_work(self, item: SampleWork) -> None:
+        """Reject storage-side work this cluster cannot run (both builders)."""
+        if item.split == 0 and item.prefix_cpu_s > 0:
+            raise ValueError(
+                f"sample {item.sample_id} has storage-side work but split 0"
+            )
+        if item.split > 0 and not self.spec.can_offload:
+            raise ValueError(
+                f"sample {item.sample_id} plans split {item.split} but the "
+                "cluster has no storage cores; clamp the plan first"
+            )
+
     def _epoch_work(
         self,
         splits: Optional[Sequence[int]],
@@ -516,20 +246,7 @@ class TrainerSim:
             item = self.sample_work(sample_id, split, epoch)
             if adjustments is not None and sample_id in adjustments:
                 item = adjustments[sample_id].apply(item)
-            if item.split == 0 and item.prefix_cpu_s > 0:
-                raise ValueError(
-                    f"sample {sample_id} has storage-side work but split 0"
-                )
-            if item.split > 0 and not self.spec.can_offload:
-                raise ValueError(
-                    f"sample {sample_id} plans split {item.split} but the "
-                    "cluster has no storage cores; clamp the plan first"
-                )
-            if item.prefix_cpu_s > 0 and not self.spec.can_offload:
-                raise ValueError(
-                    f"sample {sample_id} has storage-side work but the cluster "
-                    "has no storage cores; clamp the plan first"
-                )
+            self._check_work(item)
             work[sample_id] = item
         return work
 
@@ -606,20 +323,7 @@ class TrainerSim:
             )
             if adjustments is not None and sample_id in adjustments:
                 item = adjustments[sample_id].apply(item)
-            if item.split == 0 and item.prefix_cpu_s > 0:
-                raise ValueError(
-                    f"sample {sample_id} has storage-side work but split 0"
-                )
-            if item.split > 0 and not self.spec.can_offload:
-                raise ValueError(
-                    f"sample {sample_id} plans split {item.split} but the "
-                    "cluster has no storage cores; clamp the plan first"
-                )
-            if item.prefix_cpu_s > 0 and not self.spec.can_offload:
-                raise ValueError(
-                    f"sample {sample_id} has storage-side work but the cluster "
-                    "has no storage cores; clamp the plan first"
-                )
+            self._check_work(item)
             work[sample_id] = item
         return work
 
@@ -674,7 +378,7 @@ class TrainerSim:
         record_timeline: bool = False,
         faults: Optional[FaultSchedule] = None,
         record_spans: bool = False,
-        kernel: str = "auto",
+        kernel: str = "fast",
     ) -> EpochStats:
         """Simulate one epoch under the given per-sample offload splits.
 
@@ -690,28 +394,18 @@ class TrainerSim:
         record_spans: attach a per-sample span Tracer (stats.spans) whose
             clock is the simulator's virtual time; the simulated schedule
             is identical with or without it.
-        kernel: "auto" (default) runs the batched cursor engine on the
-            optimized kernel when the run carries no faults/timeline/spans
-            and generator processes otherwise; "fast" insists on the
-            batched engine (ValueError when ineligible); "reference"
-            replays the frozen seed kernel end to end.  All three produce
-            byte-identical stats -- the contract ``repro.cluster.bench``
-            gates on.
+        kernel: "fast" (default) runs the cursor engine; "reference"
+            replays the frozen seed kernel and launcher end to end.  Both
+            produce byte-identical stats, fault reports, spans and
+            timelines -- the contract ``repro.cluster.bench`` gates on.
         """
-        kernel_mod = _kernel_module(kernel)
+        kernel_mod, launch = _kernel(kernel)
         if splits is not None and len(splits) != len(self.dataset):
             raise ValueError(
                 f"splits has {len(splits)} entries, dataset has {len(self.dataset)}"
             )
         if faults is not None and faults.is_empty:
             faults = None
-        fast_eligible = faults is None and not record_timeline and not record_spans
-        if kernel == "fast" and not fast_eligible:
-            raise ValueError(
-                "kernel='fast' covers only fault-free runs without timeline or "
-                "spans; use kernel='auto' to fall back automatically"
-            )
-        use_engine = kernel != "reference" and fast_eligible
 
         if kernel == "reference":
             work = self._epoch_work(splits, epoch, adjustments)
@@ -734,25 +428,20 @@ class TrainerSim:
         handles = self._build_handles(env, kernel_mod)
         timeline = Timeline() if record_timeline else None
         tracer = Tracer(clock=lambda: env.now) if record_spans else None
-        if use_engine:
-            traffic = launch_training_job_fast(
-                env, spec, work, batches, self.model, handles, epoch=epoch
-            )
-        else:
-            traffic = launch_training_processes(
-                env,
-                spec,
-                work,
-                batches,
-                self.model,
-                handles,
-                timeline=timeline,
-                faults=faults,
-                fault_report=fault_report,
-                fallback_work=fallback_work if faults is not None else None,
-                tracer=tracer,
-                epoch=epoch,
-            )
+        traffic = launch(
+            env,
+            spec,
+            work,
+            batches,
+            self.model,
+            handles,
+            timeline=timeline,
+            faults=faults,
+            fault_report=fault_report,
+            fallback_work=fallback_work if faults is not None else None,
+            tracer=tracer,
+            epoch=epoch,
+        )
         env.run()
 
         horizon = env.now

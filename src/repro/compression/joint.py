@@ -126,8 +126,10 @@ class JointPlanner:
                 record = payload
                 split = record.min_stage
                 moved = record.prefix_cost(split)
+                # Clamp float cancellation in the running sum at zero.
+                local_cpu = metrics.compute_cpu_s - moved
                 trial = metrics.replace(
-                    compute_cpu_s=metrics.compute_cpu_s - moved,
+                    compute_cpu_s=local_cpu if local_cpu >= 0 else 0.0,
                     storage_cpu_s=metrics.storage_cpu_s + moved,
                     traffic_bytes=metrics.traffic_bytes - record.savings(split),
                 )

@@ -226,9 +226,11 @@ class DecisionEngine:
             split = record.min_stage
             moved_cpu = record.prefix_cost(split)
             # The prefix work moves from the compute node to the storage
-            # node; the sample's remaining ops still run locally.
+            # node; the sample's remaining ops still run locally.  Float
+            # cancellation can push the running sum a hair below zero.
+            local_cpu = metrics.compute_cpu_s - moved_cpu
             trial = metrics.replace(
-                compute_cpu_s=metrics.compute_cpu_s - moved_cpu,
+                compute_cpu_s=local_cpu if local_cpu >= 0 else 0.0,
                 storage_cpu_s=metrics.storage_cpu_s + moved_cpu,
                 traffic_bytes=metrics.traffic_bytes - record.savings(split),
             )

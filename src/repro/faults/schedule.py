@@ -167,8 +167,14 @@ class FaultSchedule:
             and is_exact_zero(self.corruption_rate)
         )
 
+    # Point queries run per simulated chunk, so they loop inline; window
+    # validation makes each seed value the neutral element of its min/max.
+
     def storage_down(self, t: float) -> bool:
-        return any(w.covers(t) for w in self.crashes)
+        for w in self.crashes:
+            if w.start <= t < w.end:
+                return True
+        return False
 
     def restart_time(self, t: float) -> Optional[float]:
         """When the storage node covering ``t`` comes back (None if up)."""
@@ -182,16 +188,25 @@ class FaultSchedule:
 
     def bandwidth_factor(self, t: float) -> float:
         """Remaining link bandwidth fraction at ``t`` (worst covering window)."""
-        factors = [w.bandwidth_factor for w in self.brownouts if w.covers(t)]
-        return min(factors) if factors else 1.0
+        factor = 1.0
+        for w in self.brownouts:
+            if w.start <= t < w.end and w.bandwidth_factor < factor:
+                factor = w.bandwidth_factor
+        return factor
 
     def extra_rtt_s(self, t: float) -> float:
-        extras = [w.extra_rtt_s for w in self.brownouts if w.covers(t)]
-        return max(extras) if extras else 0.0
+        extra = 0.0
+        for w in self.brownouts:
+            if w.start <= t < w.end and w.extra_rtt_s > extra:
+                extra = w.extra_rtt_s
+        return extra
 
     def storage_cpu_factor(self, t: float) -> float:
-        factors = [w.factor for w in self.cpu_drifts if w.covers(t)]
-        return max(factors) if factors else 1.0
+        factor = 1.0
+        for w in self.cpu_drifts:
+            if w.start <= t < w.end and w.factor > factor:
+                factor = w.factor
+        return factor
 
     def corrupts(self, message_index: int) -> bool:
         """Seeded per-message corruption coin (stable across runs)."""

@@ -1,17 +1,41 @@
-"""Discrete-event simulation kernel tests."""
+"""Discrete-event simulation kernel tests.
+
+The live kernel (:mod:`repro.cluster.sim`) is callback-driven: events,
+pooled ``_call_at`` slots and resources.  Its cases below drive it the way
+the cursor engine does.  Generator processes, timeouts, all-of joins,
+stores and interrupts survive only in the frozen seed kernel
+(:mod:`repro.cluster.refsim`), so those cases run there.
+"""
 
 import pytest
 
-from repro.cluster.sim import (
-    AllOf,
-    Environment,
-    Event,
-    FairResource,
-    Resource,
-    SimulationError,
-    Store,
-    hold,
-)
+from repro.cluster import refsim
+from repro.cluster.refsim import Interrupt, Store
+from repro.cluster.sim import Environment, FairResource, Resource, SimulationError
+
+
+def after(env, delay, fn):
+    """Run ``fn()`` ``delay`` virtual seconds from now (a pooled slot)."""
+    env._call_at(env.now + delay, lambda _slot: fn())
+
+
+def hold_for(env, resource, duration, key=None, front=False, on_start=None, on_done=None):
+    """Acquire, hold for ``duration``, release -- as queued callbacks."""
+    request = resource.acquire(key, front=front)
+
+    def granted(_event):
+        if on_start is not None:
+            on_start()
+
+        def finish():
+            resource.release(request)
+            if on_done is not None:
+                on_done()
+
+        after(env, duration, finish)
+
+    request.callbacks.append(granted)
+    return request
 
 
 class TestEnvironment:
@@ -19,7 +43,7 @@ class TestEnvironment:
         assert Environment().now == 0.0
 
     def test_timeout_advances_clock(self):
-        env = Environment()
+        env = refsim.Environment()
 
         def proc():
             yield env.timeout(2.5)
@@ -30,7 +54,7 @@ class TestEnvironment:
         assert env.now == 4.0
 
     def test_run_until_stops_early(self):
-        env = Environment()
+        env = refsim.Environment()
 
         def proc():
             yield env.timeout(10.0)
@@ -42,39 +66,28 @@ class TestEnvironment:
     def test_events_fire_in_time_order(self):
         env = Environment()
         log = []
-
-        def proc(delay, tag):
-            yield env.timeout(delay)
-            log.append((env.now, tag))
-
-        env.process(proc(3.0, "c"))
-        env.process(proc(1.0, "a"))
-        env.process(proc(2.0, "b"))
+        for delay, tag in ((3.0, "c"), (1.0, "a"), (2.0, "b")):
+            after(env, delay, lambda delay=delay, tag=tag: log.append((env.now, tag)))
         env.run()
         assert log == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
 
     def test_simultaneous_events_fifo(self):
         env = Environment()
         log = []
-
-        def proc(tag):
-            yield env.timeout(1.0)
-            log.append(tag)
-
         for tag in "abc":
-            env.process(proc(tag))
+            after(env, 1.0, lambda tag=tag: log.append(tag))
         env.run()
         assert log == ["a", "b", "c"]
 
     def test_negative_timeout_rejected(self):
-        env = Environment()
+        env = refsim.Environment()
         with pytest.raises(ValueError):
             env.timeout(-1.0)
 
 
 class TestEventsAndProcesses:
     def test_event_value_delivered_to_waiter(self):
-        env = Environment()
+        env = refsim.Environment()
         received = []
         evt = env.event()
 
@@ -99,7 +112,7 @@ class TestEventsAndProcesses:
             evt.trigger()
 
     def test_process_return_value_is_event_value(self):
-        env = Environment()
+        env = refsim.Environment()
         results = []
 
         def child():
@@ -115,7 +128,7 @@ class TestEventsAndProcesses:
         assert results == [42]
 
     def test_yielding_non_event_raises(self):
-        env = Environment()
+        env = refsim.Environment()
 
         def bad():
             yield 5
@@ -125,7 +138,7 @@ class TestEventsAndProcesses:
             env.run()
 
     def test_waiting_on_already_processed_event_resumes(self):
-        env = Environment()
+        env = refsim.Environment()
         log = []
         evt = env.event()
         evt.trigger("early")
@@ -140,7 +153,7 @@ class TestEventsAndProcesses:
         assert log == [(5.0, "early")]
 
     def test_long_chain_of_processed_events_no_recursion(self):
-        env = Environment()
+        env = refsim.Environment()
         events = [env.event() for _ in range(5000)]
         for evt in events:
             evt.trigger(1)
@@ -158,7 +171,7 @@ class TestEventsAndProcesses:
 
 class TestAllOf:
     def test_waits_for_all_children(self):
-        env = Environment()
+        env = refsim.Environment()
         done = []
 
         def child(delay):
@@ -174,7 +187,7 @@ class TestAllOf:
         assert done == [(3.0, [3.0, 1.0, 2.0])]
 
     def test_empty_all_of_fires_immediately(self):
-        env = Environment()
+        env = refsim.Environment()
         log = []
 
         def parent():
@@ -191,16 +204,8 @@ class TestResource:
         env = Environment()
         cpu = Resource(env, capacity=2)
         finish_times = []
-
-        def worker():
-            req = cpu.acquire()
-            yield req
-            yield env.timeout(1.0)
-            cpu.release(req)
-            finish_times.append(env.now)
-
         for _ in range(4):
-            env.process(worker())
+            hold_for(env, cpu, 1.0, on_done=lambda: finish_times.append(env.now))
         env.run()
         assert finish_times == [1.0, 1.0, 2.0, 2.0]
 
@@ -208,25 +213,20 @@ class TestResource:
         env = Environment()
         gate = Resource(env, capacity=1)
         order = []
-
-        def worker(tag, arrive):
-            yield env.timeout(arrive)
-            req = gate.acquire()
-            yield req
-            order.append(tag)
-            yield env.timeout(10.0)
-            gate.release(req)
-
-        env.process(worker("first", 0.0))
-        env.process(worker("second", 1.0))
-        env.process(worker("third", 2.0))
+        for tag, arrive in (("first", 0.0), ("second", 1.0), ("third", 2.0)):
+            after(
+                env, arrive,
+                lambda tag=tag: hold_for(
+                    env, gate, 10.0, on_start=lambda: order.append(tag)
+                ),
+            )
         env.run()
         assert order == ["first", "second", "third"]
 
     def test_busy_time_accounting(self):
         env = Environment()
         cpu = Resource(env, capacity=1)
-        env.process(hold(env, cpu, 3.0))
+        hold_for(env, cpu, 3.0)
         env.run()
         assert cpu.busy_time == pytest.approx(3.0)
         assert cpu.utilization(6.0) == pytest.approx(0.5)
@@ -234,8 +234,8 @@ class TestResource:
     def test_utilization_of_multi_slot_resource(self):
         env = Environment()
         cpu = Resource(env, capacity=2)
-        env.process(hold(env, cpu, 4.0))
-        env.process(hold(env, cpu, 2.0))
+        hold_for(env, cpu, 4.0)
+        hold_for(env, cpu, 2.0)
         env.run()
         assert cpu.utilization(4.0) == pytest.approx(6.0 / 8.0)
 
@@ -271,15 +271,16 @@ class TestFairResource:
         finish = {}
 
         def flow(key, count):
-            for _ in range(count):
-                req = link.acquire(key)
-                yield req
-                yield env.timeout(hold_s)
-                link.release(req)
-            finish[key] = env.now
+            def done():
+                if count > 1:
+                    flow(key, count - 1)
+                else:
+                    finish[key] = env.now
+
+            hold_for(env, link, hold_s, key=key, on_done=done)
 
         for key, count in bursts.items():
-            env.process(flow(key, count))
+            flow(key, count)
         env.run()
         return finish
 
@@ -306,7 +307,7 @@ class TestFairResource:
     def test_busy_accounting_still_works(self):
         env = Environment()
         link = FairResource(env, capacity=1)
-        env.process(hold(env, link, 3.0))
+        hold_for(env, link, 3.0)
         env.run()
         assert link.busy_time == pytest.approx(3.0)
 
@@ -334,16 +335,17 @@ class TestFairResource:
         link = FairResource(env, capacity=1)
         finish = {}
 
-        def payload(tag):
-            for chunk in range(3):
-                req = link.acquire("flow", front=chunk > 0)
-                yield req
-                yield env.timeout(1.0)
-                link.release(req)
-            finish[tag] = env.now
+        def payload(tag, chunk=0):
+            def done():
+                if chunk < 2:
+                    payload(tag, chunk + 1)
+                else:
+                    finish[tag] = env.now
+
+            hold_for(env, link, 1.0, key="flow", front=chunk > 0, on_done=done)
 
         for index in range(4):
-            env.process(payload(index))
+            payload(index)
         env.run()
         assert finish == {0: 5.0, 1: 6.0, 2: 11.0, 3: 12.0}
         # Order preserved: payload k always beats payload k+2.
@@ -353,31 +355,21 @@ class TestFairResource:
         env = Environment()
         gate = Resource(env, capacity=1)
         order = []
-
-        def holder():
-            req = gate.acquire()
-            yield req
-            yield env.timeout(1.0)
-            gate.release(req)
-
-        def waiter(tag, front):
-            yield env.timeout(0.1)
-            req = gate.acquire(front=front)
-            yield req
-            order.append(tag)
-            yield env.timeout(1.0)
-            gate.release(req)
-
-        env.process(holder())
-        env.process(waiter("normal", False))
-        env.process(waiter("jumper", True))
+        hold_for(env, gate, 1.0)
+        for tag, front in (("normal", False), ("jumper", True)):
+            after(
+                env, 0.1,
+                lambda tag=tag, front=front: hold_for(
+                    env, gate, 1.0, front=front, on_start=lambda: order.append(tag)
+                ),
+            )
         env.run()
         assert order == ["jumper", "normal"]
 
 
 class TestStore:
     def test_put_then_get(self):
-        env = Environment()
+        env = refsim.Environment()
         store = Store(env)
         store.put("x")
         got = []
@@ -391,7 +383,7 @@ class TestStore:
         assert got == ["x"]
 
     def test_get_blocks_until_put(self):
-        env = Environment()
+        env = refsim.Environment()
         store = Store(env)
         got = []
 
@@ -409,7 +401,7 @@ class TestStore:
         assert got == [(2.0, "late")]
 
     def test_fifo_order(self):
-        env = Environment()
+        env = refsim.Environment()
         store = Store(env)
         for item in (1, 2, 3):
             store.put(item)
@@ -424,7 +416,7 @@ class TestStore:
         assert got == [1, 2, 3]
 
     def test_len(self):
-        env = Environment()
+        env = refsim.Environment()
         store = Store(env)
         store.put(1)
         store.put(2)
@@ -433,9 +425,7 @@ class TestStore:
 
 class TestInterrupt:
     def test_interrupt_delivers_cause_at_current_time(self):
-        from repro.cluster.sim import Interrupt
-
-        env = Environment()
+        env = refsim.Environment()
         seen = []
 
         def sleeper():
@@ -454,9 +444,7 @@ class TestInterrupt:
         assert seen == [(3.0, "node-crash")]
 
     def test_interrupted_process_can_continue(self):
-        from repro.cluster.sim import Interrupt
-
-        env = Environment()
+        env = refsim.Environment()
         log = []
 
         def worker():
@@ -477,9 +465,7 @@ class TestInterrupt:
         assert log == [3.0]
 
     def test_abandoned_event_does_not_resume_the_process(self):
-        from repro.cluster.sim import Interrupt
-
-        env = Environment()
+        env = refsim.Environment()
         resumes = []
 
         def worker():
@@ -503,7 +489,7 @@ class TestInterrupt:
         assert env.now == 11.0
 
     def test_interrupt_after_completion_is_a_noop(self):
-        env = Environment()
+        env = refsim.Environment()
 
         def quick():
             yield env.timeout(1.0)
@@ -515,9 +501,7 @@ class TestInterrupt:
         assert proc.value == "done"
 
     def test_uncaught_interrupt_ends_the_process(self):
-        from repro.cluster.sim import Interrupt
-
-        env = Environment()
+        env = refsim.Environment()
 
         def oblivious():
             yield env.timeout(100.0)

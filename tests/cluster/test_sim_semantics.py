@@ -1,14 +1,18 @@
 """Kernel-semantics regression suite: the contract the DES rewrite must keep.
 
 These tests were pinned against the *seed* kernel before the performance
-overhaul (see docs/performance.md) and encode its observable semantics:
-FIFO grant order under arbitrary interleavings of acquire / release /
-cancel / interrupt, ``AllOf`` joins with already-fired children, interrupt
-delivery windows (including interrupting a process that already finished),
-and queue-mediated resumption (no synchronous jumps ahead of already
-scheduled same-time events).  The optimized kernel must pass every test
-unchanged; the frozen reference copy in ``repro.cluster.refsim`` is
-parameterized in alongside it so the two can never drift apart silently.
+overhaul (see docs/performance.md) and encode its observable semantics.
+
+- **Resource ordering** -- FIFO grant order under arbitrary interleavings
+  of acquire / release / cancel / withdrawal, fair-queue rotation, busy
+  time -- is shared by both kernels and parameterized over them.  These
+  cases are driven through event callbacks scheduled on the queue (the
+  way the cursor engine drives the live kernel), so ``sim`` and the frozen
+  ``refsim`` copy can never drift apart silently.
+- **Generator processes** -- ``AllOf`` joins with already-fired children,
+  interrupt delivery windows (including interrupting a process that
+  already finished), ``Store`` FIFO, and queue-mediated resumption -- live
+  only in the seed kernel, so those cases run on ``refsim``.
 """
 
 import random
@@ -17,9 +21,10 @@ import pytest
 
 import repro.cluster.refsim as refsim
 import repro.cluster.sim as optsim
-from repro.cluster.sim import Interrupt, SimulationError
+from repro.cluster.refsim import Interrupt
+from repro.cluster.sim import SimulationError
 
-#: Both kernels must satisfy the identical contract.  ``sim`` is the live
+#: Both kernels must satisfy the resource contract.  ``sim`` is the live
 #: (optimized) kernel; ``refsim`` is the byte-for-byte seed snapshot.
 KERNELS = [pytest.param(optsim, id="sim"), pytest.param(refsim, id="refsim")]
 
@@ -29,8 +34,64 @@ def kernel(request):
     return request.param
 
 
+@pytest.fixture(params=[pytest.param(refsim, id="refsim")])
+def seed_kernel(request):
+    """The only kernel that still runs generator processes."""
+    return request.param
+
+
+def call_at(env, at, fn):
+    """Run ``fn()`` at virtual time ``at`` through the kernel's queue."""
+    if isinstance(env, optsim.Environment):
+        env._call_at(at, lambda _slot: fn())
+    else:  # the seed kernel: a pre-triggered bare event on the heap
+        event = refsim.Event(env)
+        event.triggered = True
+        event.callbacks.append(lambda _event: fn())
+        env._schedule(at, event)
+
+
+def on_grant(request, fn):
+    """Run ``fn()`` when ``request`` is granted; returns the hook to unhook."""
+    hook = lambda _event: fn()  # noqa: E731
+    request.callbacks.append(hook)
+    return hook
+
+
+def hold(env, res, duration, key=None, front=False, on_start=None, on_done=None):
+    """Acquire, hold for ``duration``, release -- as queued callbacks."""
+    request = res.acquire(key, front=front)
+
+    def granted():
+        if on_start is not None:
+            on_start()
+
+        def finish():
+            res.release(request)
+            if on_done is not None:
+                on_done()
+
+        call_at(env, env.now + duration, finish)
+
+    on_grant(request, granted)
+    return request
+
+
+def withdraw(env, res, request, hook):
+    """Interrupt a request the way the engine does: unhook its wake-up,
+    then -- through the queue -- release it if it was granted by then,
+    otherwise cancel it."""
+    if hook in request.callbacks:
+        request.callbacks.remove(hook)
+    call_at(
+        env,
+        env.now,
+        lambda: res.release(request) if res.holds(request) else res.cancel(request),
+    )
+
+
 # ---------------------------------------------------------------------------
-# Resource FIFO ordering under interleaved acquire / release / interrupt
+# Resource FIFO ordering under interleaved acquire / release / withdrawal
 # ---------------------------------------------------------------------------
 
 
@@ -39,16 +100,8 @@ class TestResourceFifo:
         env = kernel.Environment()
         res = kernel.Resource(env, capacity=1)
         order = []
-
-        def worker(name, hold):
-            req = res.acquire()
-            yield req
-            order.append(name)
-            yield env.timeout(hold)
-            res.release(req)
-
         for name in ("a", "b", "c", "d"):
-            env.process(worker(name, 1.0))
+            hold(env, res, 1.0, on_start=lambda name=name: order.append(name))
         env.run()
         assert order == ["a", "b", "c", "d"]
 
@@ -56,34 +109,10 @@ class TestResourceFifo:
         env = kernel.Environment()
         res = kernel.Resource(env, capacity=1)
         order = []
-
-        def holder():
-            req = res.acquire()
-            yield req
-            yield env.timeout(1.0)
-            res.release(req)
-
-        def plain(name):
-            req = res.acquire()
-            yield req
-            order.append(name)
-            res.release(req)
-
-        def jumper(name):
-            req = res.acquire(front=True)
-            yield req
-            order.append(name)
-            res.release(req)
-
-        env.process(holder())
-        env.run()  # holder owns the slot at t=1.0 release
-        env = kernel.Environment()
-        res = kernel.Resource(env, capacity=1)
-        order = []
-        env.process(holder())
-        env.process(plain("p1"))
-        env.process(plain("p2"))
-        env.process(jumper("j"))
+        hold(env, res, 1.0)
+        hold(env, res, 0.0, on_start=lambda: order.append("p1"))
+        hold(env, res, 0.0, on_start=lambda: order.append("p2"))
+        hold(env, res, 0.0, front=True, on_start=lambda: order.append("j"))
         env.run()
         assert order == ["j", "p1", "p2"]
 
@@ -91,32 +120,16 @@ class TestResourceFifo:
         env = kernel.Environment()
         res = kernel.Resource(env, capacity=1)
         order = []
+        hold(env, res, 2.0)
+        victim = res.acquire()
+        hook = on_grant(victim, lambda: order.append("v"))
+        hold(env, res, 0.0, on_start=lambda: order.append("w"))
 
-        def holder():
-            req = res.acquire()
-            yield req
-            yield env.timeout(2.0)
-            res.release(req)
+        def interrupt():
+            withdraw(env, res, victim, hook)
+            order.append("v-interrupted")
 
-        def waiter(name):
-            req = res.acquire()
-            try:
-                yield req
-            except Interrupt:
-                res.cancel(req)
-                order.append(f"{name}-interrupted")
-                return
-            order.append(name)
-            res.release(req)
-
-        def killer(victim):
-            yield env.timeout(1.0)
-            victim.interrupt("die")
-
-        env.process(holder())
-        v = env.process(waiter("v"))
-        env.process(waiter("w"))
-        env.process(killer(v))
+        call_at(env, 1.0, interrupt)
         env.run()
         assert order == ["v-interrupted", "w"]
         assert res.in_use == 0
@@ -126,69 +139,52 @@ class TestResourceFifo:
         env = kernel.Environment()
         res = kernel.Resource(env, capacity=1)
         order = []
+        holder = res.acquire()
+        alive = {"holder": True}
 
-        def holder():
-            req = res.acquire()
-            try:
-                yield req
-                yield env.timeout(10.0)
-            except Interrupt:
-                if res.holds(req):
-                    res.release(req)
-                order.append("holder-interrupted")
-                return
-            res.release(req)
+        def holder_done():
+            if alive["holder"]:  # the abandoned timeout fires into the void
+                res.release(holder)
 
-        def waiter():
-            req = res.acquire()
-            yield req
-            order.append(("waiter", env.now))
-            res.release(req)
+        on_grant(holder, lambda: call_at(env, env.now + 10.0, holder_done))
+        hold(env, res, 0.0, on_start=lambda: order.append(("waiter", env.now)))
 
-        def killer(victim):
-            yield env.timeout(3.0)
-            victim.interrupt()
+        def interrupt():
+            alive["holder"] = False
+            withdraw(env, res, holder, None)
+            order.append("holder-interrupted")
 
-        h = env.process(holder())
-        env.process(waiter())
-        env.process(killer(h))
+        call_at(env, 3.0, interrupt)
         env.run()
         assert order == ["holder-interrupted", ("waiter", 3.0)]
 
     def test_busy_time_survives_interleaved_interrupts(self, kernel):
         env = kernel.Environment()
         res = kernel.Resource(env, capacity=2)
+        doomed = res.acquire()
+        alive = {"doomed": True}
+        on_grant(
+            doomed,
+            lambda: call_at(
+                env, env.now + 100.0,
+                lambda: res.release(doomed) if alive["doomed"] else None,
+            ),
+        )
+        hold(env, res, 2.0)
+        call_at(env, 0.5, lambda: hold(env, res, 1.0))
 
-        def holder(delay, hold):
-            yield env.timeout(delay)
-            req = res.acquire()
-            yield req
-            yield env.timeout(hold)
-            res.release(req)
+        def interrupt():
+            alive["doomed"] = False
+            withdraw(env, res, doomed, None)
 
-        def doomed():
-            req = res.acquire()
-            try:
-                yield req
-                yield env.timeout(100.0)
-            except Interrupt:
-                res.release(req)
-
-        def killer(victim):
-            yield env.timeout(1.5)
-            victim.interrupt()
-
-        d = env.process(doomed())
-        env.process(holder(0.0, 2.0))
-        env.process(holder(0.5, 1.0))
-        env.process(killer(d))
+        call_at(env, 1.5, interrupt)
         env.run()
         # doomed held [0, 1.5], holder1 [0, 2.0], holder2 granted at 1.5
         # (capacity 2: slots busy until doomed dies) and held 1.0.
         assert res.busy_time == pytest.approx(1.5 + 2.0 + 1.0)
 
     def test_randomized_interleavings_match_fifo_model(self, kernel):
-        """Property test: arbitrary acquire/release/interrupt interleavings
+        """Property test: arbitrary acquire/release/withdrawal interleavings
         grant in request order, never exceed capacity, and leak nothing."""
         for trial in range(12):
             rng = random.Random(1000 + trial)
@@ -199,41 +195,59 @@ class TestResourceFifo:
             grant_log = []
             request_log = []
             live = {"holding": 0, "peak": 0}
+            workers = []
 
-            def worker(name, start, hold, rng=rng):
-                yield env.timeout(start)
-                request_log.append(name)
-                req = res.acquire()
-                try:
-                    yield req
-                except Interrupt:
-                    res.cancel(req)
-                    return
-                grant_log.append(name)
-                live["holding"] += 1
-                live["peak"] = max(live["peak"], live["holding"])
-                try:
-                    yield env.timeout(hold)
-                except Interrupt:
-                    pass
-                live["holding"] -= 1
-                res.release(req)
+            class Worker:
+                def __init__(self, name, start, hold_s):
+                    self.name = name
+                    self.hold_s = hold_s
+                    self.state = "idle"
+                    self.request = None
+                    self.hook = None
+                    call_at(env, start, self.arrive)
 
-            procs = []
+                def arrive(self):
+                    if self.state != "idle":
+                        return  # interrupted before it started
+                    self.state = "waiting"
+                    request_log.append(self.name)
+                    self.request = res.acquire()
+                    self.hook = on_grant(self.request, self.granted)
+
+                def granted(self):
+                    self.state = "holding"
+                    grant_log.append(self.name)
+                    live["holding"] += 1
+                    live["peak"] = max(live["peak"], live["holding"])
+                    call_at(env, env.now + self.hold_s, self.finish)
+
+                def finish(self):
+                    if self.state != "holding":
+                        return  # cut short by an interrupt
+                    self.state = "done"
+                    live["holding"] -= 1
+                    res.release(self.request)
+
+                def interrupt(self):
+                    if self.state == "idle":
+                        self.state = "done"
+                    elif self.state == "waiting":
+                        self.state = "done"
+                        withdraw(env, res, self.request, self.hook)
+                    elif self.state == "holding":
+                        self.state = "done"
+                        live["holding"] -= 1
+                        withdraw(env, res, self.request, None)
+
             for i in range(n):
-                start = rng.random() * 4.0
-                hold = rng.random() * 2.0
-                procs.append(env.process(worker(i, start, hold)))
+                workers.append(Worker(i, rng.random() * 4.0, rng.random() * 2.0))
 
-            def chaos(victims, rng=rng):
-                while True:
-                    yield env.timeout(rng.random() * 1.5)
-                    target = rng.choice(victims)
-                    target.interrupt("chaos")
-                    if rng.random() < 0.3:
-                        return
+            def chaos():
+                rng.choice(workers).interrupt()
+                if rng.random() >= 0.3:
+                    call_at(env, env.now + rng.random() * 1.5, chaos)
 
-            env.process(chaos(procs))
+            call_at(env, rng.random() * 1.5, chaos)
             env.run()
             assert live["peak"] <= capacity
             assert res.in_use == 0
@@ -250,8 +264,8 @@ class TestResourceFifo:
 
 
 class TestAllOfSemantics:
-    def test_all_children_already_fired(self, kernel):
-        env = kernel.Environment()
+    def test_all_children_already_fired(self, seed_kernel):
+        env = seed_kernel.Environment()
         done = []
 
         def child(value):
@@ -271,8 +285,8 @@ class TestAllOfSemantics:
         env.run()
         assert done == [[1, 2]]
 
-    def test_mixed_fired_and_pending_children(self, kernel):
-        env = kernel.Environment()
+    def test_mixed_fired_and_pending_children(self, seed_kernel):
+        env = seed_kernel.Environment()
         done = []
 
         def fast():
@@ -296,8 +310,8 @@ class TestAllOfSemantics:
         env.run()
         assert done == [(5.0, ["fast", "slow"])]
 
-    def test_empty_all_of_fires_at_current_time(self, kernel):
-        env = kernel.Environment()
+    def test_empty_all_of_fires_at_current_time(self, seed_kernel):
+        env = seed_kernel.Environment()
         done = []
 
         def joiner():
@@ -309,8 +323,8 @@ class TestAllOfSemantics:
         env.run()
         assert done == [(2.0, [])]
 
-    def test_all_of_value_order_is_child_order_not_firing_order(self, kernel):
-        env = kernel.Environment()
+    def test_all_of_value_order_is_child_order_not_firing_order(self, seed_kernel):
+        env = seed_kernel.Environment()
         done = []
 
         def child(delay, value):
@@ -335,8 +349,8 @@ class TestAllOfSemantics:
 
 
 class TestInterruptDelivery:
-    def test_interrupt_after_completion_is_noop(self, kernel):
-        env = kernel.Environment()
+    def test_interrupt_after_completion_is_noop(self, seed_kernel):
+        env = seed_kernel.Environment()
 
         def quick():
             yield env.timeout(1.0)
@@ -349,8 +363,8 @@ class TestInterruptDelivery:
         env.run()
         assert p.value == "done"
 
-    def test_double_interrupt_delivers_both_or_ends_cleanly(self, kernel):
-        env = kernel.Environment()
+    def test_double_interrupt_delivers_both_or_ends_cleanly(self, seed_kernel):
+        env = seed_kernel.Environment()
         caught = []
 
         def tough():
@@ -375,8 +389,8 @@ class TestInterruptDelivery:
         env.run()
         assert caught == ["first", "second"]
 
-    def test_uncaught_interrupt_becomes_process_value(self, kernel):
-        env = kernel.Environment()
+    def test_uncaught_interrupt_becomes_process_value(self, seed_kernel):
+        env = seed_kernel.Environment()
 
         def victim():
             yield env.timeout(10.0)
@@ -393,8 +407,8 @@ class TestInterruptDelivery:
         assert isinstance(p.value, Interrupt)
         assert p.value.cause == "cause-object"
 
-    def test_abandoned_event_still_fires_without_resuming_victim(self, kernel):
-        env = kernel.Environment()
+    def test_abandoned_event_still_fires_without_resuming_victim(self, seed_kernel):
+        env = seed_kernel.Environment()
         resumed = []
 
         def victim():
@@ -415,9 +429,9 @@ class TestInterruptDelivery:
         assert resumed == ["interrupted"]
         assert env.now == 5.0  # the abandoned timeout still drained
 
-    def test_interrupt_delivery_goes_through_queue(self, kernel):
+    def test_interrupt_delivery_goes_through_queue(self, seed_kernel):
         """interrupt() must not throw synchronously into the generator."""
-        env = kernel.Environment()
+        env = seed_kernel.Environment()
         log = []
 
         def victim():
@@ -438,11 +452,11 @@ class TestInterruptDelivery:
         # The killer's code after interrupt() runs before delivery.
         assert log == [("killer-after-interrupt-call", 1.0), ("victim", 1.0)]
 
-    def test_interrupt_while_waiting_on_already_fired_event(self, kernel):
+    def test_interrupt_while_waiting_on_already_fired_event(self, seed_kernel):
         """The relay window: a process waiting on an *already processed*
         event sits on a same-time relay; an interrupt inside that window
         must win, and the abandoned relay must not resurrect it."""
-        env = kernel.Environment()
+        env = seed_kernel.Environment()
         log = []
         fired = env.event()
         fired.trigger("early")
@@ -476,8 +490,8 @@ class TestInterruptDelivery:
 
 
 class TestSchedulingDiscipline:
-    def test_already_fired_event_resumes_after_queued_same_time_events(self, kernel):
-        env = kernel.Environment()
+    def test_already_fired_event_resumes_after_queued_same_time_events(self, seed_kernel):
+        env = seed_kernel.Environment()
         log = []
         fired = env.event()
         fired.trigger("early")
@@ -498,8 +512,8 @@ class TestSchedulingDiscipline:
         # virtual time, earlier in FIFO order) runs first.
         assert log == ["other", ("waiter", "early")]
 
-    def test_deep_chain_of_fired_events_does_not_recurse(self, kernel):
-        env = kernel.Environment()
+    def test_deep_chain_of_fired_events_does_not_recurse(self, seed_kernel):
+        env = seed_kernel.Environment()
         fired = []
         for _ in range(4000):
             e = env.event()
@@ -516,8 +530,8 @@ class TestSchedulingDiscipline:
         env.run()  # would blow the C stack if relays were synchronous
         assert p.value == "walked"
 
-    def test_yielding_non_event_raises_simulation_error(self, kernel):
-        env = kernel.Environment()
+    def test_yielding_non_event_raises_simulation_error(self, seed_kernel):
+        env = seed_kernel.Environment()
 
         def bad():
             yield 42
@@ -542,16 +556,18 @@ class TestSchedulingDiscipline:
     def test_cancel_granted_request_raises(self, kernel):
         env = kernel.Environment()
         res = kernel.Resource(env, capacity=1)
+        req = res.acquire()
+        checked = []
 
-        def worker():
-            req = res.acquire()
-            yield req
+        def granted():
             with pytest.raises(SimulationError):
                 res.cancel(req)
             res.release(req)
+            checked.append(True)
 
-        env.process(worker())
+        on_grant(req, granted)
         env.run()
+        assert checked == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -560,21 +576,27 @@ class TestSchedulingDiscipline:
 
 
 class TestFairResourceSemantics:
+    @staticmethod
+    def chunked(env, res, flow, chunks, order, continue_front):
+        """A flow's requests one after another; each holds the link 1.0."""
+
+        def send(index):
+            if index == chunks:
+                return
+            hold(
+                env, res, 1.0, key=flow, front=continue_front and index > 0,
+                on_start=lambda: order.append((flow, index)),
+                on_done=lambda: send(index + 1),
+            )
+
+        send(0)
+
     def test_rotation_interleaves_flows(self, kernel):
         env = kernel.Environment()
         res = kernel.FairResource(env, capacity=1)
         order = []
-
-        def burst(flow, count):
-            for i in range(count):
-                req = res.acquire(flow)
-                yield req
-                order.append((flow, i))
-                yield env.timeout(1.0)
-                res.release(req)
-
-        env.process(burst("a", 3))
-        env.process(burst("b", 3))
+        self.chunked(env, res, "a", 3, order, continue_front=False)
+        self.chunked(env, res, "b", 3, order, continue_front=False)
         env.run()
         # After the first grant the flows alternate.
         assert order[:4] == [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
@@ -583,19 +605,8 @@ class TestFairResourceSemantics:
         env = kernel.Environment()
         res = kernel.FairResource(env, capacity=1)
         order = []
-
-        def chunked(flow, chunks):
-            first = True
-            for i in range(chunks):
-                req = res.acquire(flow, front=not first)
-                yield req
-                order.append((flow, i))
-                yield env.timeout(1.0)
-                res.release(req)
-                first = False
-
-        env.process(chunked("a", 2))
-        env.process(chunked("b", 2))
+        self.chunked(env, res, "a", 2, order, continue_front=True)
+        self.chunked(env, res, "b", 2, order, continue_front=True)
         env.run()
         flows = [f for f, _ in order]
         # Chunk continuation keeps intra-flow order while flows interleave.
@@ -608,38 +619,11 @@ class TestFairResourceSemantics:
         env = kernel.Environment()
         res = kernel.FairResource(env, capacity=1)
         order = []
-
-        def holder():
-            req = res.acquire("h")
-            yield req
-            yield env.timeout(2.0)
-            res.release(req)
-
-        def quitter():
-            req = res.acquire("q")
-            try:
-                yield req
-            except Interrupt:
-                res.cancel(req)
-                return
-            order.append("q")
-            res.release(req)
-
-        def steady():
-            req = res.acquire("s")
-            yield req
-            order.append("s")
-            res.release(req)
-
-        env.process(holder())
-        q = env.process(quitter())
-        env.process(steady())
-
-        def killer():
-            yield env.timeout(1.0)
-            q.interrupt()
-
-        env.process(killer())
+        hold(env, res, 2.0, key="h")
+        quitter = res.acquire("q")
+        hook = on_grant(quitter, lambda: order.append("q"))
+        hold(env, res, 0.0, key="s", on_start=lambda: order.append("s"))
+        call_at(env, 1.0, lambda: withdraw(env, res, quitter, hook))
         env.run()
         assert order == ["s"]
         assert res.queue_length == 0
@@ -651,9 +635,9 @@ class TestFairResourceSemantics:
 
 
 class TestStoreSemantics:
-    def test_items_and_getters_are_fifo(self, kernel):
-        env = kernel.Environment()
-        store = kernel.Store(env)
+    def test_items_and_getters_are_fifo(self, seed_kernel):
+        env = seed_kernel.Environment()
+        store = seed_kernel.Store(env)
         got = []
 
         def consumer(name):
@@ -671,9 +655,9 @@ class TestStoreSemantics:
         env.run()
         assert got == [("c1", "x"), ("c2", "y")]
 
-    def test_put_before_get_buffers_in_order(self, kernel):
-        env = kernel.Environment()
-        store = kernel.Store(env)
+    def test_put_before_get_buffers_in_order(self, seed_kernel):
+        env = seed_kernel.Environment()
+        store = seed_kernel.Store(env)
         store.put(1)
         store.put(2)
         got = []
