@@ -32,7 +32,7 @@ import dataclasses
 import json
 import time
 import tracemalloc
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.multijob import SharedJob, SharedLinkSim
 from repro.cluster.sharded import ShardedTrainerSim, round_robin_placement
@@ -43,10 +43,9 @@ from repro.core.policy import PolicyContext
 from repro.data.catalog import make_openimages
 from repro.faults import FaultSchedule
 from repro.parallel import build_records
+from repro.parallel.bench import Clock, best_of
 from repro.preprocessing.pipeline import standard_pipeline
 from repro.workloads.models import get_model_profile
-
-Clock = Callable[[], float]
 
 #: Schema tag for ``BENCH_sim.json``.  Bump only when the layout changes
 #: incompatibly; tools reading the file key off this string.
@@ -77,18 +76,6 @@ def span_fingerprint(stats: Any) -> List[str]:
     if stats.spans is None:
         return []
     return [repr(event) for event in stats.spans.events]
-
-
-def _best_of(fn: Callable[[], object], repeats: int, timer: Clock) -> float:
-    """Minimum wall time of ``repeats`` calls -- the least-noisy estimator."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = timer()
-        fn()
-        elapsed = timer() - started
-        if elapsed < best:
-            best = elapsed
-    return best
 
 
 def _make_trainer(
@@ -145,7 +132,7 @@ def bench_scale(
     )
 
     seconds = {
-        kernel: _best_of(
+        kernel: best_of(
             lambda k=kernel: trainer.run_epoch(splits, epoch=1, kernel=k),
             repeats,
             timer,
@@ -263,9 +250,9 @@ def bench_profiler_e2e(
 ) -> Dict[str, object]:
     """End-to-end profile -> plan -> simulate over real pixels.
 
-    Exercises the sharded real-execution :class:`StageTwoProfiler` path
-    on a materialized dataset, plans from the profiled records, and gates
-    the fast epoch simulation of that plan against the reference kernel.
+    Times the real-execution :class:`StageTwoProfiler` pass on a
+    materialized dataset, plans from the profiled records, and gates the
+    fast epoch simulation of that plan against the reference kernel.
     """
     from repro.core.profiler import StageTwoProfiler
     from repro.data.synthetic import ImageContentConfig, SyntheticImageDataset
@@ -279,19 +266,10 @@ def bench_profiler_e2e(
     pipeline = standard_pipeline()
     profiler = StageTwoProfiler(use_real_execution=True)
 
-    sequential = profiler.profile(dataset, pipeline, seed=seed)
-    sharded = profiler.profile(dataset, pipeline, seed=seed, parallel="sharded:2")
-    records_identical = [dataclasses.asdict(r) for r in sharded] == [
-        dataclasses.asdict(r) for r in sequential
-    ]
+    records = profiler.profile(dataset, pipeline, seed=seed)
     profile_s = {
-        "sequential": _best_of(
+        "sequential": best_of(
             lambda: profiler.profile(dataset, pipeline, seed=seed), repeats, timer
-        ),
-        "sharded:2": _best_of(
-            lambda: profiler.profile(dataset, pipeline, seed=seed, parallel="sharded:2"),
-            repeats,
-            timer,
         ),
     }
 
@@ -300,9 +278,7 @@ def bench_profiler_e2e(
     context = PolicyContext(
         dataset=dataset, pipeline=pipeline, spec=spec, model=model, seed=seed
     )
-    plan = DecisionEngine(DecisionConfig()).plan(
-        sequential, spec, context.epoch_gpu_time_s
-    )
+    plan = DecisionEngine(DecisionConfig()).plan(records, spec, context.epoch_gpu_time_s)
     trainer = TrainerSim(
         dataset=dataset, pipeline=pipeline, model=model, spec=spec, seed=seed
     )
@@ -310,8 +286,7 @@ def bench_profiler_e2e(
     fast = trainer.run_epoch(plan.splits, epoch=1, kernel="fast")
     return {
         "num_samples": len(dataset),
-        "identical": records_identical
-        and stats_fingerprint(ref) == stats_fingerprint(fast),
+        "identical": stats_fingerprint(ref) == stats_fingerprint(fast),
         "profile_seconds": profile_s,
         "num_offloaded": plan.num_offloaded,
         "epoch_time_s": ref.epoch_time_s,
@@ -336,7 +311,7 @@ def bench_million(
     model = get_model_profile("alexnet")
 
     started = timer()
-    records = build_records_vectorized_entry(pipeline, dataset, seed)
+    records = build_records(pipeline, dataset, seed=seed)
     records_s = timer() - started
 
     context = PolicyContext(
@@ -368,13 +343,6 @@ def bench_million(
         "epoch_time_s": stats.epoch_time_s,
         "traffic_bytes": stats.traffic_bytes,
     }
-
-
-def build_records_vectorized_entry(
-    pipeline: Any, dataset: Any, seed: int
-) -> List[Any]:
-    """The vectorized stage-two profiling pass (one seam for tests)."""
-    return build_records(pipeline, dataset, seed=seed, parallel="vectorized")
 
 
 def run_bench(

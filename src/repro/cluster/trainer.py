@@ -261,32 +261,25 @@ class TrainerSim:
         The per-sample ``pipeline.simulate`` loop is replaced by one
         :func:`~repro.parallel.vectorized.simulate_batch` call (whose rows
         are bit-identical to the sequential stages) plus column-wise
-        left-fold prefix/suffix sums in the exact association order
-        ``sum(costs[:split])`` uses.  Validation errors carry the same
-        messages, raised at the same sample.
+        :func:`~repro.parallel.vectorized.left_fold` prefix/suffix sums in
+        the exact association order ``sum(costs[:split])`` uses.
+        Validation errors carry the same messages, raised at the same
+        sample.
         """
-        from repro.parallel.vectorized import simulate_batch
+        from repro.parallel import vectorized
 
         ids = list(self.dataset.sample_ids())
         if not ids:
             return {}
         raw_metas = [self.dataset.raw_meta(i) for i in ids]
-        kind = raw_metas[0].kind
-        if any(meta.kind is not kind for meta in raw_metas):
-            # The batch simulator wants one payload kind per batch; rare
-            # mixed-kind datasets take the sequential reference instead.
-            return self._epoch_work(splits, epoch, adjustments)
-        sizes, costs = simulate_batch(
+        sizes, costs = vectorized.simulate_batch(
             self.pipeline, raw_metas, ids, seed=self.seed, epoch=epoch
         )
         n = len(ids)
         n_ops = int(costs.shape[1])
         split_list = [0] * n if splits is None else [splits[i] for i in ids]
 
-        # Column-wise left folds per split group: each element accumulates
-        # ((c0 + c1) + c2) ... in the same order the scalar fold does, so
-        # every float matches the sequential path bit for bit.  Empty folds
-        # stay int 0, exactly like sum([]).
+        # Fold once per split group; empty folds stay int 0, like sum([]).
         prefix: List[float] = [0] * n  # type: ignore[list-item]
         suffix: List[float] = [0] * n  # type: ignore[list-item]
         rows_by_split: Dict[int, List[int]] = {}
@@ -295,18 +288,11 @@ class TrainerSim:
                 rows_by_split.setdefault(split, []).append(row)
         for split, rows in rows_by_split.items():
             sub = costs[rows]
-            if split > 0:
-                acc = sub[:, 0].copy()
-                for col in range(1, split):
-                    acc = acc + sub[:, col]
-                for row, value in zip(rows, acc.tolist()):
-                    prefix[row] = value
-            if split < n_ops:
-                acc = sub[:, split].copy()
-                for col in range(split + 1, n_ops):
-                    acc = acc + sub[:, col]
-                for row, value in zip(rows, acc.tolist()):
-                    suffix[row] = value
+            for row, before, after in zip(
+                rows, vectorized.left_fold(sub, 0, split), vectorized.left_fold(sub, split)
+            ):
+                prefix[row] = before
+                suffix[row] = after
         size_rows = sizes.tolist()
 
         work: Dict[int, SampleWork] = {}

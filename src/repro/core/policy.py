@@ -6,7 +6,7 @@ from typing import List, Optional
 
 from repro.cluster.spec import ClusterSpec
 from repro.data.dataset import Dataset
-from repro.parallel import ParallelSpec, RecordCache, build_records, record_key
+from repro.parallel import RecordCache, build_records, record_key
 from repro.preprocessing.pipeline import Pipeline
 from repro.preprocessing.records import SampleRecord
 from repro.workloads.models import ModelProfile
@@ -20,10 +20,6 @@ class PolicyContext:
     stage-two profiling pass) and cached, since several policies and the
     harness share them.
 
-    parallel: default execution mode for record building -- None for the
-        sequential reference, or any :data:`repro.parallel.ParallelSpec`
-        ("vectorized", "sharded:4", a :class:`ParallelConfig`, ...).
-        Every mode yields bit-identical records.
     record_cache: optional cross-context :class:`RecordCache`; sweeps
         that re-plan over the same dataset/pipeline/seed share profiled
         records through it instead of re-profiling.
@@ -35,7 +31,6 @@ class PolicyContext:
     model: ModelProfile
     batch_size: Optional[int] = None
     seed: int = 0
-    parallel: ParallelSpec = None
     record_cache: Optional[RecordCache] = dataclasses.field(default=None, repr=False)
     _records: Optional[List[SampleRecord]] = dataclasses.field(default=None, repr=False)
 
@@ -47,38 +42,22 @@ class PolicyContext:
     def num_samples(self) -> int:
         return len(self.dataset)
 
-    def records(
-        self, epoch: int = 0, parallel: ParallelSpec = None
-    ) -> List[SampleRecord]:
-        """Per-sample stage sizes and op costs (cached for epoch 0).
-
-        ``parallel`` overrides the context-wide execution mode for this
-        call; the records themselves are identical either way.
-        """
-        if epoch != 0:
-            return self._build_records(epoch, parallel)
-        if self._records is None:
-            self._records = self._build_records(0, parallel)
-        return self._records
-
-    def _build_records(
-        self, epoch: int, parallel: ParallelSpec = None
-    ) -> List[SampleRecord]:
-        mode = parallel if parallel is not None else self.parallel
+    def records(self, epoch: int = 0) -> List[SampleRecord]:
+        """Per-sample stage sizes and op costs (cached for epoch 0)."""
+        if epoch == 0 and self._records is not None:
+            return self._records
 
         def build() -> List[SampleRecord]:
-            return build_records(
-                self.pipeline,
-                self.dataset,
-                seed=self.seed,
-                epoch=epoch,
-                parallel=mode,
-            )
+            return build_records(self.pipeline, self.dataset, seed=self.seed, epoch=epoch)
 
         if self.record_cache is None:
-            return build()
-        key = record_key(self.dataset, self.pipeline, self.seed, epoch)
-        return self.record_cache.get_or_build(key, build)
+            records = build()
+        else:
+            key = record_key(self.dataset, self.pipeline, self.seed, epoch)
+            records = self.record_cache.get_or_build(key, build)
+        if epoch == 0:
+            self._records = records
+        return records
 
     @property
     def epoch_gpu_time_s(self) -> float:

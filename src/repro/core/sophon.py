@@ -10,7 +10,6 @@ from repro.core.degraded import DegradedModeFetcher
 from repro.core.plan import OffloadPlan
 from repro.core.policy import Policy, PolicyContext
 from repro.core.profiler import StageOneProfiler, ThroughputProbe
-from repro.parallel import ParallelSpec
 from repro.preprocessing.pipeline import Pipeline
 from repro.rpc.breaker import CircuitBreaker
 from repro.rpc.fetcher import SupportsFetch
@@ -49,14 +48,10 @@ class Sophon(Policy):
         decision: DecisionConfig = DecisionConfig(),
         profiler: Optional[StageOneProfiler] = None,
         skip_stage_one: bool = False,
-        parallel: ParallelSpec = None,
     ) -> None:
         self.engine = DecisionEngine(decision)
         self.profiler = profiler if profiler is not None else StageOneProfiler()
         self.skip_stage_one = skip_stage_one
-        #: Execution mode for profiling passes (see repro.parallel); None
-        #: defers to the context's own ``parallel`` setting.
-        self.parallel = parallel
         #: The last stage-one probe, for introspection/reporting.
         self.last_probe: Optional[ThroughputProbe] = None
 
@@ -86,7 +81,6 @@ class Sophon(Policy):
                 context.model,
                 batch_size=context.effective_batch_size,
                 seed=context.seed,
-                parallel=self.parallel if self.parallel is not None else context.parallel,
             )
             self.last_probe = probe
             logger.info(
@@ -105,7 +99,7 @@ class Sophon(Policy):
                     ),
                 )
 
-        records = context.records(parallel=self.parallel)
+        records = context.records()
         return self.engine.plan(
             records,
             context.spec,

@@ -13,7 +13,6 @@ from repro.cluster.spec import ClusterSpec
 from repro.cluster.trainer import TrainerSim
 from repro.core.profiler import StageTwoProfiler
 from repro.data.dataset import Dataset
-from repro.parallel import ParallelSpec
 from repro.preprocessing.pipeline import Pipeline, standard_pipeline
 from repro.preprocessing.records import SampleRecord
 from repro.utils.tables import render_table
@@ -86,7 +85,6 @@ def minstage_fractions(
     pipeline: Optional[Pipeline] = None,
     seed: int = 0,
     records: Optional[Sequence[SampleRecord]] = None,
-    parallel: ParallelSpec = None,
 ) -> Dict[str, float]:
     """Figure 1b: where samples reach their minimum size.
 
@@ -95,7 +93,7 @@ def minstage_fractions(
     if pipeline is None:
         pipeline = standard_pipeline()
     if records is None:
-        records = StageTwoProfiler().profile(dataset, pipeline, seed=seed, parallel=parallel)
+        records = StageTwoProfiler().profile(dataset, pipeline, seed=seed)
     names = ["raw"] + pipeline.op_names
     counts = {name: 0 for name in names}
     for record in records:

@@ -6,7 +6,6 @@ from typing import Dict, List, Optional
 from repro.cluster.spec import ClusterSpec, standard_cluster
 from repro.data.dataset import Dataset
 from repro.harness.runner import ExperimentResult, compare_policies
-from repro.parallel import ParallelSpec
 from repro.utils.tables import render_table
 from repro.utils.units import format_bytes, format_seconds
 
@@ -56,10 +55,9 @@ def ample_cpu_comparison(
     dataset: Dataset,
     cluster: Optional[ClusterSpec] = None,
     seed: int = 0,
-    parallel: ParallelSpec = None,
 ) -> PolicyComparison:
     """Run all five policies with ample (48) storage cores (section 4.1)."""
     if cluster is None:
         cluster = standard_cluster(storage_cores=48)
-    results = compare_policies(dataset, cluster, seed=seed, parallel=parallel)
+    results = compare_policies(dataset, cluster, seed=seed)
     return PolicyComparison(dataset_name=dataset.name, results=results)

@@ -6,7 +6,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.spec import ClusterSpec, standard_cluster
 from repro.data.dataset import Dataset
 from repro.harness.runner import ExperimentResult, compare_policies
-from repro.parallel import ParallelSpec, RecordCache
+from repro.parallel import RecordCache
 from repro.utils.tables import render_table
 from repro.utils.units import format_bytes, format_seconds
 
@@ -58,7 +58,6 @@ def limited_cpu_sweep(
     cores: Sequence[int] = (0, 1, 2, 3, 4, 5),
     base_cluster: Optional[ClusterSpec] = None,
     seed: int = 0,
-    parallel: ParallelSpec = None,
 ) -> CoreSweep:
     """Sweep storage-node core counts, re-planning every policy per point.
 
@@ -73,8 +72,6 @@ def limited_cpu_sweep(
     results: Dict[int, Dict[str, ExperimentResult]] = {}
     for core_count in cores:
         spec = base_cluster.with_storage_cores(core_count)
-        runs = compare_policies(
-            dataset, spec, seed=seed, parallel=parallel, record_cache=cache
-        )
+        runs = compare_policies(dataset, spec, seed=seed, record_cache=cache)
         results[core_count] = {r.policy_name: r for r in runs}
     return CoreSweep(dataset_name=dataset.name, cores=list(cores), results=results)

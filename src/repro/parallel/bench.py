@@ -1,14 +1,14 @@
 """Perf-regression harness for the profiling -> planning hot path.
 
-Times record building (sequential vs. vectorized vs. sharded) and
-``DecisionEngine.plan`` at several dataset scales and writes the results
-to ``BENCH_profiling.json`` with a schema that stays stable across PRs,
-so successive runs on the same machine are directly comparable.
+Times record building (the sequential reference vs. the vectorized
+builder every caller uses) and ``DecisionEngine.plan`` at several
+dataset scales and writes the results to ``BENCH_profiling.json`` with a
+schema that stays stable across PRs, so successive runs on the same
+machine are directly comparable.
 
-Every scale also runs a determinism gate: the vectorized and sharded
-record lists must be *equal* to the sequential ones (SampleRecord
-equality compares every float exactly), and the plans built from them
-must match.  A speed number from a path that diverges is meaningless,
+Every scale also runs a determinism gate: the vectorized record list
+must be *equal* to the sequential one (SampleRecord equality compares
+every float exactly), and the plans built from them must match.  A speed number from a path that diverges is meaningless,
 so ``identical: false`` fails the run.
 
 Run it via ``make bench`` or directly::
@@ -43,11 +43,11 @@ SCHEMA = "sophon-bench-profiling/v1"
 #: claim; the smaller ones show how the gap scales.
 DEFAULT_SCALES = (250, 1000, 4000)
 
-#: The execution modes every scale is timed under, in report order.
-MODES = ("sequential", "vectorized", "sharded:2")
+#: The record builders every scale is timed under, in report order.
+MODES = ("sequential", "vectorized")
 
 
-def _best_of(fn: Callable[[], object], repeats: int, timer: Clock) -> float:
+def best_of(fn: Callable[[], object], repeats: int, timer: Clock) -> float:
     """Minimum wall time of ``repeats`` calls -- the least-noisy estimator."""
     best = float("inf")
     for _ in range(repeats):
@@ -81,7 +81,7 @@ def bench_scale(
     identical = all(records_by_mode[mode] == baseline for mode in MODES)
 
     build_s = {
-        mode: _best_of(
+        mode: best_of(
             lambda m=mode: build_records(pipeline, dataset, seed=seed, parallel=m),
             repeats,
             timer,
@@ -103,7 +103,7 @@ def bench_scale(
         for mode in MODES
     }
     identical = identical and all(plans[mode] == plans["sequential"] for mode in MODES)
-    plan_s = _best_of(
+    plan_s = best_of(
         lambda: engine.plan(baseline, context.spec, gpu_time_s), repeats, timer
     )
 
@@ -161,10 +161,7 @@ def run_bench(
     ]
     allocation = allocation_stats(sorted(scales)[0], seed=seed)
     largest = results[-1]
-    speedups = largest["record_building"]["speedup_vs_sequential"]
-    best_parallel = max(
-        speedups[mode] or 0.0 for mode in MODES if mode != "sequential"
-    )
+    speedup = largest["record_building"]["speedup_vs_sequential"]["vectorized"]
     return {
         "schema": SCHEMA,
         "modes": list(MODES),
@@ -172,7 +169,7 @@ def run_bench(
         "allocation": allocation,
         "identical": all(r["identical"] for r in results),
         "largest_scale": largest["num_samples"],
-        "largest_scale_best_speedup": best_parallel,
+        "largest_scale_best_speedup": speedup or 0.0,
     }
 
 
@@ -196,7 +193,7 @@ def render_summary(report: Dict[str, object]) -> str:
     lines.append(f"peak allocation at n={alloc['num_samples']}: {peaks}")
     lines.append(
         f"largest scale ({report['largest_scale']} samples): "
-        f"{report['largest_scale_best_speedup']:.1f}x best parallel speedup"
+        f"{report['largest_scale_best_speedup']:.1f}x vectorized speedup"
     )
     return "\n".join(lines)
 
@@ -227,7 +224,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(render_summary(report))
     print(f"report written to {args.out}")
     if not report["identical"]:
-        print("FAIL: a parallel path diverged from the sequential records/plan")
+        print("FAIL: the vectorized builder diverged from the sequential records/plan")
         return 1
     return 0
 

@@ -26,9 +26,12 @@ Bit-identity fine print, mirrored from the sequential code:
 
 Ops without a registered batch handler fall back to a per-lane loop
 using the real ``op_rng``/``draw_params``/``simulate`` path, so exotic
-pipelines stay correct (just less accelerated).  Batches whose RNG key
-components exceed 32 bits fall back to the sequential reference
-entirely (``supports_batch`` tells callers in advance).
+pipelines stay correct (just less accelerated); so do batches whose RNG
+key components exceed 32 bits (``supports_batch`` tells callers in
+advance).  Batches whose raw metas mix payload kinds run the per-sample
+``Pipeline.simulate`` reference: the batch handlers take one kind per
+batch.  Every caller goes through ``simulate_batch``, so that rule holds
+for record building, the stage-one probe and epoch-work building alike.
 """
 
 import dataclasses
@@ -302,6 +305,16 @@ def simulate_batch(
     if not n:
         return sizes, costs
 
+    kind = raw_metas[0].kind
+    if any(meta.kind is not kind for meta in raw_metas):
+        for row, (raw, sample_id) in enumerate(zip(raw_metas, ids.tolist())):
+            run = pipeline.simulate(
+                raw, seed=seed, epoch=epoch, sample_id=sample_id, cost_model=cost_model
+            )
+            sizes[row] = [raw.nbytes] + [stage.out_meta.nbytes for stage in run.stages]
+            costs[row] = [stage.cost_s for stage in run.stages]
+        return sizes, costs
+
     meta = BatchMeta.from_metas(raw_metas)
     sizes[:, 0] = meta.nbytes
     batched_keys = components_supported(seed, epoch, int(ids.max()))
@@ -349,16 +362,19 @@ def build_records_vectorized(
     ]
 
 
-def batch_total_costs(costs: np.ndarray) -> List[float]:
-    """Per-sample pipeline cost with sequential-identical summation.
+def left_fold(costs: np.ndarray, start: int = 0, stop: Optional[int] = None) -> List[float]:
+    """Per-row ``sum(row[start:stop])`` with sequential-identical rounding.
 
-    ``PipelineRun.total_cost_s`` folds stage costs left to right with
-    Python floats; NumPy's pairwise ``sum`` would round differently, so
-    accumulate column by column instead and hand back Python floats.
+    The scalar code folds op costs left to right with Python floats
+    (``PipelineRun.total_cost_s``, ``sum(costs[:split])``); NumPy's
+    pairwise ``sum`` would round differently, so accumulate column by
+    column instead and hand back Python floats.  An empty column range
+    gives int 0 per row, exactly like ``sum([])``.
     """
-    if not costs.shape[0]:
-        return []
-    total = costs[:, 0].copy()
-    for column in range(1, costs.shape[1]):
+    stop = costs.shape[1] if stop is None else stop
+    if start >= stop:
+        return [0] * costs.shape[0]  # type: ignore[list-item]
+    total = costs[:, start].copy()
+    for column in range(start + 1, stop):
         total = total + costs[:, column]
     return total.tolist()

@@ -25,7 +25,6 @@ from repro.cluster.spec import standard_cluster
 from repro.core.decision import DecisionConfig, DecisionEngine
 from repro.core.policy import PolicyContext
 from repro.data.catalog import make_imagenet, make_openimages
-from repro.parallel import ParallelSpec
 from repro.preprocessing.pipeline import standard_pipeline
 from repro.preprocessing.records import SampleRecord
 from repro.telemetry.flight import FlightRecorder
@@ -114,20 +113,16 @@ class PlanResult:
 class ServicePlanner:
     """Runs the decision engine for job specs, with a records LRU.
 
-    parallel: execution mode for record building (bit-identical output in
-        every mode; see :mod:`repro.parallel`).
     cache_size: profiled-record LRU entries (0 disables caching).
     """
 
     def __init__(
         self,
-        parallel: ParallelSpec = None,
         cache_size: int = 8,
         engine: Optional[DecisionEngine] = None,
     ) -> None:
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
-        self.parallel = parallel
         self.cache_size = cache_size
         self.engine = engine if engine is not None else DecisionEngine(DecisionConfig())
         #: Flight recorder receiving ``service.plan`` spans for traced
@@ -158,7 +153,6 @@ class ServicePlanner:
             spec=standard_cluster(storage_cores=spec.storage_cores),
             model=get_model_profile(spec.model, spec.gpu),
             seed=spec.seed,
-            parallel=self.parallel,
         )
         records = context.records()
         with self._lock:

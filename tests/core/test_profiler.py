@@ -1,7 +1,5 @@
 """Two-stage profiler tests."""
 
-import dataclasses
-
 import pytest
 
 from repro.cluster.spec import standard_cluster
@@ -93,28 +91,6 @@ class TestStageTwo:
         for sim, real in zip(simulated, executed):
             assert sim.stage_sizes == real.stage_sizes
             assert sim.op_costs == pytest.approx(real.op_costs)
-
-    def test_real_execution_sharded_matches_sequential(self, materialized_tiny, pipeline):
-        profiler = StageTwoProfiler(use_real_execution=True)
-        sequential = profiler.profile(materialized_tiny, pipeline, seed=3)
-        sharded = profiler.profile(
-            materialized_tiny, pipeline, seed=3, parallel="sharded:3"
-        )
-        assert [dataclasses.asdict(r) for r in sharded] == [
-            dataclasses.asdict(r) for r in sequential
-        ]
-
-    def test_real_execution_vectorized_spec_degrades_to_sequential(
-        self, materialized_tiny, pipeline
-    ):
-        profiler = StageTwoProfiler(use_real_execution=True)
-        sequential = profiler.profile(materialized_tiny, pipeline, seed=3)
-        vectorized = profiler.profile(
-            materialized_tiny, pipeline, seed=3, parallel="vectorized"
-        )
-        assert [dataclasses.asdict(r) for r in vectorized] == [
-            dataclasses.asdict(r) for r in sequential
-        ]
 
     def test_real_execution_requires_materialized(self, openimages_small, pipeline):
         with pytest.raises(ValueError):

@@ -5,19 +5,29 @@ SampleRecord equality compares every stage size and cost float exactly, so
 in the RNG emulation, the size arithmetic, or the cost fold order.
 """
 
-import numpy as np
+import dataclasses
+
 import pytest
 
-from repro.data.catalog import make_imagenet, make_openimages
+from repro.cluster.spec import standard_cluster
+from repro.cluster.trainer import TrainerSim
+from repro.core.policy import PolicyContext
+from repro.core.profiler import StageOneProfiler
+from repro.data.catalog import make_openimages
+from repro.data.dataset import Dataset
+from repro.parallel import build_records
 from repro.parallel.vectorized import (
-    batch_total_costs,
     build_records_vectorized,
+    left_fold,
     simulate_batch,
     supports_batch,
 )
 from repro.preprocessing.cost_model import CostModel
-from repro.preprocessing.pipeline import standard_pipeline
+from repro.preprocessing.ops import RandomHorizontalFlip, RandomResizedCrop, ToTensor
+from repro.preprocessing.payload import StageMeta
+from repro.preprocessing.pipeline import Pipeline, standard_pipeline
 from repro.preprocessing.records import build_record
+from repro.workloads.models import get_model_profile
 
 
 def sequential_records(pipeline, dataset, seed, epoch=0, cost_model=None):
@@ -93,7 +103,7 @@ def test_simulate_batch_totals_match_sequential_fold(openimages_small):
     pipeline = standard_pipeline()
     metas = [openimages_small.raw_meta(i) for i in range(64)]
     _, costs = simulate_batch(pipeline, metas, list(range(64)), seed=5)
-    totals = batch_total_costs(costs)
+    totals = left_fold(costs)
     for i, total in enumerate(totals):
         record = build_record(
             pipeline, openimages_small.raw_meta(i), i, seed=5, epoch=0
@@ -121,9 +131,53 @@ def test_nonuniform_dims_batch(openimages_small):
 
 def test_mixed_kind_batch_rejected():
     from repro.parallel.vectorized import BatchMeta
-    from repro.preprocessing.payload import StageMeta
 
     image = StageMeta.for_image(10, 10)
     tensor = StageMeta.for_tensor(10, 10, 3)
     with pytest.raises(ValueError, match="mixes payload kinds"):
         BatchMeta.from_metas([image, tensor])
+
+
+class MixedKindDataset(Dataset):
+    """Raw metas alternating decoded images and float tensors."""
+
+    name = "mixed-kinds"
+
+    def __len__(self) -> int:
+        return 48
+
+    def raw_meta(self, sample_id: int) -> StageMeta:
+        side = 96 + 8 * (sample_id % 7)
+        if sample_id % 2:
+            return StageMeta.for_tensor(side, side + 16, 3)
+        return StageMeta.for_image(side + 16, side)
+
+
+def test_mixed_kind_dataset_matches_sequential_oracle():
+    """Every profiling caller takes the same per-sample rule for mixed kinds."""
+    dataset = MixedKindDataset()
+    pipeline = Pipeline([RandomHorizontalFlip(), RandomResizedCrop(size=64), ToTensor()])
+    spec = standard_cluster(storage_cores=48)
+    model = get_model_profile("alexnet")
+    ids = list(dataset.sample_ids())
+    sequential = build_records(pipeline, dataset, seed=4, parallel="sequential")
+
+    assert build_records(pipeline, dataset, seed=4, parallel="vectorized") == sequential
+    context = PolicyContext(dataset=dataset, pipeline=pipeline, spec=spec, model=model, seed=4)
+    assert context.records() == sequential
+
+    probe = StageOneProfiler(probe_batches=2).probe(
+        dataset, pipeline, spec, model, batch_size=16, seed=4
+    )
+    cpu_seconds = 0.0
+    for sample_id in ids[:32]:
+        run = pipeline.simulate(dataset.raw_meta(sample_id), seed=4, epoch=0, sample_id=sample_id)
+        cpu_seconds += run.total_cost_s
+    cpu_seconds = cpu_seconds * spec.compute_cpu_factor / spec.compute_cores
+    assert probe.cpu_batches_per_s == 2 / cpu_seconds
+
+    trainer = TrainerSim(dataset, pipeline, model, spec, seed=4)
+    splits = [i % 4 for i in ids]
+    fast = trainer.run_epoch(splits, epoch=1)
+    reference = trainer.run_epoch(splits, epoch=1, kernel="reference")
+    assert dataclasses.asdict(fast) == dataclasses.asdict(reference)
