@@ -6,32 +6,33 @@ stall breakdown.  Uses the Trace Event "X" (complete event) records, with
 one row for the input pipeline and one for the GPU.
 
 Per-sample telemetry spans (``run_epoch(record_spans=True)``) render
-alongside the batch rows: each trace id (sample or batch) gets its own
-thread row in a second "samples" process, begin/end pairs become nested
-complete events, and instants (demotions, corruption, breaker
-transitions) become trace-event instants on the same row.
+alongside the batch rows through the one span converter,
+:func:`repro.telemetry.spans.spans_to_trace_events` (re-exported here):
+each trace id (sample or batch) gets its own thread row in a second
+"samples" process, begin/end pairs become nested complete events, and
+instants (demotions, corruption, breaker transitions) become trace-event
+instants on the same row.  The conventions (integer microseconds, 0-based
+tids, truncated spans) are documented in :mod:`repro.telemetry.spans`.
 
 Multi-epoch cluster runs render through :func:`write_combined_chrome_trace`:
 each epoch's timeline and spans land in their own process rows, and two
 summary processes group the same spans by their ``shard`` and ``job``
-labels -- one row per storage shard, one per tenant -- so a contended
-shared link reads at a glance in Perfetto.
+labels (:func:`repro.telemetry.spans.grouped_span_rows`) -- one row per
+storage shard, one per tenant -- so a contended shared link reads at a
+glance in Perfetto.
 """
 
 import dataclasses
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.metrics.timeline import Timeline
-from repro.telemetry.spans import BEGIN, END, INSTANT, SpanEvent
+from repro.telemetry.spans import SpanEvent, grouped_span_rows, spans_to_trace_events
 
 _MICRO = 1_000_000  # trace events use microseconds
 
 _PIPELINE_TID = 0
 _GPU_TID = 1
-
-#: pid used for the per-sample span rows (pid 0 is the batch timeline).
-_SPANS_PID = 1
 
 
 def timeline_to_trace_events(
@@ -76,183 +77,6 @@ def timeline_to_trace_events(
             }
         )
         previous_ready = trace.ready_at
-    return events
-
-
-def spans_to_trace_events(
-    spans: Sequence[SpanEvent],
-    pid: int = _SPANS_PID,
-    process_name: str = "samples (virtual time)",
-) -> List[Dict]:
-    """Render telemetry span events as nested trace-event rows.
-
-    Each distinct trace id becomes one thread (tid assigned in first-seen
-    order, so identical runs produce identical documents).  BEGIN/END
-    pairs match innermost-first per (trace, name) and emit "X" complete
-    events; INSTANT events emit thread-scoped "i" records.  An unmatched
-    BEGIN is closed at the last timestamp seen on its trace.
-    """
-    tids: Dict[str, int] = {}
-    for event in spans:
-        tids.setdefault(event.trace_id, len(tids))
-    events: List[Dict] = [
-        {"name": "process_name", "ph": "M", "pid": pid,
-         "args": {"name": process_name}},
-    ]
-    for trace, tid in tids.items():
-        events.append(
-            {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-             "args": {"name": trace}}
-        )
-    open_spans: Dict[str, List[SpanEvent]] = {}
-    last_t: Dict[str, float] = {}
-    for event in spans:
-        last_t[event.trace_id] = event.t_s
-        if event.phase == BEGIN:
-            open_spans.setdefault(f"{event.trace_id}\0{event.name}", []).append(event)
-        elif event.phase == END:
-            stack = open_spans.get(f"{event.trace_id}\0{event.name}")
-            if not stack:
-                continue  # END without BEGIN: drop rather than invent a span
-            begin = stack.pop()
-            args = dict(begin.attrs)
-            args.update(event.attrs)
-            events.append(
-                {
-                    "name": event.name,
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tids[event.trace_id],
-                    "ts": int(begin.t_s * _MICRO),
-                    "dur": max(0, int((event.t_s - begin.t_s) * _MICRO)),
-                    "args": args,
-                }
-            )
-        elif event.phase == INSTANT:
-            events.append(
-                {
-                    "name": event.name,
-                    "ph": "i",
-                    "s": "t",
-                    "pid": pid,
-                    "tid": tids[event.trace_id],
-                    "ts": int(event.t_s * _MICRO),
-                    "args": dict(event.attrs),
-                }
-            )
-    for key, stack in open_spans.items():
-        trace = key.split("\0", 1)[0]
-        for begin in stack:
-            events.append(
-                {
-                    "name": begin.name,
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tids[trace],
-                    "ts": int(begin.t_s * _MICRO),
-                    "dur": max(0, int((last_t[trace] - begin.t_s) * _MICRO)),
-                    "args": dict(begin.attrs),
-                }
-            )
-    return events
-
-
-def grouped_span_rows(
-    spans: Sequence[SpanEvent],
-    key: str,
-    pid: int,
-    process_name: str,
-) -> List[Dict]:
-    """One thread row per distinct value of span attr ``key``.
-
-    BEGIN events carrying ``key`` (e.g. ``shard=2`` or ``job="resnet"``)
-    open a span on their value's row; the matching END (paired
-    innermost-first per (trace, name), inheriting the BEGIN's group)
-    closes it.  INSTANT events carrying ``key`` land on their row as "i"
-    records.  Events without the attr are skipped -- returns [] when no
-    event carries it at all, so callers can omit the whole process.
-    """
-    groups: Dict[object, None] = {}
-    for event in spans:
-        if event.phase in (BEGIN, INSTANT) and key in event.attrs:
-            groups.setdefault(event.attrs[key], None)
-    if not groups:
-        return []
-    ordered = sorted(
-        groups,
-        key=lambda value: (
-            (0, value, "") if isinstance(value, (int, float)) else (1, 0, str(value))
-        ),
-    )
-    tids = {value: tid for tid, value in enumerate(ordered)}
-    events: List[Dict] = [
-        {"name": "process_name", "ph": "M", "pid": pid,
-         "args": {"name": process_name}},
-    ]
-    for value in ordered:
-        events.append(
-            {"name": "thread_name", "ph": "M", "pid": pid, "tid": tids[value],
-             "args": {"name": f"{key} {value}"}}
-        )
-    open_spans: Dict[str, List[Tuple[SpanEvent, object]]] = {}
-    last_t: Dict[object, float] = {}
-    for event in spans:
-        if event.phase == BEGIN:
-            if key not in event.attrs:
-                continue
-            group = event.attrs[key]
-            last_t[group] = event.t_s
-            open_spans.setdefault(f"{event.trace_id}\0{event.name}", []).append(
-                (event, group)
-            )
-        elif event.phase == END:
-            stack = open_spans.get(f"{event.trace_id}\0{event.name}")
-            if not stack:
-                continue
-            begin, group = stack.pop()
-            last_t[group] = event.t_s
-            args = dict(begin.attrs)
-            args.update(event.attrs)
-            events.append(
-                {
-                    "name": event.name,
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tids[group],
-                    "ts": int(begin.t_s * _MICRO),
-                    "dur": max(0, int((event.t_s - begin.t_s) * _MICRO)),
-                    "args": args,
-                }
-            )
-        elif event.phase == INSTANT and key in event.attrs:
-            group = event.attrs[key]
-            last_t[group] = event.t_s
-            events.append(
-                {
-                    "name": event.name,
-                    "ph": "i",
-                    "s": "t",
-                    "pid": pid,
-                    "tid": tids[group],
-                    "ts": int(event.t_s * _MICRO),
-                    "args": dict(event.attrs),
-                }
-            )
-    for stack in open_spans.values():
-        for begin, group in stack:
-            events.append(
-                {
-                    "name": begin.name,
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tids[group],
-                    "ts": int(begin.t_s * _MICRO),
-                    "dur": max(
-                        0, int((last_t.get(group, begin.t_s) - begin.t_s) * _MICRO)
-                    ),
-                    "args": dict(begin.attrs),
-                }
-            )
     return events
 
 

@@ -12,8 +12,10 @@ Three layers (see docs/observability.md):
    explaining every sample's offload decision
    (:mod:`repro.telemetry.audit`).
 3. **Exporters** -- Prometheus text exposition, a replayable JSONL event
-   log (:mod:`repro.telemetry.exporters`), and chrome-trace span rendering
-   in :mod:`repro.metrics.chrometrace`.
+   log (:mod:`repro.telemetry.exporters`), and the one chrome-trace span
+   converter (:func:`~repro.telemetry.spans.spans_to_trace_events`), which
+   the DES trace files (:mod:`repro.metrics.chrometrace`) and the
+   service's :class:`~repro.telemetry.flight.FlightRecorder` both use.
 
 The package is a leaf: it imports nothing from the rest of ``repro``, so
 any subsystem may report into it without cycles.  It never reads wall

@@ -7,8 +7,9 @@ matches what was exported.  Round-tripping is what the determinism gate
 leans on -- identical seeds must produce byte-identical JSONL files, and
 byte-identical files must replay to equal state.
 
-Chrome-trace rendering of spans lives in :mod:`repro.metrics.chrometrace`,
-next to the existing batch-timeline renderer.
+Chrome-trace rendering of spans lives in :mod:`repro.telemetry.spans`
+(:func:`~repro.telemetry.spans.spans_to_trace_events`); the batch-timeline
+rows and the trace-file writers are in :mod:`repro.metrics.chrometrace`.
 """
 
 import dataclasses

@@ -3,11 +3,15 @@
 A long-lived service cannot keep every span forever, but when a chaos run
 fails you want the *recent* timeline: what the last N requests were doing
 across queue-wait, admission, planning, and journal fsync when things went
-sideways.  :class:`FlightRecorder` keeps two fixed-capacity rings (spans
-and structured log records, oldest evicted first), counts what it dropped,
-and renders the surviving window as a chrome-trace-compatible JSON object
-(one row per trace, log records as instants on a ``logs`` row) that
-``chrome://tracing`` / Perfetto load directly.
+sideways.  :class:`FlightRecorder` is a :class:`~repro.telemetry.spans.Tracer`
+whose events land in a fixed-capacity ring (oldest evicted first), next to
+a second ring of structured log records; it counts what it dropped and
+renders the surviving window as a chrome-trace JSON object that
+``chrome://tracing`` / Perfetto load directly.  The span rows come from
+the same converter as every other span stream
+(:func:`~repro.telemetry.spans.spans_to_trace_events`: one row per trace
+id, unmatched begins marked ``truncated``); log records follow as
+``log.<level>`` instants on a ``logs`` row after every trace row.
 
 Everything is stamped from one injectable
 :data:`~repro.telemetry.clock.Clock` and guarded by a single lock: the
@@ -21,11 +25,14 @@ import collections
 import dataclasses
 import json
 import threading
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
-from repro.telemetry.clock import Clock, LogicalClock
+from repro.telemetry.clock import Clock
 from repro.telemetry.logs import LogRecord, render_logfmt
-from repro.telemetry.spans import BEGIN, END, INSTANT, SpanEvent, Tracer
+from repro.telemetry.spans import SpanEvent, Tracer, spans_to_trace_events
+
+#: The recorder's one process row in its chrome trace.
+_PID = 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,8 +45,12 @@ class FlightSnapshot:
     dropped_logs: int
 
 
-class FlightRecorder:
-    """Thread-safe bounded recorder for spans + logs, chrome-trace dumpable."""
+class FlightRecorder(Tracer):
+    """A thread-safe :class:`Tracer` recording into a bounded ring, plus logs.
+
+    Only :meth:`_emit` differs from the base tracer.  The inherited
+    ``events`` list stays empty: read the window through :meth:`snapshot`.
+    """
 
     def __init__(
         self,
@@ -49,8 +60,8 @@ class FlightRecorder:
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+        super().__init__(clock)
         self.capacity = capacity
-        self.clock: Clock = clock if clock is not None else LogicalClock()
         self.tee = tee
         self._lock = threading.Lock()
         self._spans: Deque[SpanEvent] = collections.deque(maxlen=capacity)
@@ -59,15 +70,6 @@ class FlightRecorder:
         self._log_total = 0
 
     # -- recording ---------------------------------------------------------
-
-    def record_span(self, event: SpanEvent) -> SpanEvent:
-        """Append a pre-built span event (and tee it, if teeing)."""
-        with self._lock:
-            self._spans.append(event)
-            self._span_total += 1
-            if self.tee is not None:
-                self.tee.events.append(event)
-        return event
 
     def _emit(
         self, trace: str, name: str, phase: str, attrs: Dict[str, object]
@@ -81,18 +83,6 @@ class FlightRecorder:
             if self.tee is not None:
                 self.tee.events.append(event)
         return event
-
-    def begin(self, trace: str, name: str, **attrs: object) -> SpanEvent:
-        """Open a phase on a trace (pair with :meth:`end`)."""
-        return self._emit(trace, name, BEGIN, dict(attrs))
-
-    def end(self, trace: str, name: str, **attrs: object) -> SpanEvent:
-        """Close the innermost open phase of this name on the trace."""
-        return self._emit(trace, name, END, dict(attrs))
-
-    def instant(self, trace: str, name: str, **attrs: object) -> SpanEvent:
-        """A point event on a trace."""
-        return self._emit(trace, name, INSTANT, dict(attrs))
 
     def record_log(self, record: LogRecord) -> None:
         """Sink for :class:`~repro.telemetry.logs.StructuredLogger`."""
@@ -123,107 +113,26 @@ class FlightRecorder:
     def to_chrome_trace(self) -> Dict[str, object]:
         """The current window as a chrome-trace JSON object.
 
-        Each distinct trace id gets its own thread row (tid assigned in
-        first-seen order); begin/end pairs become complete ``X`` events,
-        unmatched begins close at the window's last timestamp, and log
-        records land as instants on a dedicated ``logs`` row.  Purely a
+        The span rows are :func:`spans_to_trace_events` of the snapshot;
+        log records land as instants on a ``logs`` row after them, and
+        ``otherData`` carries the window and drop counts.  Purely a
         function of the recorded events, so identical windows dump to
         identical bytes.
         """
         snap = self.snapshot()
-        events: List[Dict[str, object]] = []
-        tids: Dict[str, int] = {}
-        last_t = max(
-            [e.t_s for e in snap.spans] + [r.t_s for r in snap.logs], default=0.0
-        )
-
-        def tid_for(trace: str) -> int:
-            if trace not in tids:
-                tids[trace] = len(tids) + 1
-                events.append(
-                    {
-                        "ph": "M",
-                        "pid": 1,
-                        "tid": tids[trace],
-                        "name": "thread_name",
-                        "args": {"name": trace},
-                    }
-                )
-            return tids[trace]
-
-        open_stacks: Dict[Tuple[str, str], List[SpanEvent]] = {}
-        for event in snap.spans:
-            tid = tid_for(event.trace_id)
-            key = (event.trace_id, event.name)
-            if event.phase == BEGIN:
-                open_stacks.setdefault(key, []).append(event)
-            elif event.phase == END:
-                stack = open_stacks.get(key)
-                if stack:
-                    begin = stack.pop()
-                    args = dict(begin.attrs)
-                    args.update(event.attrs)
-                    events.append(
-                        {
-                            "ph": "X",
-                            "pid": 1,
-                            "tid": tid,
-                            "name": event.name,
-                            "ts": begin.t_s * 1e6,
-                            "dur": (event.t_s - begin.t_s) * 1e6,
-                            "args": args,
-                        }
-                    )
-            else:  # INSTANT
-                events.append(
-                    {
-                        "ph": "i",
-                        "pid": 1,
-                        "tid": tid,
-                        "name": event.name,
-                        "ts": event.t_s * 1e6,
-                        "s": "t",
-                        "args": dict(event.attrs),
-                    }
-                )
-        # Begins whose end fell outside the window (or never came) still
-        # deserve a box: close them at the window's last timestamp.
-        for (trace, name), stack in open_stacks.items():
-            for begin in stack:
-                events.append(
-                    {
-                        "ph": "X",
-                        "pid": 1,
-                        "tid": tid_for(trace),
-                        "name": name,
-                        "ts": begin.t_s * 1e6,
-                        "dur": (last_t - begin.t_s) * 1e6,
-                        "args": dict(begin.attrs, truncated=True),
-                    }
-                )
+        events = spans_to_trace_events(snap.spans, pid=_PID, process_name="flight recorder")
         if snap.logs:
-            log_tid = len(tids) + 1
+            log_tid = len({event.trace_id for event in snap.spans})
             events.append(
-                {
-                    "ph": "M",
-                    "pid": 1,
-                    "tid": log_tid,
-                    "name": "thread_name",
-                    "args": {"name": "logs"},
-                }
+                {"name": "thread_name", "ph": "M", "pid": _PID, "tid": log_tid,
+                 "args": {"name": "logs"}}
             )
-            for record in snap.logs:
-                events.append(
-                    {
-                        "ph": "i",
-                        "pid": 1,
-                        "tid": log_tid,
-                        "name": f"log.{record.level}",
-                        "ts": record.t_s * 1e6,
-                        "s": "t",
-                        "args": {"line": render_logfmt(record)},
-                    }
-                )
+            events.extend(
+                {"name": f"log.{record.level}", "ph": "i", "s": "t", "pid": _PID,
+                 "tid": log_tid, "ts": int(record.t_s * 1_000_000),
+                 "args": {"line": render_logfmt(record)}}
+                for record in snap.logs
+            )
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",

@@ -10,14 +10,23 @@ runs.
 
 Events are deliberately flat (no object graph): a begin/end pair brackets
 a phase, an instant marks a point event, and ``attrs`` carries the
-structured details.  Exporters pair them back up into nested chrome-trace
-spans.
+structured details.  :func:`spans_to_trace_events` (one thread row per
+trace id) and :func:`grouped_span_rows` (one row per ``shard``/``job``
+label) pair them back up into nested chrome-trace spans; every span
+stream -- DES epochs, multi-epoch summaries, the service flight recorder
+-- renders through them, so the chrome-trace conventions live here once:
+
+- timestamps and durations are integer microseconds, ``dur >= 0``;
+- tids are 0-based, trace ids in first-seen order (group labels sorted);
+- each pid gets one ``process_name`` metadata event;
+- an unmatched BEGIN closes at the stream's largest timestamp with
+  ``truncated: true``; an unmatched END is dropped.
 """
 
 import contextlib
 import dataclasses
 import re
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.telemetry.clock import Clock, LogicalClock
 
@@ -156,3 +165,119 @@ class Tracer:
 
     def clear(self) -> None:
         self.events.clear()
+
+
+_MICRO = 1_000_000  # trace events use integer microseconds
+
+#: Default pid of the per-trace span rows (pid 0 is a batch timeline).
+_SPANS_PID = 1
+
+#: One paired result: (BEGIN or INSTANT event, end time or None, args).
+_Paired = Tuple[SpanEvent, Optional[float], Dict[str, object]]
+
+
+def _paired(spans: Sequence[SpanEvent]) -> Iterator[_Paired]:
+    """The one pairing pass behind every chrome-trace span row.
+
+    BEGIN/END match innermost-first per ``(trace_id, name)``: a closed
+    pair yields its BEGIN, the END's time and the BEGIN attrs updated
+    with the END's.  An INSTANT yields itself with end time None.
+    Results come in stream order; unmatched BEGINs follow, closed at the
+    stream's largest timestamp and marked ``truncated``.  An END without
+    a BEGIN is dropped rather than inventing a span.
+    """
+    open_spans: Dict[Tuple[str, str], List[SpanEvent]] = {}
+    for event in spans:
+        if event.phase == BEGIN:
+            open_spans.setdefault((event.trace_id, event.name), []).append(event)
+        elif event.phase == END:
+            stack = open_spans.get((event.trace_id, event.name))
+            if stack:
+                begin = stack.pop()
+                args = dict(begin.attrs)
+                args.update(event.attrs)
+                yield begin, event.t_s, args
+        else:
+            yield event, None, dict(event.attrs)
+    if any(open_spans.values()):
+        last_t = max(event.t_s for event in spans)
+        for stack in open_spans.values():
+            for begin in stack:
+                yield begin, last_t, dict(begin.attrs, truncated=True)
+
+
+def _trace_event(paired: _Paired, pid: int, tid: int) -> Dict[str, object]:
+    """A paired result as an ``X`` complete event or a thread-scoped ``i``."""
+    event, end_t, args = paired
+    ts = int(event.t_s * _MICRO)
+    if end_t is None:
+        return {"name": event.name, "ph": "i", "s": "t", "pid": pid, "tid": tid,
+                "ts": ts, "args": args}
+    return {"name": event.name, "ph": "X", "pid": pid, "tid": tid, "ts": ts,
+            "dur": max(0, int((end_t - event.t_s) * _MICRO)), "args": args}
+
+
+def _metadata(pid: int, process_name: str, rows: Iterable[str]) -> List[Dict[str, object]]:
+    """The process's name, then one named thread per row, tids 0..k-1."""
+    events: List[Dict[str, object]] = [
+        {"name": "process_name", "ph": "M", "pid": pid, "args": {"name": process_name}},
+    ]
+    events.extend(
+        {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid, "args": {"name": row}}
+        for tid, row in enumerate(rows)
+    )
+    return events
+
+
+def spans_to_trace_events(
+    spans: Sequence[SpanEvent],
+    pid: int = _SPANS_PID,
+    process_name: str = "samples (virtual time)",
+) -> List[Dict[str, object]]:
+    """Render span events as nested trace-event rows, one per trace id.
+
+    Tids follow first-seen order, so identical streams give identical
+    documents.  Pairs become ``X`` complete events and instants ``i``
+    records on their trace's row.
+    """
+    tids: Dict[str, int] = {}
+    for event in spans:
+        tids.setdefault(event.trace_id, len(tids))
+    events = _metadata(pid, process_name, tids)
+    events.extend(
+        _trace_event(paired, pid, tids[paired[0].trace_id]) for paired in _paired(spans)
+    )
+    return events
+
+
+def _group_order(value: object) -> Tuple[int, Any, str]:
+    """Numbers first, numerically; then everything else by its text."""
+    if isinstance(value, (int, float)):
+        return (0, value, "")
+    return (1, 0, str(value))
+
+
+def grouped_span_rows(
+    spans: Sequence[SpanEvent],
+    key: str,
+    pid: int,
+    process_name: str,
+) -> List[Dict[str, object]]:
+    """One thread row per distinct value of span attr ``key``.
+
+    A pair lands on the row of its BEGIN's ``key`` value (e.g. ``shard=2``
+    or ``job="resnet"``; the END need not carry it), an instant on its
+    own value's row; events without the attr are skipped.  Rows are
+    sorted by value.  Returns [] when no event carries the attr, so
+    callers can omit the whole process.
+    """
+    rendered = [paired for paired in _paired(spans) if key in paired[0].attrs]
+    if not rendered:
+        return []
+    groups = sorted({paired[0].attrs[key]: None for paired in rendered}, key=_group_order)
+    tids = {value: tid for tid, value in enumerate(groups)}
+    events = _metadata(pid, process_name, (f"{key} {value}" for value in groups))
+    events.extend(
+        _trace_event(paired, pid, tids[paired[0].attrs[key]]) for paired in rendered
+    )
+    return events

@@ -55,15 +55,6 @@ class TestTee:
         assert len(recorder.snapshot().spans) == 2  # ring stays bounded
         assert [e.name for e in tee.events] == [f"ev{i}" for i in range(5)]
 
-    def test_record_span_forwards_prebuilt_events(self):
-        tee = Tracer(clock=ManualClock())
-        recorder = make_recorder(tee=tee)
-        source = Tracer(clock=ManualClock())
-        event = source.instant("s1-e0", "decision")
-        recorder.record_span(event)
-        assert recorder.snapshot().spans == (event,)
-        assert tee.events == [event]
-
 
 class TestChromeTrace:
     def test_begin_end_pairs_become_complete_events_with_merged_attrs(self):
@@ -84,13 +75,13 @@ class TestChromeTrace:
         recorder.instant("job-0-r1", "service.shed")
         recorder.instant("job-1-r1", "service.shed")
         trace = recorder.to_chrome_trace()
-        meta = [e for e in trace["traceEvents"] if e["ph"] == "M"]
+        meta = [e for e in trace["traceEvents"] if e["name"] == "thread_name"]
         assert [(m["tid"], m["args"]["name"]) for m in meta] == [
-            (1, "job-0-r1"),
-            (2, "job-1-r1"),
+            (0, "job-0-r1"),
+            (1, "job-1-r1"),
         ]
         instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
-        assert {e["tid"] for e in instants} == {1, 2}
+        assert {e["tid"] for e in instants} == {0, 1}
         assert all(e["s"] == "t" for e in instants)
 
     def test_unmatched_begin_closes_at_window_end_marked_truncated(self):
@@ -119,11 +110,12 @@ class TestChromeTrace:
         assert log_events[0]["name"] == "log.warning"
         assert log_events[0]["args"] == {"line": render_logfmt(record)}
         meta_names = [
-            e["args"]["name"] for e in trace["traceEvents"] if e["ph"] == "M"
+            e["args"]["name"] for e in trace["traceEvents"]
+            if e["name"] == "thread_name"
         ]
         assert meta_names == ["t", "logs"]
         # The logs row sits after every trace row.
-        assert log_events[0]["tid"] == 2
+        assert log_events[0]["tid"] == 1
 
     def test_other_data_counts(self):
         recorder = make_recorder(capacity=2)
