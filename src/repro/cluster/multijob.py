@@ -151,9 +151,9 @@ class SharedLinkSim:
             )
             job_splits = list(job.splits) if job.splits is not None else None
             if kernel == "reference":
-                work = trainer._epoch_work(job_splits, epoch, job.adjustments)
+                work = trainer._reference_epoch_work(job_splits, epoch, job.adjustments)
             else:
-                work = trainer._epoch_work_fast(job_splits, epoch, job.adjustments)
+                work = trainer._epoch_work(job_splits, epoch, job.adjustments)
             batches = list(
                 BatchSampler(
                     SequentialSampler(len(job.dataset)), trainer.batch_size

@@ -29,6 +29,8 @@ import dataclasses
 from types import ModuleType
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
+import numpy as np
+
 from repro.cluster import refsim as _reference_kernel
 from repro.cluster import sim as _fast_kernel
 from repro.cluster.engine import launch_training_job
@@ -40,6 +42,7 @@ from repro.data.sampler import BatchSampler, Sampler, SequentialSampler
 from repro.faults.schedule import FaultReport, FaultSchedule
 from repro.metrics.timeline import Timeline
 from repro.preprocessing.pipeline import Pipeline
+from repro.preprocessing.records import left_fold
 from repro.telemetry.spans import Tracer
 from repro.workloads.models import ModelProfile
 
@@ -223,7 +226,7 @@ class TrainerSim:
         )
 
     def _check_work(self, item: SampleWork) -> None:
-        """Reject storage-side work this cluster cannot run (both builders)."""
+        """Reject storage-side work this cluster cannot run (one sample)."""
         if item.split == 0 and item.prefix_cpu_s > 0:
             raise ValueError(
                 f"sample {item.sample_id} has storage-side work but split 0"
@@ -234,12 +237,14 @@ class TrainerSim:
                 "cluster has no storage cores; clamp the plan first"
             )
 
-    def _epoch_work(
+    def _reference_epoch_work(
         self,
         splits: Optional[Sequence[int]],
         epoch: int,
         adjustments: Optional[Dict[int, "WorkAdjustment"]] = None,
     ) -> Dict[int, SampleWork]:
+        """The per-sample :meth:`sample_work` loop: ``kernel="reference"``'s
+        work builder and the oracle :meth:`_epoch_work` must equal."""
         work: Dict[int, SampleWork] = {}
         for sample_id in self.dataset.sample_ids():
             split = 0 if splits is None else splits[sample_id]
@@ -250,67 +255,77 @@ class TrainerSim:
             work[sample_id] = item
         return work
 
-    def _epoch_work_fast(
+    def _epoch_work(
         self,
         splits: Optional[Sequence[int]],
         epoch: int,
         adjustments: Optional[Dict[int, "WorkAdjustment"]] = None,
     ) -> Dict[int, SampleWork]:
-        """Vectorized twin of :meth:`_epoch_work` -- same outputs, bit for bit.
+        """Every sample's work for one epoch, from one batch simulation.
 
-        The per-sample ``pipeline.simulate`` loop is replaced by one
-        :func:`~repro.parallel.vectorized.simulate_batch` call (whose rows
-        are bit-identical to the sequential stages) plus column-wise
-        :func:`~repro.parallel.vectorized.left_fold` prefix/suffix sums in
-        the exact association order ``sum(costs[:split])`` uses.
-        Validation errors carry the same messages, raised at the same
-        sample.
+        One :func:`~repro.parallel.vectorized.simulate_batch` call over the
+        dataset's raw metas gives the stage-size and op-cost matrices;
+        :func:`~repro.preprocessing.records.left_fold` sums the prefix and
+        suffix of each split group in the association order
+        ``sum(costs[:split])`` uses (empty folds stay int 0).  Validation is
+        column-wise and raises :meth:`_reference_epoch_work`'s messages at
+        the same first sample.
         """
         from repro.parallel import vectorized
 
         ids = list(self.dataset.sample_ids())
         if not ids:
             return {}
-        raw_metas = [self.dataset.raw_meta(i) for i in ids]
         sizes, costs = vectorized.simulate_batch(
-            self.pipeline, raw_metas, ids, seed=self.seed, epoch=epoch
+            self.pipeline, self.dataset.raw_metas(ids), ids, seed=self.seed, epoch=epoch
         )
         n = len(ids)
         n_ops = int(costs.shape[1])
         split_list = [0] * n if splits is None else [splits[i] for i in ids]
+        split_arr = np.asarray(split_list, dtype=np.int64)
+        in_range = (split_arr >= 0) & (split_arr <= n_ops)
 
-        # Fold once per split group; empty folds stay int 0, like sum([]).
+        # The first sample a check rejects outright: a bad split, or any
+        # offload on a cluster without storage cores.  Adjusted samples are
+        # checked one by one below (an adjustment can add storage work).
+        rejected = ~in_range
+        if not self.spec.can_offload:
+            rejected |= split_arr > 0
+        first_rejected = int(np.argmax(rejected)) if rejected.any() else n
+
         prefix: List[float] = [0] * n  # type: ignore[list-item]
         suffix: List[float] = [0] * n  # type: ignore[list-item]
-        rows_by_split: Dict[int, List[int]] = {}
-        for row, split in enumerate(split_list):
-            if 0 <= split <= n_ops:
-                rows_by_split.setdefault(split, []).append(row)
-        for split, rows in rows_by_split.items():
+        for split in np.unique(split_arr[in_range]).tolist():
+            rows = np.flatnonzero(split_arr == split)
             sub = costs[rows]
             for row, before, after in zip(
-                rows, vectorized.left_fold(sub, 0, split), vectorized.left_fold(sub, split)
+                rows.tolist(), left_fold(sub, 0, split), left_fold(sub, split)
             ):
                 prefix[row] = before
                 suffix[row] = after
-        size_rows = sizes.tolist()
+        wire = sizes[np.arange(n), np.where(in_range, split_arr, 0)].tolist()
 
-        work: Dict[int, SampleWork] = {}
-        for row, sample_id in enumerate(ids):
-            split = split_list[row]
-            if not 0 <= split <= n_ops:
-                raise ValueError(f"bad split {split} for {n_ops}-op pipeline")
+        def item_at(row: int) -> SampleWork:
+            sample_id = ids[row]
             item = SampleWork(
                 sample_id=sample_id,
-                split=split,
-                wire_bytes=size_rows[row][split],
+                split=split_list[row],
+                wire_bytes=wire[row],
                 prefix_cpu_s=prefix[row],
                 suffix_cpu_s=suffix[row],
             )
             if adjustments is not None and sample_id in adjustments:
                 item = adjustments[sample_id].apply(item)
-            self._check_work(item)
-            work[sample_id] = item
+                self._check_work(item)
+            return item
+
+        work = {ids[row]: item_at(row) for row in range(first_rejected)}
+        if first_rejected < n:
+            if not in_range[first_rejected]:
+                raise ValueError(
+                    f"bad split {split_list[first_rejected]} for {n_ops}-op pipeline"
+                )
+            self._check_work(item_at(first_rejected))  # raises
         return work
 
     # -- simulation -----------------------------------------------------------
@@ -394,9 +409,9 @@ class TrainerSim:
             faults = None
 
         if kernel == "reference":
-            work = self._epoch_work(splits, epoch, adjustments)
+            work = self._reference_epoch_work(splits, epoch, adjustments)
         else:
-            work = self._epoch_work_fast(splits, epoch, adjustments)
+            work = self._epoch_work(splits, epoch, adjustments)
         batches = list(BatchSampler(self.sampler, self.batch_size).epoch_batches(epoch))
         fault_report = FaultReport() if faults is not None else None
         fallback_cache: Dict[int, SampleWork] = {}

@@ -2,13 +2,13 @@
 
 import abc
 import dataclasses
-from typing import List, Optional
+from typing import Optional
 
 from repro.cluster.spec import ClusterSpec
 from repro.data.dataset import Dataset
 from repro.parallel import RecordCache, build_records, record_key
 from repro.preprocessing.pipeline import Pipeline
-from repro.preprocessing.records import SampleRecord
+from repro.preprocessing.records import RecordTable
 from repro.workloads.models import ModelProfile
 
 
@@ -32,7 +32,7 @@ class PolicyContext:
     batch_size: Optional[int] = None
     seed: int = 0
     record_cache: Optional[RecordCache] = dataclasses.field(default=None, repr=False)
-    _records: Optional[List[SampleRecord]] = dataclasses.field(default=None, repr=False)
+    _records: Optional[RecordTable] = dataclasses.field(default=None, repr=False)
 
     @property
     def effective_batch_size(self) -> int:
@@ -42,12 +42,12 @@ class PolicyContext:
     def num_samples(self) -> int:
         return len(self.dataset)
 
-    def records(self, epoch: int = 0) -> List[SampleRecord]:
+    def records(self, epoch: int = 0) -> RecordTable:
         """Per-sample stage sizes and op costs (cached for epoch 0)."""
         if epoch == 0 and self._records is not None:
             return self._records
 
-        def build() -> List[SampleRecord]:
+        def build() -> RecordTable:
             return build_records(self.pipeline, self.dataset, seed=self.seed, epoch=epoch)
 
         if self.record_cache is None:

@@ -14,14 +14,14 @@ extra pass over the dataset.
 
 import dataclasses
 import enum
-from typing import List, Optional
+from typing import Optional
 
 from repro.cluster.spec import ClusterSpec
 from repro.data.dataset import Dataset
 from repro.parallel import build_records
 from repro.parallel.vectorized import left_fold, simulate_batch
 from repro.preprocessing.pipeline import Pipeline
-from repro.preprocessing.records import SampleRecord
+from repro.preprocessing.records import RecordTable, SampleRecord
 from repro.workloads.models import ModelProfile
 
 
@@ -128,7 +128,7 @@ class StageTwoProfiler:
         pipeline: Pipeline,
         seed: int = 0,
         epoch: int = 0,
-    ) -> List[SampleRecord]:
+    ) -> RecordTable:
         """Build one record per sample."""
         if self.use_real_execution and not dataset.is_materialized:
             raise ValueError("real-execution profiling needs a materialized dataset")
@@ -143,4 +143,4 @@ class StageTwoProfiler:
             records.append(
                 SampleRecord(sample_id=sample_id, stage_sizes=sizes, op_costs=costs)
             )
-        return records
+        return RecordTable.from_records(records)

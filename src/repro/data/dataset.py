@@ -1,9 +1,9 @@
 """The dataset interface shared by materialized and trace datasets."""
 
 import abc
-from typing import Iterator
+from typing import Iterator, List, Sequence, Union
 
-from repro.preprocessing.payload import Payload, StageMeta
+from repro.preprocessing.payload import BatchMeta, Payload, StageMeta
 
 
 class UnmaterializedSampleError(NotImplementedError):
@@ -40,6 +40,14 @@ class Dataset(abc.ABC):
 
     def sample_ids(self) -> range:
         return range(len(self))
+
+    def raw_metas(self, sample_ids: Sequence[int]) -> Union[BatchMeta, List[StageMeta]]:
+        """The raw metas of ``sample_ids``, for ``simulate_batch``.
+
+        One :meth:`raw_meta` call per sample; datasets that already hold
+        their metadata as arrays return one :class:`BatchMeta` instead.
+        """
+        return [self.raw_meta(sample_id) for sample_id in sample_ids]
 
     def iter_metas(self) -> Iterator[StageMeta]:
         for sample_id in self.sample_ids():

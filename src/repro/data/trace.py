@@ -5,7 +5,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.preprocessing.payload import StageMeta
+from repro.preprocessing.payload import BatchMeta, PayloadKind, StageMeta
 
 
 class TraceDataset(Dataset):
@@ -47,6 +47,20 @@ class TraceDataset(Dataset):
             int(self._raw_bytes[sample_id]),
             int(self._heights[sample_id]),
             int(self._widths[sample_id]),
+        )
+
+    def raw_metas(self, sample_ids: Sequence[int]) -> BatchMeta:
+        """The raw metas of ``sample_ids`` as one batch, straight from the arrays."""
+        ids = np.asarray(sample_ids, dtype=np.int64)
+        outside = np.flatnonzero((ids < 0) | (ids >= len(self)))
+        if outside.shape[0]:
+            self._check_id(int(ids[outside[0]]))
+        return BatchMeta(
+            kind=PayloadKind.ENCODED,
+            nbytes=self._raw_bytes[ids],
+            height=self._heights[ids],
+            width=self._widths[ids],
+            channels=np.full(ids.shape[0], 3, dtype=np.int64),
         )
 
     @property

@@ -24,8 +24,9 @@ from repro.core.decision import DecisionConfig, DecisionEngine
 from repro.core.fidelity import FidelityConfig, FidelityPlanner
 from repro.core.plan import OffloadPlan
 from repro.data.dataset import Dataset
+from repro.parallel import build_records
 from repro.preprocessing.pipeline import Pipeline, standard_pipeline
-from repro.preprocessing.records import ProgressiveSampleRecord, build_record
+from repro.preprocessing.records import ProgressiveSampleRecord
 from repro.utils.tables import render_table
 from repro.utils.units import format_bytes, format_seconds
 from repro.workloads.models import get_model_profile
@@ -57,10 +58,8 @@ def build_progressive_records(
     if codec is None:
         codec = ProgressiveJpegCodec(ProgressiveCodecConfig())
     records: List[ProgressiveSampleRecord] = []
-    for sample_id in dataset.sample_ids():
-        base = build_record(
-            pipeline, dataset.raw_meta(sample_id), sample_id, seed=seed
-        )
+    for base in build_records(pipeline, dataset, seed=seed):
+        sample_id = base.sample_id
         # decode() delegates baseline (TJPG) streams, so either stored
         # format re-encodes cleanly.
         image = codec.decode(dataset.raw_payload(sample_id).data)

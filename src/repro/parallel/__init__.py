@@ -7,7 +7,8 @@ NumPy lane arithmetic without changing a single output bit:
 - :mod:`repro.parallel.pcg` -- vectorized bit-exact emulation of the
   ``op_rng`` generator derivation and draw paths.
 - :mod:`repro.parallel.vectorized` -- batch twin of
-  ``Pipeline.simulate`` producing identical :class:`SampleRecord`\\ s.
+  ``Pipeline.simulate`` producing a ``RecordTable`` whose rows are
+  identical :class:`SampleRecord`\\ s.
 - :mod:`repro.parallel.cache` -- keyed record caching across planning
   passes (pipeline fingerprint x dataset fingerprint x seed x epoch).
 - :mod:`repro.parallel.bench` -- the ``make bench`` perf-regression
@@ -15,12 +16,13 @@ NumPy lane arithmetic without changing a single output bit:
 
 Entry point: :func:`build_records`.  Every profiling caller
 (``PolicyContext.records``, the stage-one and stage-two profilers, the
-decision service) goes through it and so through the vectorized builder;
+decision service) goes through it and so through the vectorized builder,
+and gets back one :class:`~repro.preprocessing.records.RecordTable`;
 ``parallel="sequential"`` selects the per-sample ``build_record`` loop,
 kept as the reference the identity tests compare against.
 """
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.data.dataset import Dataset
 from repro.parallel.cache import (
@@ -29,6 +31,7 @@ from repro.parallel.cache import (
     pipeline_fingerprint,
     record_key,
 )
+from repro.parallel import vectorized
 from repro.parallel.vectorized import (
     build_records_vectorized,
     left_fold,
@@ -37,7 +40,7 @@ from repro.parallel.vectorized import (
 )
 from repro.preprocessing.cost_model import CostModel
 from repro.preprocessing.pipeline import Pipeline
-from repro.preprocessing.records import SampleRecord, build_record
+from repro.preprocessing.records import RecordTable, build_record
 
 #: The production record builder, then the reference it must equal.
 _BUILDERS = ("vectorized", "sequential")
@@ -52,8 +55,8 @@ def build_records(
     cost_model: Optional[CostModel] = None,
     parallel: str = "vectorized",
     sample_ids: Optional[Sequence[int]] = None,
-) -> List[SampleRecord]:
-    """Profile ``dataset`` through ``pipeline``, one record per sample.
+) -> RecordTable:
+    """Profile ``dataset`` through ``pipeline``, one table row per sample.
 
     ``parallel="sequential"`` runs the classic per-sample ``build_record``
     loop instead of the vectorized builder; the records are identical.
@@ -62,25 +65,27 @@ def build_records(
         raise ValueError(f"parallel must be one of {_BUILDERS}, got {parallel!r}")
     ids = list(dataset.sample_ids()) if sample_ids is None else list(sample_ids)
     if parallel == "sequential":
-        return [
-            build_record(
-                pipeline,
-                dataset.raw_meta(sample_id),
-                sample_id,
-                seed=seed,
-                epoch=epoch,
-                cost_model=cost_model,
-            )
-            for sample_id in ids
-        ]
-    metas = [dataset.raw_meta(sample_id) for sample_id in ids]
-    return build_records_vectorized(
-        pipeline, metas, ids, seed=seed, epoch=epoch, cost_model=cost_model
+        return RecordTable.from_records(
+            [
+                build_record(
+                    pipeline,
+                    dataset.raw_meta(sample_id),
+                    sample_id,
+                    seed=seed,
+                    epoch=epoch,
+                    cost_model=cost_model,
+                )
+                for sample_id in ids
+            ]
+        )
+    return vectorized.build_records_vectorized(
+        pipeline, dataset.raw_metas(ids), ids, seed=seed, epoch=epoch, cost_model=cost_model
     )
 
 
 __all__ = [
     "RecordCache",
+    "RecordTable",
     "build_records",
     "build_records_vectorized",
     "dataset_fingerprint",

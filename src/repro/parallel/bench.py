@@ -1,15 +1,19 @@
 """Perf-regression harness for the profiling -> planning hot path.
 
 Times record building (the sequential reference vs. the vectorized
-builder every caller uses) and ``DecisionEngine.plan`` at several
-dataset scales and writes the results to ``BENCH_profiling.json`` with a
-schema that stays stable across PRs, so successive runs on the same
-machine are directly comparable.
+builder every caller uses, which returns a
+:class:`~repro.preprocessing.records.RecordTable`) and
+``DecisionEngine.plan`` on that table at several dataset scales, and
+writes the results to ``BENCH_profiling.json`` with a schema that stays
+stable across PRs, so successive runs on the same machine are directly
+comparable.
 
-Every scale also runs a determinism gate: the vectorized record list
-must be *equal* to the sequential one (SampleRecord equality compares
-every float exactly), and the plans built from them must match.  A speed number from a path that diverges is meaningless,
-so ``identical: false`` fails the run.
+Every scale also runs a determinism gate: the table's rows must be
+*equal* to the sequential records (SampleRecord equality compares every
+float exactly), and the plan built from the table must equal the plan
+built from the sequential records handed over as a plain list.  A speed
+number from a path that diverges is meaningless, so ``identical: false``
+fails the run.
 
 Run it via ``make bench`` or directly::
 
@@ -98,13 +102,13 @@ def bench_scale(
     )
     engine = DecisionEngine(DecisionConfig())
     gpu_time_s = context.epoch_gpu_time_s
-    plans = {
-        mode: engine.plan(records_by_mode[mode], context.spec, gpu_time_s)
-        for mode in MODES
-    }
-    identical = identical and all(plans[mode] == plans["sequential"] for mode in MODES)
-    plan_s = best_of(
-        lambda: engine.plan(baseline, context.spec, gpu_time_s), repeats, timer
+    table = records_by_mode["vectorized"]
+    oracle_list = list(baseline)
+    plan = engine.plan(table, context.spec, gpu_time_s)
+    identical = identical and plan == engine.plan(oracle_list, context.spec, gpu_time_s)
+    plan_s = best_of(lambda: engine.plan(table, context.spec, gpu_time_s), repeats, timer)
+    list_plan_s = best_of(
+        lambda: engine.plan(oracle_list, context.spec, gpu_time_s), repeats, timer
     )
 
     sequential_s = build_s["sequential"]
@@ -120,7 +124,11 @@ def bench_scale(
                 for mode in MODES
             },
         },
-        "plan": {"seconds": plan_s, "num_offloaded": plans["sequential"].num_offloaded},
+        "plan": {
+            "seconds": plan_s,
+            "list_seconds": list_plan_s,
+            "num_offloaded": plan.num_offloaded,
+        },
     }
 
 

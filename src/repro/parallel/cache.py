@@ -5,8 +5,9 @@ re-planning) all rebuild the same records from the same (dataset,
 pipeline, seed, epoch) key.  A :class:`RecordCache` makes that rebuild a
 lookup: keys combine a *pipeline fingerprint* (op classes + op
 configuration + cost-model constants), a *dataset fingerprint*, the RNG
-seed, and the epoch.  Records are immutable, so cached lists are shared
-freely across policies and threads.
+seed, and the epoch.  Record tables are immutable (rows materialize once,
+on first use, and a racing second build yields equal rows), so cached
+tables are shared freely across policies and threads.
 
 Fingerprints hash configuration, not object identity: two independently
 constructed but identically configured pipelines produce the same
@@ -20,14 +21,14 @@ import dataclasses
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.preprocessing.cost_model import CostModel
 from repro.preprocessing.pipeline import Pipeline
-from repro.preprocessing.records import SampleRecord
+from repro.preprocessing.records import RecordTable
 
 #: How many samples the dataset fingerprint probes (spread evenly).
 _PROBE_SAMPLES = 8
@@ -111,13 +112,13 @@ def record_key(
 
 
 class RecordCache:
-    """A bounded, thread-safe LRU cache of profiled record lists."""
+    """A bounded, thread-safe LRU cache of profiled record tables."""
 
     def __init__(self, max_entries: int = 64) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[CacheKey, List[SampleRecord]]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, RecordTable]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -127,7 +128,7 @@ class RecordCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: CacheKey) -> Optional[List[SampleRecord]]:
+    def get(self, key: CacheKey) -> Optional[RecordTable]:
         with self._lock:
             records = self._entries.get(key)
             if records is None:
@@ -137,7 +138,7 @@ class RecordCache:
             self.hits += 1
             return records
 
-    def put(self, key: CacheKey, records: List[SampleRecord]) -> None:
+    def put(self, key: CacheKey, records: RecordTable) -> None:
         with self._lock:
             self._entries[key] = records
             self._entries.move_to_end(key)
@@ -146,8 +147,8 @@ class RecordCache:
                 self.evictions += 1
 
     def get_or_build(
-        self, key: CacheKey, builder: Callable[[], List[SampleRecord]]
-    ) -> List[SampleRecord]:
+        self, key: CacheKey, builder: Callable[[], RecordTable]
+    ) -> RecordTable:
         """The cached records for ``key``, building (and storing) on miss."""
         records = self.get(key)
         if records is None:

@@ -4,8 +4,8 @@
 size algebra and cost model with NumPy array arithmetic, drawing random
 augmentation parameters from :class:`repro.parallel.pcg.LaneGenerators`
 -- the vectorized bit-exact emulation of ``op_rng``.  The resulting
-stage-size and op-cost matrices (and the :class:`SampleRecord` objects
-``build_records_vectorized`` assembles from them) are **bit-identical**
+stage-size and op-cost matrices (and the :class:`RecordTable`
+``build_records_vectorized`` wraps them in) are **bit-identical**
 to what the sequential ``build_record`` loop produces, floating point
 included.  That contract is what lets every consumer (profilers, the
 decision engine, the harnesses) switch freely between the two paths.
@@ -34,9 +34,8 @@ batch.  Every caller goes through ``simulate_batch``, so that rule holds
 for record building, the stage-one probe and epoch-work building alike.
 """
 
-import dataclasses
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -50,53 +49,10 @@ from repro.preprocessing.ops import (
     RandomResizedCrop,
     ToTensor,
 )
-from repro.preprocessing.payload import PayloadKind, StageMeta
+from repro.preprocessing.payload import BatchMeta, PayloadKind, StageMeta
 from repro.preprocessing.pipeline import Pipeline
-from repro.preprocessing.records import SampleRecord
+from repro.preprocessing.records import RecordTable, left_fold
 from repro.utils.rng import op_rng
-
-
-@dataclasses.dataclass
-class BatchMeta:
-    """Array-of-lanes form of :class:`StageMeta`.
-
-    All arrays are int64 with one entry per sample lane; ``kind`` is
-    shared by the whole batch (every op has a fixed output kind).
-    """
-
-    kind: PayloadKind
-    nbytes: np.ndarray
-    height: np.ndarray
-    width: np.ndarray
-    channels: np.ndarray
-
-    @classmethod
-    def from_metas(cls, metas: Sequence[StageMeta]) -> "BatchMeta":
-        if not metas:
-            raise ValueError("cannot build a BatchMeta from zero metas")
-        kind = metas[0].kind
-        if any(meta.kind is not kind for meta in metas):
-            raise ValueError("batch mixes payload kinds")
-        return cls(
-            kind=kind,
-            nbytes=np.array([meta.nbytes for meta in metas], dtype=np.int64),
-            height=np.array([meta.height for meta in metas], dtype=np.int64),
-            width=np.array([meta.width for meta in metas], dtype=np.int64),
-            channels=np.array([meta.channels for meta in metas], dtype=np.int64),
-        )
-
-    def __len__(self) -> int:
-        return int(self.nbytes.shape[0])
-
-    def lane(self, index: int) -> StageMeta:
-        """The single-sample :class:`StageMeta` for one lane."""
-        return StageMeta(
-            kind=self.kind,
-            nbytes=int(self.nbytes[index]),
-            height=int(self.height[index]),
-            width=int(self.width[index]),
-            channels=int(self.channels[index]),
-        )
 
 
 #: A batch handler returns (out_meta, input_pixels, output_pixels).
@@ -281,7 +237,7 @@ def supports_batch(pipeline: Pipeline, *key_components: int) -> bool:
 
 def simulate_batch(
     pipeline: Pipeline,
-    raw_metas: Sequence[StageMeta],
+    raw_metas: Union[BatchMeta, Sequence[StageMeta]],
     sample_ids: Sequence[int],
     *,
     seed: int,
@@ -292,7 +248,9 @@ def simulate_batch(
 
     Returns ``(sizes, costs)`` -- int64 ``(n, n_ops + 1)`` and float64
     ``(n, n_ops)`` matrices whose rows equal the sequential
-    ``build_record`` outputs for the same keys, bit for bit.
+    ``build_record`` outputs for the same keys, bit for bit.  ``raw_metas``
+    is one :class:`BatchMeta` (a dataset's own columns, see
+    ``Dataset.raw_metas``) or one :class:`StageMeta` per sample.
     """
     ids = np.asarray(sample_ids, dtype=np.int64)
     if ids.shape[0] != len(raw_metas):
@@ -305,17 +263,19 @@ def simulate_batch(
     if not n:
         return sizes, costs
 
-    kind = raw_metas[0].kind
-    if any(meta.kind is not kind for meta in raw_metas):
-        for row, (raw, sample_id) in enumerate(zip(raw_metas, ids.tolist())):
-            run = pipeline.simulate(
-                raw, seed=seed, epoch=epoch, sample_id=sample_id, cost_model=cost_model
-            )
-            sizes[row] = [raw.nbytes] + [stage.out_meta.nbytes for stage in run.stages]
-            costs[row] = [stage.cost_s for stage in run.stages]
-        return sizes, costs
-
-    meta = BatchMeta.from_metas(raw_metas)
+    if isinstance(raw_metas, BatchMeta):
+        meta = raw_metas
+    else:
+        kind = raw_metas[0].kind
+        if any(raw.kind is not kind for raw in raw_metas):
+            for row, (raw, sample_id) in enumerate(zip(raw_metas, ids.tolist())):
+                run = pipeline.simulate(
+                    raw, seed=seed, epoch=epoch, sample_id=sample_id, cost_model=cost_model
+                )
+                sizes[row] = [raw.nbytes] + [stage.out_meta.nbytes for stage in run.stages]
+                costs[row] = [stage.cost_s for stage in run.stages]
+            return sizes, costs
+        meta = BatchMeta.from_metas(raw_metas)
     sizes[:, 0] = meta.nbytes
     batched_keys = components_supported(seed, epoch, int(ids.max()))
     for index, op in enumerate(pipeline.ops):
@@ -339,42 +299,25 @@ def simulate_batch(
 
 def build_records_vectorized(
     pipeline: Pipeline,
-    raw_metas: Sequence[StageMeta],
+    raw_metas: Union[BatchMeta, Sequence[StageMeta]],
     sample_ids: Sequence[int],
     *,
     seed: int,
     epoch: int = 0,
     cost_model: Optional[CostModel] = None,
-) -> List[SampleRecord]:
+) -> RecordTable:
     """Vectorized twin of a ``build_record`` loop over ``sample_ids``."""
     sizes, costs = simulate_batch(
         pipeline, raw_metas, sample_ids, seed=seed, epoch=epoch, cost_model=cost_model
     )
-    size_rows = sizes.tolist()
-    cost_rows = costs.tolist()
-    return [
-        SampleRecord(
-            sample_id=int(sample_id),
-            stage_sizes=tuple(size_row),
-            op_costs=tuple(cost_row),
-        )
-        for sample_id, size_row, cost_row in zip(sample_ids, size_rows, cost_rows)
-    ]
+    return RecordTable(sample_ids, sizes, costs)
 
 
-def left_fold(costs: np.ndarray, start: int = 0, stop: Optional[int] = None) -> List[float]:
-    """Per-row ``sum(row[start:stop])`` with sequential-identical rounding.
-
-    The scalar code folds op costs left to right with Python floats
-    (``PipelineRun.total_cost_s``, ``sum(costs[:split])``); NumPy's
-    pairwise ``sum`` would round differently, so accumulate column by
-    column instead and hand back Python floats.  An empty column range
-    gives int 0 per row, exactly like ``sum([])``.
-    """
-    stop = costs.shape[1] if stop is None else stop
-    if start >= stop:
-        return [0] * costs.shape[0]  # type: ignore[list-item]
-    total = costs[:, start].copy()
-    for column in range(start + 1, stop):
-        total = total + costs[:, column]
-    return total.tolist()
+__all__ = [
+    "BATCH_HANDLERS",
+    "BatchMeta",
+    "build_records_vectorized",
+    "left_fold",
+    "simulate_batch",
+    "supports_batch",
+]

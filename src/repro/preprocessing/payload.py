@@ -10,7 +10,7 @@ the two agree.
 
 import dataclasses
 import enum
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -66,6 +66,49 @@ class StageMeta:
     def for_tensor(cls, height: int, width: int, channels: int = 3) -> "StageMeta":
         return cls(
             PayloadKind.TENSOR_F32, height * width * channels * 4, height, width, channels
+        )
+
+
+@dataclasses.dataclass
+class BatchMeta:
+    """Array-of-lanes form of :class:`StageMeta`.
+
+    All arrays are int64 with one entry per sample lane; ``kind`` is
+    shared by the whole batch (every op has a fixed output kind).
+    """
+
+    kind: PayloadKind
+    nbytes: np.ndarray
+    height: np.ndarray
+    width: np.ndarray
+    channels: np.ndarray
+
+    @classmethod
+    def from_metas(cls, metas: Sequence[StageMeta]) -> "BatchMeta":
+        if not metas:
+            raise ValueError("cannot build a BatchMeta from zero metas")
+        kind = metas[0].kind
+        if any(meta.kind is not kind for meta in metas):
+            raise ValueError("batch mixes payload kinds")
+        return cls(
+            kind=kind,
+            nbytes=np.array([meta.nbytes for meta in metas], dtype=np.int64),
+            height=np.array([meta.height for meta in metas], dtype=np.int64),
+            width=np.array([meta.width for meta in metas], dtype=np.int64),
+            channels=np.array([meta.channels for meta in metas], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return int(self.nbytes.shape[0])
+
+    def lane(self, index: int) -> StageMeta:
+        """The single-sample :class:`StageMeta` for one lane."""
+        return StageMeta(
+            kind=self.kind,
+            nbytes=int(self.nbytes[index]),
+            height=int(self.height[index]),
+            width=int(self.width[index]),
+            channels=int(self.channels[index]),
         )
 
 

@@ -8,7 +8,9 @@ saved by offloading to that split, and the paper's *offloading efficiency*
 """
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union, overload
+
+import numpy as np
 
 from repro.preprocessing.cost_model import CostModel
 from repro.preprocessing.payload import StageMeta
@@ -60,6 +62,9 @@ class SampleRecord:
             suffix.append(acc)
         object.__setattr__(self, "_prefix_costs", tuple(prefix))
         object.__setattr__(self, "_suffix_costs", tuple(suffix))
+        # The first smallest stage: ties break toward the earliest split.
+        sizes = self.stage_sizes
+        object.__setattr__(self, "_min_stage", sizes.index(min(sizes)))
 
     # -- sizes -------------------------------------------------------------
 
@@ -78,8 +83,7 @@ class SampleRecord:
         Ties break toward the earliest stage: equal size for less offloaded
         CPU work is strictly better.
         """
-        sizes = self.stage_sizes
-        return min(range(len(sizes)), key=lambda k: (sizes[k], k))
+        return self._min_stage  # type: ignore[attr-defined, no-any-return]
 
     @property
     def min_size(self) -> int:
@@ -199,6 +203,164 @@ class ProgressiveSampleRecord(SampleRecord):
     def fidelity_savings(self, scan_count: int) -> int:
         """Bytes kept off the wire by shipping only ``scan_count`` scans."""
         return self.raw_size - self.size_at_fidelity(scan_count)
+
+
+def left_fold(costs: np.ndarray, start: int = 0, stop: Optional[int] = None) -> List[float]:
+    """Per-row ``sum(row[start:stop])`` with sequential-identical rounding.
+
+    The scalar code folds op costs left to right with Python floats from
+    an int-0 start (``SampleRecord``'s cached folds, ``sum(costs[:split])``
+    on Python < 3.12); NumPy's pairwise ``sum`` would round differently, so
+    accumulate column by column instead and hand back Python floats.  An
+    empty column range gives int 0 per row, exactly like ``sum([])``.
+    """
+    stop = costs.shape[1] if stop is None else stop
+    if start >= stop:
+        return [0] * costs.shape[0]  # type: ignore[list-item]
+    total = costs[:, start] + 0.0  # 0 + x, so -0.0 folds to 0.0 like sum()
+    for column in range(start + 1, stop):
+        total = total + costs[:, column]
+    return total.tolist()  # type: ignore[no-any-return]
+
+
+class RecordTable(Sequence[SampleRecord]):
+    """Columnar :class:`SampleRecord`\\ s: one matrix per field.
+
+    ``stage_sizes`` is int64 ``(n, n_ops + 1)`` and ``op_costs`` float64
+    ``(n, n_ops)``; row ``i`` describes sample ``sample_ids[i]``.  The
+    per-sample values the planners rank by -- ``min_stage``,
+    ``best_savings``, the prefix cost moved at the best split
+    (``best_cost``) and ``offload_efficiency`` -- are computed once, column
+    by column, with the same left-to-right folds and tie-breaks as the
+    scalar properties, so each entry equals the matching
+    :class:`SampleRecord` property bit for bit (``total_costs()`` likewise,
+    on demand).
+
+    The table is a ``Sequence[SampleRecord]``: indexing and iteration
+    return real rows built by the :class:`SampleRecord` constructor (once,
+    on first access), so audit, serialization and every row-wise consumer
+    see the same objects a list of records would give them.
+    """
+
+    def __init__(
+        self,
+        sample_ids: Sequence[int],
+        stage_sizes: np.ndarray,
+        op_costs: np.ndarray,
+        *,
+        rows: Optional[List[SampleRecord]] = None,
+    ) -> None:
+        ids = np.asarray(sample_ids, dtype=np.int64)
+        sizes = np.asarray(stage_sizes, dtype=np.int64)
+        costs = np.asarray(op_costs, dtype=np.float64)
+        n = ids.shape[0]
+        if sizes.ndim != 2 or costs.ndim != 2 or sizes.shape[0] != n or costs.shape[0] != n:
+            raise ValueError(
+                f"{n} sample ids need (n, k+1) sizes and (n, k) costs, got "
+                f"{sizes.shape} and {costs.shape}"
+            )
+        if n and sizes.shape[1] != costs.shape[1] + 1:
+            raise ValueError(
+                "stage_sizes must have one more entry than op_costs "
+                f"({sizes.shape[1]} vs {costs.shape[1]})"
+            )
+        # Same checks (and messages) as SampleRecord, raised at the first
+        # offending row, sizes before costs within a row.
+        bad_size = (sizes < 0).any(axis=1)
+        bad_cost = (costs < 0).any(axis=1)
+        bad = np.flatnonzero(bad_size | bad_cost)
+        if bad.shape[0]:
+            row = int(bad[0])
+            if bad_size[row]:
+                raise ValueError(f"negative stage size in {tuple(sizes[row].tolist())}")
+            raise ValueError(f"negative op cost in {tuple(costs[row].tolist())}")
+        self.sample_ids = ids
+        self.stage_sizes = sizes
+        self.op_costs = costs
+        self._rows = rows
+
+        index = np.arange(n)
+        self.min_stage = np.argmin(sizes, axis=1) if n else np.zeros(0, dtype=np.int64)
+        self.raw_size = sizes[:, 0] if n else np.zeros(0, dtype=np.int64)
+        self.best_savings = self.raw_size - sizes[index, self.min_stage]
+        # prefix[:, j] is left_fold(costs, 0, j): the first j costs folded
+        # left to right from 0, like SampleRecord's cached prefix costs.
+        prefix = np.zeros((n, costs.shape[1] + 1))
+        for column in range(costs.shape[1]):
+            prefix[:, column + 1] = prefix[:, column] + costs[:, column]
+        self.best_cost = prefix[index, self.min_stage]
+        efficiency = np.zeros(n)
+        offloadable = self.min_stage > 0
+        free = offloadable & (self.best_cost <= 0.0)
+        costed = offloadable & ~free
+        efficiency[free] = float("inf")
+        with np.errstate(over="ignore"):  # a tiny cost overflows to inf, as in Python
+            efficiency[costed] = self.best_savings[costed] / self.best_cost[costed]
+        self.offload_efficiency = efficiency
+
+    @classmethod
+    def from_records(cls, records: Sequence[SampleRecord]) -> "RecordTable":
+        """The table of ``records`` (kept as its rows, so rows are the originals).
+
+        Records must all have the same op count; a ragged list raises.
+        """
+        if isinstance(records, RecordTable):
+            return records
+        rows = list(records)
+        widths = {record.num_ops for record in rows}
+        if len(widths) > 1:
+            raise ValueError(f"records mix op counts {sorted(widths)}")
+        k = widths.pop() if widths else 0
+        sizes = np.array([r.stage_sizes for r in rows], dtype=np.int64).reshape(len(rows), k + 1)
+        costs = np.array([r.op_costs for r in rows], dtype=np.float64).reshape(len(rows), k)
+        return cls([r.sample_id for r in rows], sizes, costs, rows=rows)
+
+    @property
+    def num_ops(self) -> int:
+        return int(self.op_costs.shape[1])
+
+    def total_costs(self) -> List[float]:
+        """Each row's ``total_cost`` as Python numbers (int 0 for 0 ops)."""
+        return left_fold(self.op_costs)
+
+    @property
+    def rows(self) -> List[SampleRecord]:
+        """Every row as a :class:`SampleRecord`, built once on first use."""
+        rows = self._rows
+        if rows is None:
+            rows = [
+                SampleRecord(sample_id, tuple(size_row), tuple(cost_row))
+                for sample_id, size_row, cost_row in zip(
+                    self.sample_ids.tolist(), self.stage_sizes.tolist(), self.op_costs.tolist()
+                )
+            ]
+            self._rows = rows
+        return rows
+
+    def __len__(self) -> int:
+        return int(self.sample_ids.shape[0])
+
+    @overload
+    def __getitem__(self, index: int) -> SampleRecord: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[SampleRecord]: ...
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[SampleRecord, List[SampleRecord]]:
+        return self.rows[index]
+
+    def __iter__(self) -> Iterator[SampleRecord]:
+        return iter(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (RecordTable, list, tuple)):
+            return self.rows == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"RecordTable({len(self)} samples, {self.num_ops} ops)"
 
 
 def build_record(

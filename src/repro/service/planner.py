@@ -19,14 +19,14 @@ import dataclasses
 import hashlib
 import json
 import threading
-from typing import List, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.cluster.spec import standard_cluster
 from repro.core.decision import DecisionConfig, DecisionEngine
 from repro.core.policy import PolicyContext
 from repro.data.catalog import make_imagenet, make_openimages
 from repro.preprocessing.pipeline import standard_pipeline
-from repro.preprocessing.records import SampleRecord
+from repro.preprocessing.records import RecordTable
 from repro.telemetry.flight import FlightRecorder
 from repro.workloads.models import get_model_profile
 
@@ -129,14 +129,14 @@ class ServicePlanner:
         #: requests; the owning service attaches its own (a planner shared
         #: across restarts is re-pointed at the live service's recorder).
         self.recorder: Optional[FlightRecorder] = None
-        self._records: "collections.OrderedDict[Tuple[str, int, int], List[SampleRecord]]" = (
+        self._records: "collections.OrderedDict[Tuple[str, int, int], RecordTable]" = (
             collections.OrderedDict()
         )
         self._lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def _records_for(self, spec: JobSpec) -> List[SampleRecord]:
+    def _records_for(self, spec: JobSpec) -> RecordTable:
         key = spec.profile_key()
         with self._lock:
             if key in self._records:

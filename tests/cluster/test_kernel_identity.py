@@ -168,8 +168,8 @@ class TestSingleNodeIdentity:
 
     def test_fast_work_builder_matches_sequential(self, world):
         trainer, splits, _, _ = world
-        seq = trainer._epoch_work(splits, epoch=1)
-        fast = trainer._epoch_work_fast(splits, epoch=1)
+        seq = trainer._reference_epoch_work(splits, epoch=1)
+        fast = trainer._epoch_work(splits, epoch=1)
         assert seq == fast
         # Empty folds stay int 0, exactly like sum([]).
         assert isinstance(fast[0].prefix_cpu_s, int) or splits[0] > 0
@@ -179,7 +179,7 @@ class TestSingleNodeIdentity:
         bad = [0] * len(dataset)
         bad[3] = 99
         with pytest.raises(ValueError, match="bad split 99"):
-            trainer._epoch_work_fast(bad, epoch=0)
+            trainer._epoch_work(bad, epoch=0)
 
     def test_work_builders_share_validation(self, world):
         trainer, _, spec, dataset = world
@@ -189,11 +189,11 @@ class TestSingleNodeIdentity:
             dataset, PIPELINE, MODEL, dataclasses.replace(spec, storage_cores=0),
             batch_size=16, seed=3,
         )
-        for build in (no_storage._epoch_work, no_storage._epoch_work_fast):
+        for build in (no_storage._reference_epoch_work, no_storage._epoch_work):
             with pytest.raises(ValueError, match="sample 5 plans split 2"):
                 build(offload, 0)
         stray = {4: WorkAdjustment(extra_storage_cpu_s=1e-3)}
-        for build in (trainer._epoch_work, trainer._epoch_work_fast):
+        for build in (trainer._reference_epoch_work, trainer._epoch_work):
             with pytest.raises(ValueError, match="sample 4 has storage-side work"):
                 build(None, 0, stray)
 

@@ -47,6 +47,17 @@ class TestMinStage:
         rec = record([150, 900, 150, 150, 600, 600])
         assert rec.min_stage == 0
 
+    def test_min_stage_computed_once_at_construction(self):
+        rec = record([400, 900, 150, 150, 600, 600])
+        assert vars(rec)["_min_stage"] == 2
+        assert rec.min_stage is rec.min_stage
+
+    @given(sizes=st.lists(st.integers(0, 6), min_size=1, max_size=7))
+    @settings(max_examples=80, deadline=None)
+    def test_cached_min_stage_is_the_earliest_smallest(self, sizes):
+        rec = record(sizes)
+        assert rec.min_stage == min(range(len(sizes)), key=lambda k: (sizes[k], k))
+
 
 class TestCosts:
     def test_prefix_suffix_partition_total(self):
