@@ -23,20 +23,16 @@ lint:
 		mypy; \
 	else echo "mypy not installed; skipping (CI installs it)"; fi
 
-#: Where `make bench` writes the profiling perf-regression report.
-BENCH_REPORT ?= BENCH_profiling.json
+#: Where `make bench` writes the offline perf report (exits non-zero
+#: unless every production path is byte-identical to its reference).
+BENCH_REPORT ?= BENCH.json
 
 #: Where `make bench` writes the decision-service load report.
 BENCH_SERVICE_REPORT ?= BENCH_service.json
 
-#: Where `make bench` writes the epoch-simulation perf report (exits
-#: non-zero unless the fast path is byte-identical to the seed kernel).
-BENCH_SIM_REPORT ?= BENCH_sim.json
-
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-	PYTHONPATH=src $(PYTHON) -m repro.parallel.bench --out $(BENCH_REPORT)
-	PYTHONPATH=src $(PYTHON) -m repro.cluster.bench --million --out $(BENCH_SIM_REPORT)
+	PYTHONPATH=src $(PYTHON) -m repro.bench --million --out $(BENCH_REPORT)
 	PYTHONPATH=src $(PYTHON) -m repro.service.loadgen --clients 4 --requests 25 \
 		--seed 7 --out $(BENCH_SERVICE_REPORT)
 

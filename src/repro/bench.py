@@ -1,27 +1,35 @@
-"""Perf-regression harness for the epoch simulator (DES kernel + engine).
+"""The offline bench: profile -> plan -> simulate, layer by layer.
 
-Times ``TrainerSim.run_epoch`` under the frozen seed kernel
-(``kernel="reference"``: :mod:`repro.cluster.refsim` plus the sequential
-work builder) against the overhauled path (``kernel="fast"``, the
-default: the slotted :mod:`repro.cluster.sim` kernel, the vectorized work
-builder, and the cursor engine) at several dataset scales, and writes the results
-to ``BENCH_sim.json`` with a schema that stays stable across PRs.
+Each scale makes one pass over an OpenImages trace of that size: build
+the dataset once, build its records with the sequential reference and
+the vectorized builder, plan on the resulting
+:class:`~repro.preprocessing.records.RecordTable` and on the sequential
+records handed over as a plain list, then simulate an epoch under the
+frozen seed kernel (``kernel="reference"``) and the cursor engine
+(``kernel="fast"``) with every split depth (``i % 6``) in play.  The
+results go to ``BENCH.json`` with schema ``sophon-bench/v2``: per scale,
+one row per layer, keyed by the layer names ``BENCHMARK.json`` uses,
+holding best-of seconds and µs per sample for each path (reference path
+first).  The smallest scale's record-building and epoch rows also carry
+tracemalloc peak bytes and live blocks.
 
-Every scale also runs an identity gate: the fast path's
-:class:`~repro.cluster.trainer.EpochStats` must serialize *byte-for-byte
-equal* to the reference path's, and a faulted run on the engine must
-match the seed kernel and launcher exactly.  Auxiliary gates cover
-spans, timelines, the sharded trainer, the shared-link multi-job sim and
-the end-to-end profile->plan->simulate flow.  A speed number from a path
-that diverges is meaningless, so ``identical: false`` fails the run.
+Every production path is gated against its reference, and a speed
+number from a path that diverges is meaningless, so ``identical: false``
+fails the run.  The gates: vectorized records equal the sequential ones,
+the table plan equals the list plan, and the fast epoch's
+:func:`stats_fingerprint` equals the reference's, fault-free and under
+crash/brownout/corruption faults; :func:`aux_gates` adds spans,
+timelines, the sharded trainer and the shared-link multi-job sim, and
+:func:`bench_profiler_e2e` the real-pixel profile -> plan -> simulate
+flow.
 
-``--million`` adds the headline entry: a full 10^6-sample
-profile->plan->simulate pass on the fast path (the reference kernel is
-never timed there -- extrapolate from the measured scales).
+``--million`` adds the headline entry: a full 10^6-sample pass on the
+production paths (the reference paths are never timed there --
+extrapolate from the measured scales).
 
 Run it via ``make bench`` or directly::
 
-    PYTHONPATH=src python -m repro.cluster.bench --out BENCH_sim.json --million
+    PYTHONPATH=src python -m repro.bench --million --out BENCH.json
 
 Wall-clock use is injectable (``timer=time.perf_counter``) and confined
 to the measurement loop; everything measured is itself deterministic.
@@ -29,34 +37,76 @@ to the measurement loop; everything measured is itself deterministic.
 
 import argparse
 import dataclasses
+import functools
 import json
 import time
 import tracemalloc
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.multijob import SharedJob, SharedLinkSim
 from repro.cluster.sharded import ShardedTrainerSim, round_robin_placement
-from repro.cluster.spec import ClusterSpec, standard_cluster
-from repro.cluster.trainer import TrainerSim
+from repro.cluster.spec import standard_cluster
+from repro.cluster.trainer import EpochStats, TrainerSim
 from repro.core.decision import DecisionConfig, DecisionEngine
+from repro.core.plan import OffloadPlan
 from repro.core.policy import PolicyContext
 from repro.data.catalog import make_openimages
+from repro.data.dataset import Dataset
 from repro.faults import FaultSchedule
 from repro.parallel import build_records
-from repro.parallel.bench import Clock, best_of
 from repro.preprocessing.pipeline import standard_pipeline
+from repro.preprocessing.records import RecordTable, SampleRecord
 from repro.workloads.models import get_model_profile
 
-#: Schema tag for ``BENCH_sim.json``.  Bump only when the layout changes
-#: incompatibly; tools reading the file key off this string.
-SCHEMA = "sophon-bench-sim/v1"
+Clock = Callable[[], float]
 
-#: Default dataset sizes.  The largest carries the headline speedup
-#: claim; the smaller ones show how the gap scales.
+#: Schema tag for ``BENCH.json``.  Bump only when the layout changes
+#: incompatibly; tools reading the file key off this string.
+SCHEMA = "sophon-bench/v2"
+
+#: Default dataset sizes.  The largest carries the headline numbers; the
+#: smaller ones show how the gaps scale.
 DEFAULT_SCALES = (400, 4000, 32000)
 
-#: The two kernel paths every scale is timed under, in report order.
-KERNELS = ("reference", "fast")
+#: Timed layers in report order, each with its (reference, production)
+#: paths.
+LAYERS: Dict[str, Tuple[str, str]] = {
+    "parallel.build_records": ("sequential", "vectorized"),
+    "core.plan": ("list", "table"),
+    "cluster.run_epoch": ("reference", "fast"),
+}
+
+#: Layers whose rows carry tracemalloc figures at the smallest scale.
+ALLOCATION_LAYERS = ("parallel.build_records", "cluster.run_epoch")
+
+
+def best_of(fn: Callable[[], object], repeats: int, timer: Clock) -> float:
+    """Minimum wall time of ``repeats`` calls -- the least-noisy estimator."""
+    best = float("inf")
+    for _ in range(repeats):
+        started = timer()
+        fn()
+        elapsed = timer() - started
+        if elapsed < best:
+            best = elapsed
+    return best
+
+
+def allocation_stats(fn: Callable[[], object]) -> Tuple[int, int]:
+    """tracemalloc ``(peak_bytes, live_blocks)`` of one call of ``fn``.
+
+    ``peak_bytes`` is the high-water mark of traced allocations;
+    ``live_blocks`` counts blocks still held when the call returns (its
+    result plus anything the path failed to recycle).  Call it after
+    ``fn`` has run once, so warm-up caches are not counted.
+    """
+    tracemalloc.start()
+    result = fn()
+    snapshot = tracemalloc.take_snapshot()
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    del result
+    return peak, len(snapshot.traces)
 
 
 def stats_fingerprint(stats: Any) -> str:
@@ -78,22 +128,18 @@ def span_fingerprint(stats: Any) -> List[str]:
     return [repr(event) for event in stats.spans.events]
 
 
-def _make_trainer(
-    num_samples: int, seed: int, spec: Optional[ClusterSpec] = None
-) -> Tuple[TrainerSim, List[int]]:
-    """A trainer over the calibrated OpenImages trace plus a mixed plan."""
-    dataset = make_openimages(num_samples=num_samples, seed=seed)
+def _make_trainer(dataset: Dataset, seed: int) -> Tuple[TrainerSim, List[int]]:
+    """A trainer over ``dataset`` plus splits of every depth (``i % 6``),
+    so the engine's prefix/suffix, chunking and offload branches all see
+    traffic."""
     trainer = TrainerSim(
         dataset=dataset,
         pipeline=standard_pipeline(),
         model=get_model_profile("alexnet"),
-        spec=spec if spec is not None else standard_cluster(storage_cores=48),
+        spec=standard_cluster(storage_cores=48),
         seed=seed,
     )
-    # Every split depth is exercised, so the engine's prefix/suffix,
-    # chunking and offload branches all see traffic.
-    splits = [i % 6 for i in range(num_samples)]
-    return trainer, splits
+    return trainer, [i % 6 for i in range(len(dataset))]
 
 
 def bench_scale(
@@ -101,18 +147,39 @@ def bench_scale(
     seed: int = 7,
     repeats: int = 3,
     timer: Clock = time.perf_counter,
+    allocation: bool = False,
 ) -> Dict[str, object]:
-    """Benchmark one dataset scale; returns its JSON-ready result dict."""
+    """Gate and time every layer at one dataset scale; returns its entry.
+
+    ``allocation`` adds tracemalloc figures to the rows of
+    :data:`ALLOCATION_LAYERS`.
+    """
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    trainer, splits = _make_trainer(num_samples, seed)
+    dataset = make_openimages(num_samples=num_samples, seed=seed)
+    trainer, splits = _make_trainer(dataset, seed)
+    engine = DecisionEngine(DecisionConfig())
+    gpu_time_s = trainer.model.epoch_gpu_time_s(num_samples)
 
-    ref = trainer.run_epoch(splits, epoch=1, kernel="reference")
-    fast = trainer.run_epoch(splits, epoch=1, kernel="fast")
-    identical = stats_fingerprint(ref) == stats_fingerprint(fast)
+    def build(path: str) -> RecordTable:
+        return build_records(trainer.pipeline, dataset, seed=seed, parallel=path)
 
+    records = {path: build(path) for path in LAYERS["parallel.build_records"]}
+    plan_inputs: Dict[str, Sequence[SampleRecord]] = {
+        "list": list(records["sequential"]),
+        "table": records["vectorized"],
+    }
+
+    def plan(path: str) -> OffloadPlan:
+        return engine.plan(plan_inputs[path], trainer.spec, gpu_time_s)
+
+    def simulate(path: str, faults: Optional[FaultSchedule] = None) -> EpochStats:
+        return trainer.run_epoch(splits, epoch=1, faults=faults, kernel=path)
+
+    table_plan = plan("table")
+    ref = simulate("reference")
     # Fault injection drives the engine's crash, brownout and corruption
     # paths, pinned here against the seed launcher.
     faults = (
@@ -125,35 +192,45 @@ def bench_scale(
         )
         .with_corruption(0.02)
     )
-    ref_faulted = trainer.run_epoch(splits, epoch=1, faults=faults, kernel="reference")
-    fast_faulted = trainer.run_epoch(splits, epoch=1, faults=faults)
-    identical_faulted = stats_fingerprint(ref_faulted) == stats_fingerprint(
-        fast_faulted
-    )
-
-    seconds = {
-        kernel: best_of(
-            lambda k=kernel: trainer.run_epoch(splits, epoch=1, kernel=k),
-            repeats,
-            timer,
-        )
-        for kernel in KERNELS
+    gates = {
+        "records": records["vectorized"] == records["sequential"],
+        "plan": table_plan == plan("list"),
+        "epoch": stats_fingerprint(simulate("fast")) == stats_fingerprint(ref),
+        "epoch_faulted": stats_fingerprint(simulate("fast", faults))
+        == stats_fingerprint(simulate("reference", faults)),
     }
-    fast_s = seconds["fast"]
+
+    runs: Dict[str, Callable[[str], object]] = {
+        "parallel.build_records": build,
+        "core.plan": plan,
+        "cluster.run_epoch": simulate,
+    }
+    layers: Dict[str, object] = {}
+    for layer, paths in LAYERS.items():
+        run = runs[layer]
+        seconds = {
+            path: best_of(functools.partial(run, path), repeats, timer) for path in paths
+        }
+        row: Dict[str, object] = {
+            "seconds": seconds,
+            "us_per_sample": {
+                path: elapsed / num_samples * 1e6 for path, elapsed in seconds.items()
+            },
+        }
+        if allocation and layer in ALLOCATION_LAYERS:
+            measured = {path: allocation_stats(functools.partial(run, path)) for path in paths}
+            row["peak_bytes"] = {path: peak for path, (peak, _) in measured.items()}
+            row["live_blocks"] = {path: live for path, (_, live) in measured.items()}
+        layers[layer] = row
+
     return {
         "num_samples": num_samples,
         "seed": seed,
         "repeats": repeats,
-        "identical": identical and identical_faulted,
-        "identical_fault_free": identical,
-        "identical_faulted": identical_faulted,
-        "epoch_simulation": {
-            "seconds": dict(seconds),
-            "speedup_vs_reference": (
-                seconds["reference"] / fast_s if fast_s > 0 else None
-            ),
-            "fast_us_per_sample": fast_s / num_samples * 1e6,
-        },
+        "identical": all(gates.values()),
+        "gates": gates,
+        "layers": layers,
+        "num_offloaded": table_plan.num_offloaded,
         "epoch_time_s": ref.epoch_time_s,
         "traffic_bytes": ref.traffic_bytes,
     }
@@ -165,7 +242,9 @@ def aux_gates(num_samples: int = 240, seed: int = 7) -> Dict[str, bool]:
     spans/timeline pin the engine's instrumented runs; sharded and
     multijob pin it under per-shard pools and fair-queued shared links.
     """
-    trainer, splits = _make_trainer(num_samples, seed)
+    trainer, splits = _make_trainer(
+        make_openimages(num_samples=num_samples, seed=seed), seed
+    )
 
     ref = trainer.run_epoch(splits, epoch=1, record_spans=True, kernel="reference")
     fast = trainer.run_epoch(splits, epoch=1, record_spans=True)
@@ -212,35 +291,6 @@ def aux_gates(num_samples: int = 240, seed: int = 7) -> Dict[str, bool]:
         "sharded_identical": sharded_ok,
         "multijob_identical": multijob_ok,
     }
-
-
-def allocation_stats(num_samples: int = 400, seed: int = 7) -> Dict[str, object]:
-    """tracemalloc footprint of one epoch simulation under each kernel.
-
-    ``peak_bytes`` is the high-water mark of traced allocations across
-    the run; ``live_blocks`` counts blocks still held when the epoch
-    returns (stats payload plus anything the kernel failed to recycle).
-    """
-    trainer, splits = _make_trainer(num_samples, seed)
-    out: Dict[str, object] = {"num_samples": num_samples}
-    for kernel in KERNELS:
-        trainer.run_epoch(splits, epoch=1, kernel=kernel)  # warm caches
-        tracemalloc.start()
-        stats = trainer.run_epoch(splits, epoch=1, kernel=kernel)
-        snapshot = tracemalloc.take_snapshot()
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        out[kernel] = {
-            "peak_bytes": peak,
-            "live_blocks": len(snapshot.traces),
-        }
-        del stats, snapshot
-    ref_peak = out["reference"]["peak_bytes"]  # type: ignore[index]
-    fast_peak = out["fast"]["peak_bytes"]  # type: ignore[index]
-    out["peak_ratio_fast_vs_reference"] = (
-        fast_peak / ref_peak if ref_peak > 0 else None
-    )
-    return out
 
 
 def bench_profiler_e2e(
@@ -352,79 +402,87 @@ def run_bench(
     million: Optional[int] = None,
     timer: Clock = time.perf_counter,
 ) -> Dict[str, object]:
-    """Benchmark every scale; returns the full ``BENCH_sim.json`` dict."""
+    """Benchmark every scale; returns the full ``BENCH.json`` dict."""
     if not scales:
         raise ValueError("need at least one scale to benchmark")
     ordered = sorted(scales)
     results = [
-        bench_scale(n, seed=seed, repeats=repeats, timer=timer) for n in ordered
+        bench_scale(n, seed=seed, repeats=repeats, timer=timer, allocation=index == 0)
+        for index, n in enumerate(ordered)
     ]
     gates = aux_gates(num_samples=min(ordered[0], 240), seed=seed)
-    allocation = allocation_stats(num_samples=ordered[0], seed=seed)
     e2e = bench_profiler_e2e(seed=seed, repeats=repeats, timer=timer)
-
-    largest = results[-1]
     report: Dict[str, object] = {
         "schema": SCHEMA,
-        "kernels": list(KERNELS),
+        "layers": {layer: list(paths) for layer, paths in LAYERS.items()},
         "scales": results,
         "gates": gates,
-        "allocation": allocation,
         "profiler_e2e": e2e,
         "identical": (
-            all(r["identical"] for r in results)
+            all(entry["identical"] for entry in results)
             and all(gates.values())
             and bool(e2e["identical"])
         ),
-        "largest_scale": largest["num_samples"],
-        "largest_scale_speedup": largest["epoch_simulation"][  # type: ignore[index]
-            "speedup_vs_reference"
-        ],
     }
     if million is not None:
         report["million"] = bench_million(num_samples=million, seed=seed, timer=timer)
     return report
 
 
-def render_summary(report: Dict[str, object]) -> str:
+def failed_gates(report: Dict[str, Any]) -> List[str]:
+    """Every gate of ``report`` that did not hold, by name."""
+    failed = [
+        f"n={entry['num_samples']} {gate}"
+        for entry in report["scales"]
+        for gate, ok in entry["gates"].items()
+        if not ok
+    ]
+    failed += [gate for gate, ok in report["gates"].items() if not ok]
+    if not report["profiler_e2e"]["identical"]:
+        failed.append("profiler_e2e")
+    return failed
+
+
+def render_summary(report: Dict[str, Any]) -> str:
     """A terse human-readable digest of one report."""
-    lines = [f"epoch-simulation speedups vs reference kernel ({report['schema']}):"]
+    lines = [f"us per sample, reference -> production path ({report['schema']}):"]
     for entry in report["scales"]:
-        sim = entry["epoch_simulation"]
-        flag = "" if entry["identical"] else "  [NOT IDENTICAL]"
-        lines.append(
-            f"  n={entry['num_samples']}: {sim['speedup_vs_reference']:.1f}x "
-            f"({sim['fast_us_per_sample']:.0f} us/sample fast){flag}"
-        )
-    gates = report["gates"]
-    failed = [name for name, ok in gates.items() if not ok]
-    lines.append(
-        "aux gates: all identical" if not failed else f"aux gates FAILED: {failed}"
-    )
-    alloc = report["allocation"]
-    lines.append(
-        f"peak allocation at n={alloc['num_samples']}: "
-        f"fast/reference = {alloc['peak_ratio_fast_vs_reference']:.2f}"
-    )
+        lines.append(f"  n={entry['num_samples']}:")
+        for layer, (reference, production) in report["layers"].items():
+            seconds = entry["layers"][layer]["seconds"]
+            us = entry["layers"][layer]["us_per_sample"]
+            speedup = (
+                f" ({seconds[reference] / seconds[production]:.1f}x)"
+                if seconds[production] > 0
+                else ""
+            )
+            lines.append(
+                f"    {layer:<24} {reference} {us[reference]:.2f} -> "
+                f"{production} {us[production]:.2f}{speedup}"
+            )
+    smallest = report["scales"][0]
+    for layer in ALLOCATION_LAYERS:
+        peaks = smallest["layers"][layer].get("peak_bytes")
+        if peaks is not None:
+            parts = ", ".join(f"{path} {peak / 1024:.0f} KiB" for path, peak in peaks.items())
+            lines.append(f"peak allocation, {layer} at n={smallest['num_samples']}: {parts}")
     million = report.get("million")
     if million is not None:
         seconds = million["seconds"]
         lines.append(
-            f"million-sample epoch: simulated {million['num_samples']} samples in "
+            f"million-sample pass: simulated {million['num_samples']} samples in "
             f"{seconds['simulate_epoch']:.1f}s "
             f"({million['simulate_us_per_sample']:.1f} us/sample; "
             f"profile+plan+simulate {seconds['total']:.1f}s)"
         )
-    lines.append(
-        f"largest scale ({report['largest_scale']} samples): "
-        f"{report['largest_scale_speedup']:.1f}x epoch-simulation speedup"
-    )
+    failed = failed_gates(report)
+    lines.append("gates: all identical" if not failed else f"gates FAILED: {failed}")
     return "\n".join(lines)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Time epoch simulation under both kernels; write BENCH_sim.json."
+        description="Gate and time profile -> plan -> simulate; write BENCH.json."
     )
     parser.add_argument(
         "--scales", type=int, nargs="+", default=list(DEFAULT_SCALES),
@@ -444,8 +502,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="sample count for the --million entry (default 1000000)",
     )
     parser.add_argument(
-        "--out", default="BENCH_sim.json",
-        help="where to write the JSON report (default BENCH_sim.json)",
+        "--out", default="BENCH.json",
+        help="where to write the JSON report (default BENCH.json)",
     )
     args = parser.parse_args(argv)
 
@@ -461,7 +519,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(render_summary(report))
     print(f"report written to {args.out}")
     if not report["identical"]:
-        print("FAIL: the fast path diverged from the reference kernel")
+        print("FAIL: a production path diverged from its reference")
         return 1
     return 0
 

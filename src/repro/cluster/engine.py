@@ -13,7 +13,7 @@ generator code produced, and entries whose pops had no side effects
 fault accounting, span events and timeline entries happen at the same
 transitions in the same order, so ``EpochStats``, fault reports, span
 streams and timelines are byte-identical to ``kernel="reference"`` --
-the contract ``repro.cluster.bench`` and the identity tests gate.
+the contract ``repro.bench`` and the identity tests gate.
 
 =============================  ============================================
 generator path                 cursor mirror

@@ -4,7 +4,7 @@ Byte-for-byte snapshots of the generator kernel (``Process`` + relay
 ``Event``, ``AllOf``, ``Store``, interrupts) and of the seed launcher,
 :func:`launch_training_processes`, that drove every epoch before the
 cursor engine (:mod:`repro.cluster.engine`) learned it all.  Only
-``run_epoch(kernel="reference")`` runs them; ``repro.cluster.bench`` and
+``run_epoch(kernel="reference")`` runs them; ``repro.bench`` and
 the identity tests require byte-identical ``EpochStats``, fault reports,
 span streams and timelines from both paths.  Do not optimize or "fix"
 this file -- its value is that it never changes.

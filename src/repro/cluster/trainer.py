@@ -398,7 +398,7 @@ class TrainerSim:
         kernel: "fast" (default) runs the cursor engine; "reference"
             replays the frozen seed kernel and launcher end to end.  Both
             produce byte-identical stats, fault reports, spans and
-            timelines -- the contract ``repro.cluster.bench`` gates on.
+            timelines -- the contract ``repro.bench`` gates on.
         """
         kernel_mod, launch = _kernel(kernel)
         if splits is not None and len(splits) != len(self.dataset):

@@ -6,7 +6,7 @@ from typing import Optional
 
 from repro.cluster.spec import ClusterSpec
 from repro.data.dataset import Dataset
-from repro.parallel import RecordCache, build_records, record_key
+from repro.parallel import build_records
 from repro.preprocessing.pipeline import Pipeline
 from repro.preprocessing.records import RecordTable
 from repro.workloads.models import ModelProfile
@@ -19,10 +19,6 @@ class PolicyContext:
     Per-sample records are built lazily (they correspond to the paper's
     stage-two profiling pass) and cached, since several policies and the
     harness share them.
-
-    record_cache: optional cross-context :class:`RecordCache`; sweeps
-        that re-plan over the same dataset/pipeline/seed share profiled
-        records through it instead of re-profiling.
     """
 
     dataset: Dataset
@@ -31,7 +27,6 @@ class PolicyContext:
     model: ModelProfile
     batch_size: Optional[int] = None
     seed: int = 0
-    record_cache: Optional[RecordCache] = dataclasses.field(default=None, repr=False)
     _records: Optional[RecordTable] = dataclasses.field(default=None, repr=False)
 
     @property
@@ -47,14 +42,7 @@ class PolicyContext:
         if epoch == 0 and self._records is not None:
             return self._records
 
-        def build() -> RecordTable:
-            return build_records(self.pipeline, self.dataset, seed=self.seed, epoch=epoch)
-
-        if self.record_cache is None:
-            records = build()
-        else:
-            key = record_key(self.dataset, self.pipeline, self.seed, epoch)
-            records = self.record_cache.get_or_build(key, build)
+        records = build_records(self.pipeline, self.dataset, seed=self.seed, epoch=epoch)
         if epoch == 0:
             self._records = records
         return records

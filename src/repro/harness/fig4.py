@@ -6,7 +6,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.spec import ClusterSpec, standard_cluster
 from repro.data.dataset import Dataset
 from repro.harness.runner import ExperimentResult, compare_policies
-from repro.parallel import RecordCache
 from repro.utils.tables import render_table
 from repro.utils.units import format_bytes, format_seconds
 
@@ -59,19 +58,12 @@ def limited_cpu_sweep(
     base_cluster: Optional[ClusterSpec] = None,
     seed: int = 0,
 ) -> CoreSweep:
-    """Sweep storage-node core counts, re-planning every policy per point.
-
-    Records depend only on (dataset, pipeline, seed, epoch) -- not on the
-    cluster spec -- so one shared :class:`RecordCache` serves the whole
-    sweep: stage-two profiling runs once instead of once per (core count,
-    policy) pair.
-    """
+    """Sweep storage-node core counts, re-planning every policy per point."""
     if base_cluster is None:
         base_cluster = standard_cluster()
-    cache = RecordCache()
     results: Dict[int, Dict[str, ExperimentResult]] = {}
     for core_count in cores:
         spec = base_cluster.with_storage_cores(core_count)
-        runs = compare_policies(dataset, spec, seed=seed, record_cache=cache)
+        runs = compare_policies(dataset, spec, seed=seed)
         results[core_count] = {r.policy_name: r for r in runs}
     return CoreSweep(dataset_name=dataset.name, cores=list(cores), results=results)

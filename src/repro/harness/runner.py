@@ -12,7 +12,6 @@ from repro.core.sophon import Sophon
 from repro.baselines.fastflow import FastFlow
 from repro.baselines.simple import AllOff, NoOff, ResizeOff
 from repro.data.dataset import Dataset
-from repro.parallel import RecordCache
 from repro.preprocessing.pipeline import Pipeline, standard_pipeline
 from repro.workloads.models import ModelProfile, get_model_profile
 
@@ -60,14 +59,11 @@ def run_experiment(
     batch_size: Optional[int] = None,
     seed: int = 0,
     measure_epoch: int = 1,
-    record_cache: Optional[RecordCache] = None,
 ) -> ExperimentResult:
     """Plan with ``policy`` (profiling on epoch 0), measure ``measure_epoch``.
 
     Profiling always happens on the first, non-offloaded epoch; the plan is
     then applied to a later epoch, as in the paper's on-the-fly scheme.
-    ``record_cache`` shares profiled records across experiments (see
-    :mod:`repro.parallel`); it does not change any output.
     """
     if model is None:
         model = get_model_profile("alexnet", "rtx6000")
@@ -81,7 +77,6 @@ def run_experiment(
         model=model,
         batch_size=batch_size,
         seed=seed,
-        record_cache=record_cache,
     )
     plan = policy.plan(context).clamped_for(cluster)
 
@@ -113,18 +108,10 @@ def compare_policies(
     pipeline: Optional[Pipeline] = None,
     batch_size: Optional[int] = None,
     seed: int = 0,
-    record_cache: Optional[RecordCache] = None,
 ) -> List[ExperimentResult]:
-    """Run the paper's five policies (or a custom set) on one workload.
-
-    Policies profile the same (dataset, pipeline, seed) tuple, so a shared
-    ``record_cache`` is created by default: the stage-two profiling pass
-    runs once instead of once per policy.
-    """
+    """Run the paper's five policies (or a custom set) on one workload."""
     if policies is None:
         policies = [factory() for factory in DEFAULT_POLICY_SET.values()]
-    if record_cache is None:
-        record_cache = RecordCache()
     return [
         run_experiment(
             dataset,
@@ -134,7 +121,6 @@ def compare_policies(
             pipeline=pipeline,
             batch_size=batch_size,
             seed=seed,
-            record_cache=record_cache,
         )
         for policy in policies
     ]

@@ -9,10 +9,6 @@ NumPy lane arithmetic without changing a single output bit:
 - :mod:`repro.parallel.vectorized` -- batch twin of
   ``Pipeline.simulate`` producing a ``RecordTable`` whose rows are
   identical :class:`SampleRecord`\\ s.
-- :mod:`repro.parallel.cache` -- keyed record caching across planning
-  passes (pipeline fingerprint x dataset fingerprint x seed x epoch).
-- :mod:`repro.parallel.bench` -- the ``make bench`` perf-regression
-  harness writing ``BENCH_profiling.json``.
 
 Entry point: :func:`build_records`.  Every profiling caller
 (``PolicyContext.records``, the stage-one and stage-two profilers, the
@@ -25,12 +21,6 @@ kept as the reference the identity tests compare against.
 from typing import Optional, Sequence
 
 from repro.data.dataset import Dataset
-from repro.parallel.cache import (
-    RecordCache,
-    dataset_fingerprint,
-    pipeline_fingerprint,
-    record_key,
-)
 from repro.parallel import vectorized
 from repro.parallel.vectorized import (
     build_records_vectorized,
@@ -84,14 +74,10 @@ def build_records(
 
 
 __all__ = [
-    "RecordCache",
     "RecordTable",
     "build_records",
     "build_records_vectorized",
-    "dataset_fingerprint",
     "left_fold",
-    "pipeline_fingerprint",
-    "record_key",
     "simulate_batch",
     "supports_batch",
 ]

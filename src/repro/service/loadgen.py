@@ -4,7 +4,7 @@ Simulates a fleet of trainer clients with seeded, heavy-tailed (Pareto)
 think times hammering one service, and reports what the fleet saw:
 p50/p90/p99 grant latency, shed and retry rates, and the server's own
 queue/budget counters -- written to ``BENCH_service.json`` with a
-schema-versioned layout (like ``BENCH_profiling.json``) so successive
+schema-versioned layout (like ``BENCH.json``) so successive
 runs are directly comparable.  Run it via ``make bench`` or::
 
     PYTHONPATH=src python -m repro.service.loadgen --clients 4 --requests 25

@@ -85,7 +85,8 @@ class JobSpec:
             raise ValueError(
                 f"request is missing required field {exc.args[0]!r}"
             ) from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: int() of an Infinity, which json.loads accepts.
             raise ValueError(f"malformed request: {exc}") from exc
 
     def params_digest(self) -> str:

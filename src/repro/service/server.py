@@ -634,7 +634,11 @@ def _make_handler(service: DecisionService) -> Type[http.server.BaseHTTPRequestH
                 value = float(header)
             except ValueError:
                 return None
-            return value if value > 0 else None
+            # NaN fails both comparisons; inf and 1e300 would overflow the
+            # handler's wait, so they too fall back to the default deadline.
+            if 0 < value <= threading.TIMEOUT_MAX - _DEADLINE_GRACE_S:
+                return value
+            return None
 
         # -- routes --------------------------------------------------------
 

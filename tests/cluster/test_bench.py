@@ -1,80 +1,46 @@
-"""The epoch-simulation bench harness: schema stability and identity gates."""
+"""The offline bench's epoch-simulation layer: kernel rows and identity gates."""
 
-import json
+from repro.bench import LAYERS
+from repro.cluster.trainer import KERNEL_CHOICES
 
-from repro.cluster.bench import (
-    KERNELS,
-    SCHEMA,
-    aux_gates,
-    bench_million,
-    bench_scale,
-    main,
-    run_bench,
-)
+LAYER = "cluster.run_epoch"
+EPOCH_GATES = ("epoch", "epoch_faulted")
 
 
-def ticking_clock():
-    """A deterministic injectable timer: each read advances 1ms."""
-    state = {"t": 0.0}
-
-    def timer():
-        state["t"] += 0.001
-        return state["t"]
-
-    return timer
-
-
-def test_bench_scale_shape_and_identity_gate():
-    result = bench_scale(60, repeats=1, timer=ticking_clock())
+def test_bench_scale_shape_and_identity_gate(bench_scale_entry):
+    result = bench_scale_entry
     assert result["num_samples"] == 60
-    assert result["identical"] is True
-    assert result["identical_fault_free"] is True
-    assert result["identical_faulted"] is True
-    sim = result["epoch_simulation"]
-    assert set(sim["seconds"]) == set(KERNELS)
-    assert all(value > 0 for value in sim["seconds"].values())
-    assert sim["speedup_vs_reference"] > 0
-    assert sim["fast_us_per_sample"] > 0
+    assert all(result["gates"][gate] is True for gate in EPOCH_GATES)
+    row = result["layers"][LAYER]
+    assert set(row["seconds"]) == set(KERNEL_CHOICES) == set(row["us_per_sample"])
+    assert all(value > 0 for value in row["seconds"].values())
+    assert all(value > 0 for value in row["us_per_sample"].values())
+    assert result["epoch_time_s"] > 0
+    assert result["traffic_bytes"] > 0
 
 
-def test_aux_gates_all_identical():
-    gates = aux_gates(num_samples=64, seed=7)
-    assert gates == {
-        "spans_identical": True,
-        "timeline_identical": True,
-        "sharded_identical": True,
-        "multijob_identical": True,
+def test_run_bench_report_schema(bench_report):
+    assert LAYERS[LAYER] == ("reference", "fast")  # reference path first
+    assert bench_report["layers"][LAYER] == list(LAYERS[LAYER])
+    for entry in bench_report["scales"]:
+        assert all(entry["gates"][gate] is True for gate in EPOCH_GATES)
+        assert set(entry["layers"][LAYER]["seconds"]) == set(KERNEL_CHOICES)
+    assert set(bench_report["gates"]) == {
+        "spans_identical",
+        "timeline_identical",
+        "sharded_identical",
+        "multijob_identical",
     }
+    assert bench_report["profiler_e2e"]["identical"] is True
+    assert bench_report["profiler_e2e"]["epoch_time_s"] > 0
 
 
-def test_run_bench_report_schema():
-    report = run_bench(scales=[40, 80], repeats=1, timer=ticking_clock())
-    assert report["schema"] == SCHEMA
-    assert report["kernels"] == list(KERNELS)
-    assert [entry["num_samples"] for entry in report["scales"]] == [40, 80]
-    assert report["largest_scale"] == 80
-    assert report["identical"] is True
-    assert report["largest_scale_speedup"] > 0
-    assert report["profiler_e2e"]["identical"] is True
-    for kernel in KERNELS:
-        assert report["allocation"][kernel]["peak_bytes"] > 0
-        assert report["allocation"][kernel]["live_blocks"] > 0
-    json.dumps(report)  # the report must be JSON-serializable as-is
-
-
-def test_million_entry_scaled_down():
-    entry = bench_million(num_samples=200, seed=7, timer=ticking_clock())
-    assert entry["completed"] is True
-    assert entry["num_samples"] == 200
-    seconds = entry["seconds"]
-    assert seconds["total"] >= seconds["simulate_epoch"]
-    assert entry["traffic_bytes"] > 0
-
-
-def test_main_writes_report(tmp_path):
-    out = tmp_path / "BENCH_sim.json"
-    assert main(["--scales", "40", "--repeats", "1", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["schema"] == SCHEMA
-    assert report["identical"] is True
-    assert "million" not in report
+def test_main_writes_report(bench_main_run):
+    code, written = bench_main_run
+    assert code == 0
+    assert written["identical"] is True
+    assert "million" not in written
+    (entry,) = written["scales"]
+    assert entry["num_samples"] == 40
+    assert all(entry["gates"][gate] is True for gate in EPOCH_GATES)
+    assert set(entry["layers"][LAYER]["us_per_sample"]) == set(KERNEL_CHOICES)

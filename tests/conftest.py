@@ -1,4 +1,6 @@
-"""Shared fixtures: small datasets, pipelines, clusters."""
+"""Shared fixtures: small datasets, pipelines, clusters, bench reports."""
+
+import json
 
 import numpy as np
 import pytest
@@ -50,3 +52,46 @@ def cluster():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def ticking_clock():
+    """A deterministic injectable timer: each read advances 1ms."""
+    state = {"t": 0.0}
+
+    def timer():
+        state["t"] += 0.001
+        return state["t"]
+
+    return timer
+
+
+@pytest.fixture
+def bench_clock():
+    """A fresh :func:`ticking_clock` for one bench call."""
+    return ticking_clock()
+
+
+@pytest.fixture(scope="session")
+def bench_scale_entry():
+    """One offline-bench scale entry at 60 samples."""
+    from repro.bench import bench_scale
+
+    return bench_scale(60, repeats=1, timer=ticking_clock())
+
+
+@pytest.fixture(scope="session")
+def bench_report():
+    """A small offline-bench report over two scales, given out of order."""
+    from repro.bench import run_bench
+
+    return run_bench(scales=[80, 40], repeats=1, timer=ticking_clock())
+
+
+@pytest.fixture(scope="session")
+def bench_main_run(tmp_path_factory):
+    """``(exit code, written report)`` of one small ``repro.bench`` main run."""
+    from repro.bench import main
+
+    out = tmp_path_factory.mktemp("bench") / "BENCH.json"
+    code = main(["--scales", "40", "--repeats", "1", "--out", str(out)])
+    return code, json.loads(out.read_text())

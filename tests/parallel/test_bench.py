@@ -1,50 +1,43 @@
-"""The perf-regression harness: schema stability and the determinism gate."""
+"""The offline bench's profiling layers: record-building and plan rows and gates."""
 
-import json
+from repro.bench import LAYERS, SCHEMA
 
-from repro.parallel.bench import MODES, SCHEMA, bench_scale, main, run_bench
-
-
-def ticking_clock():
-    """A deterministic injectable timer: each read advances 1ms."""
-    state = {"t": 0.0}
-
-    def timer():
-        state["t"] += 0.001
-        return state["t"]
-
-    return timer
+PROFILING_LAYERS = ("parallel.build_records", "core.plan")
+PROFILING_GATES = ("records", "plan")
 
 
-def test_bench_scale_shape_and_determinism_gate():
-    result = bench_scale(60, repeats=1, timer=ticking_clock())
+def test_bench_scale_shape_and_determinism_gate(bench_scale_entry):
+    result = bench_scale_entry
     assert result["num_samples"] == 60
-    assert result["identical"] is True
-    seconds = result["record_building"]["seconds"]
-    speedups = result["record_building"]["speedup_vs_sequential"]
-    assert set(seconds) == set(MODES) == set(speedups)
-    assert all(value > 0 for value in seconds.values())
-    assert speedups["sequential"] == 1.0
-    assert result["plan"]["seconds"] > 0
+    assert all(result["gates"][gate] is True for gate in PROFILING_GATES)
+    for layer in PROFILING_LAYERS:
+        row = result["layers"][layer]
+        assert set(row["seconds"]) == set(LAYERS[layer]) == set(row["us_per_sample"])
+        assert all(value > 0 for value in row["seconds"].values())
+        assert all(value > 0 for value in row["us_per_sample"].values())
+    assert result["num_offloaded"] > 0
 
 
-def test_run_bench_report_schema():
-    report = run_bench(scales=[40, 80], repeats=1, timer=ticking_clock())
-    assert report["schema"] == SCHEMA
-    assert report["modes"] == list(MODES)
-    assert [entry["num_samples"] for entry in report["scales"]] == [40, 80]
-    assert report["largest_scale"] == 80
-    assert report["identical"] is True
-    assert report["largest_scale_best_speedup"] > 0
-    for mode in MODES:
-        assert report["allocation"][mode]["peak_bytes"] > 0
-        assert report["allocation"][mode]["live_blocks"] > 0
-    json.dumps(report)  # the report must be JSON-serializable as-is
+def test_run_bench_report_schema(bench_report):
+    assert bench_report["schema"] == SCHEMA
+    assert LAYERS["parallel.build_records"] == ("sequential", "vectorized")
+    assert LAYERS["core.plan"] == ("list", "table")
+    for layer in PROFILING_LAYERS:
+        assert bench_report["layers"][layer] == list(LAYERS[layer])
+    assert [entry["num_samples"] for entry in bench_report["scales"]] == [40, 80]
+    for entry in bench_report["scales"]:
+        assert all(entry["gates"][gate] is True for gate in PROFILING_GATES)
+        assert entry["num_offloaded"] > 0
+    sequential = bench_report["profiler_e2e"]["profile_seconds"]["sequential"]
+    assert sequential > 0
 
 
-def test_main_writes_report(tmp_path):
-    out = tmp_path / "BENCH_profiling.json"
-    assert main(["--scales", "40", "--repeats", "1", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["schema"] == SCHEMA
-    assert report["identical"] is True
+def test_main_writes_report(bench_main_run):
+    code, written = bench_main_run
+    assert code == 0
+    assert written["schema"] == SCHEMA
+    assert written["identical"] is True
+    (entry,) = written["scales"]
+    assert all(entry["gates"][gate] is True for gate in PROFILING_GATES)
+    for layer in PROFILING_LAYERS:
+        assert set(entry["layers"][layer]["seconds"]) == set(LAYERS[layer])
