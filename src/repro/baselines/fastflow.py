@@ -11,7 +11,7 @@ behaviour Figures 3 and 4 report.
 """
 
 from repro.baselines.capabilities import Capabilities
-from repro.cluster.epoch_model import EpochMetrics, EpochModel
+from repro.cluster.epoch_model import EpochModel
 from repro.core.plan import OffloadPlan
 from repro.core.policy import Policy, PolicyContext
 
@@ -33,20 +33,8 @@ class FastFlow(Policy):
         gpu_time = context.epoch_gpu_time_s
         full_split = len(context.pipeline)
 
-        local = EpochMetrics(
-            gpu_time_s=gpu_time,
-            compute_cpu_s=sum(r.total_cost for r in records),
-            storage_cpu_s=0.0,
-            traffic_bytes=float(sum(r.raw_size for r in records) + overhead * num),
-        )
-        offloaded = EpochMetrics(
-            gpu_time_s=gpu_time,
-            compute_cpu_s=0.0,
-            storage_cpu_s=sum(r.total_cost for r in records),
-            traffic_bytes=float(
-                sum(r.size_at(full_split) for r in records) + overhead * num
-            ),
-        )
+        local = records.epoch_metrics(gpu_time, overhead)
+        offloaded = records.epoch_metrics(gpu_time, overhead, [full_split] * num)
 
         local_est = model.estimate(local)
         off_est = model.estimate(offloaded)

@@ -114,3 +114,76 @@ class EpochModel:
 
     def epoch_time_s(self, metrics: EpochMetrics) -> float:
         return self.estimate(metrics).epoch_time_s
+
+
+class EpochBudget:
+    """:meth:`EpochModel.estimate` as running sums: the accept step of every
+    greedy planner (paper section 3.2).
+
+    Holds an assignment's compute, storage and traffic totals, its epoch
+    estimate and ``network_bound``.  A planner walks its own candidate
+    order, stops once ``network_bound`` is False, and hands each
+    candidate's deltas to :meth:`offer`, which computes the T terms
+    exactly as :meth:`EpochModel.estimate` does.
+    """
+
+    __slots__ = (
+        "t_g", "compute_cpu_s", "storage_cpu_s", "traffic_bytes", "epoch_time_s",
+        "network_bound", "never_worsen", "epsilon_s", "refused_s", "_model", "_scales",
+    )
+
+    def __init__(
+        self,
+        spec: ClusterSpec,
+        metrics: EpochMetrics,
+        never_worsen: bool = True,
+        epsilon_s: float = 1e-9,
+    ) -> None:
+        self._model = EpochModel(spec)
+        self.t_g = metrics.gpu_time_s
+        self.compute_cpu_s = metrics.compute_cpu_s
+        self.storage_cpu_s = metrics.storage_cpu_s
+        self.traffic_bytes = metrics.traffic_bytes
+        estimate = self.estimate()
+        self.epoch_time_s, self.network_bound = estimate.epoch_time_s, estimate.network_bound
+        self.never_worsen, self.epsilon_s = never_worsen, epsilon_s
+        #: The estimate the last refused offer would have led to.
+        self.refused_s = 0.0
+        self._scales = (
+            spec.compute_cpu_factor, spec.compute_cores,
+            spec.storage_cpu_factor, spec.storage_cores, spec.bandwidth_bytes_per_s,
+        )
+
+    def estimate(self) -> EpochEstimate:
+        return self._model.estimate(
+            EpochMetrics(self.t_g, self.compute_cpu_s, self.storage_cpu_s, self.traffic_bytes)
+        )
+
+    def offer(self, d_compute: float, d_storage: float, d_traffic: float) -> bool:
+        """Apply one candidate's work deltas unless ``never_worsen`` refuses.
+
+        An offload offers ``(-moved, +moved, -saved)``.  The offer is
+        refused (False; :attr:`refused_s` keeps the estimate it would have
+        led to) when it would raise the epoch estimate by more than
+        ``epsilon_s``.  Float cancellation can push the compute sum a hair
+        below zero, so it is clamped there; a negative storage or traffic
+        total raises :class:`EpochMetrics`' error.
+        """
+        local_cpu = self.compute_cpu_s + d_compute
+        compute = local_cpu if local_cpu >= 0 else 0.0
+        storage = self.storage_cpu_s + d_storage
+        traffic = self.traffic_bytes + d_traffic
+        t_g = self.t_g
+        if storage < 0 or traffic < 0:
+            EpochMetrics(t_g, compute, storage, traffic)  # raises
+        compute_scale, compute_cores, storage_scale, storage_cores, bandwidth = self._scales
+        t_cc = compute * compute_scale / compute_cores
+        t_cs = 0.0 if storage == 0 else storage * storage_scale / storage_cores
+        t_net = traffic / bandwidth
+        post_s = max(t_g, t_cc, t_cs, t_net)
+        if self.never_worsen and post_s > self.epoch_time_s + self.epsilon_s:
+            self.refused_s = post_s
+            return False
+        self.compute_cpu_s, self.storage_cpu_s, self.traffic_bytes = compute, storage, traffic
+        self.epoch_time_s, self.network_bound = post_s, t_net >= max(t_g, t_cc, t_cs)
+        return True

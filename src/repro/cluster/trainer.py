@@ -27,7 +27,7 @@ Every epoch runs on the cursor engine (:mod:`repro.cluster.engine`);
 
 import dataclasses
 from types import ModuleType
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from repro.data.sampler import BatchSampler, Sampler, SequentialSampler
 from repro.faults.schedule import FaultReport, FaultSchedule
 from repro.metrics.timeline import Timeline
 from repro.preprocessing.pipeline import Pipeline
-from repro.preprocessing.records import left_fold
+from repro.preprocessing.records import split_folds
 from repro.telemetry.spans import Tracer
 from repro.workloads.models import ModelProfile
 
@@ -265,11 +265,10 @@ class TrainerSim:
 
         One :func:`~repro.parallel.vectorized.simulate_batch` call over the
         dataset's raw metas gives the stage-size and op-cost matrices;
-        :func:`~repro.preprocessing.records.left_fold` sums the prefix and
-        suffix of each split group in the association order
-        ``sum(costs[:split])`` uses (empty folds stay int 0).  Validation is
-        column-wise and raises :meth:`_reference_epoch_work`'s messages at
-        the same first sample.
+        :func:`~repro.preprocessing.records.split_folds` sums each sample's
+        prefix and suffix in the association order ``sum(costs[:split])``
+        uses (empty folds stay int 0).  Validation is column-wise and raises
+        :meth:`_reference_epoch_work`'s messages at the same first sample.
         """
         from repro.parallel import vectorized
 
@@ -293,16 +292,7 @@ class TrainerSim:
             rejected |= split_arr > 0
         first_rejected = int(np.argmax(rejected)) if rejected.any() else n
 
-        prefix: List[float] = [0] * n  # type: ignore[list-item]
-        suffix: List[float] = [0] * n  # type: ignore[list-item]
-        for split in np.unique(split_arr[in_range]).tolist():
-            rows = np.flatnonzero(split_arr == split)
-            sub = costs[rows]
-            for row, before, after in zip(
-                rows.tolist(), left_fold(sub, 0, split), left_fold(sub, split)
-            ):
-                prefix[row] = before
-                suffix[row] = after
+        prefix, suffix = split_folds(costs, split_arr)
         wire = sizes[np.arange(n), np.where(in_range, split_arr, 0)].tolist()
 
         def item_at(row: int) -> SampleWork:

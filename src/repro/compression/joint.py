@@ -13,22 +13,22 @@ Actions:
   follow-up compression action for i);
 - *compress(i)*: deflate sample i's offloaded payload on the storage node.
 
-Both are ranked by bytes saved per storage-CPU-second, admitted while the
-network stays predominant and the epoch estimate improves -- the same
-discipline as the sequential planners, in one queue.
+Both are ranked by bytes saved per storage-CPU-second and offered, from
+one queue, to the accept step the sequential planners share
+(:class:`~repro.cluster.epoch_model.EpochBudget`).
 """
 
 import dataclasses
 import heapq
 from typing import Dict, Optional, Sequence
 
-from repro.cluster.epoch_model import EpochMetrics, EpochModel
+from repro.cluster.epoch_model import EpochBudget
 from repro.cluster.spec import ClusterSpec
 from repro.compression.codecs import CompressionModel
 from repro.compression.selective import CompressionDecision, CompressionPlan, stage_kinds
 from repro.core.plan import OffloadPlan
 from repro.preprocessing.pipeline import Pipeline
-from repro.preprocessing.records import SampleRecord
+from repro.preprocessing.records import RecordTable, SampleRecord
 
 
 @dataclasses.dataclass
@@ -61,7 +61,8 @@ class JointPlanner:
         gpu_time_s: float,
         overhead_bytes: Optional[int] = None,
     ) -> JointPlan:
-        num_samples = len(records)
+        table = RecordTable.covering(records)
+        num_samples = len(table)
         if overhead_bytes is None:
             overhead_bytes = spec.response_overhead_bytes
         if not spec.can_offload:
@@ -73,35 +74,12 @@ class JointPlanner:
             )
 
         kinds = stage_kinds(pipeline)
-        epoch_model = EpochModel(spec)
-        metrics = EpochMetrics(
-            gpu_time_s=gpu_time_s,
-            compute_cpu_s=sum(r.total_cost for r in records),
-            storage_cpu_s=0.0,
-            traffic_bytes=float(
-                sum(r.raw_size for r in records) + overhead_bytes * num_samples
-            ),
-        )
-
-        def compress_action(record: SampleRecord) -> Optional[CompressionDecision]:
-            split = record.min_stage
-            kind = kinds[split]
-            wire = record.size_at(split)
-            saved = self.model.savings_bytes(kind, wire)
-            if saved <= 0:
-                return None
-            return CompressionDecision(
-                sample_id=record.sample_id,
-                kind=kind,
-                saved_bytes=saved,
-                storage_cpu_s=self.model.compress_seconds(kind, wire),
-                compute_cpu_s=self.model.decompress_seconds(kind, wire),
-            )
+        budget = EpochBudget(spec, table.epoch_metrics(gpu_time_s, overhead_bytes))
 
         # Heap entries: (-efficiency, seq, kind, record/decision)
         heap = []
         seq = 0
-        for record in records:
+        for record in table:
             if record.offload_efficiency > 0:
                 heapq.heappush(
                     heap, (-record.offload_efficiency, seq, "offload", record)
@@ -114,11 +92,10 @@ class JointPlanner:
         reason = "exhausted candidate actions"
 
         while heap:
-            estimate = epoch_model.estimate(metrics)
-            if not estimate.network_bound:
+            if not budget.network_bound:
                 reason = (
                     "network no longer predominant (bottleneck: "
-                    f"{estimate.bottleneck.value})"
+                    f"{budget.estimate().bottleneck.value})"
                 )
                 break
             _, _, action, payload = heapq.heappop(heap)
@@ -126,23 +103,14 @@ class JointPlanner:
                 record = payload
                 split = record.min_stage
                 moved = record.prefix_cost(split)
-                # Clamp float cancellation in the running sum at zero.
-                local_cpu = metrics.compute_cpu_s - moved
-                trial = metrics.replace(
-                    compute_cpu_s=local_cpu if local_cpu >= 0 else 0.0,
-                    storage_cpu_s=metrics.storage_cpu_s + moved,
-                    traffic_bytes=metrics.traffic_bytes - record.savings(split),
-                )
-                if (
-                    epoch_model.estimate(trial).epoch_time_s
-                    > estimate.epoch_time_s + 1e-9
-                ):
+                if not budget.offer(-moved, moved, -record.savings(split)):
                     continue
                 splits[record.sample_id] = split
-                metrics = trial
                 accepted_offloads += 1
                 # Offloading unlocks compressing this sample's payload.
-                follow_up = compress_action(record)
+                follow_up = CompressionDecision.of(
+                    self.model, record.sample_id, kinds[split], record.size_at(split)
+                )
                 if follow_up is not None:
                     heapq.heappush(
                         heap, (-follow_up.efficiency, seq, "compress", follow_up)
@@ -150,21 +118,14 @@ class JointPlanner:
                     seq += 1
             else:
                 decision = payload
-                trial = metrics.replace(
-                    storage_cpu_s=metrics.storage_cpu_s + decision.storage_cpu_s,
-                    compute_cpu_s=metrics.compute_cpu_s + decision.compute_cpu_s,
-                    traffic_bytes=metrics.traffic_bytes - decision.saved_bytes,
-                )
-                if (
-                    epoch_model.estimate(trial).epoch_time_s
-                    > estimate.epoch_time_s + 1e-9
+                if not budget.offer(
+                    decision.compute_cpu_s, decision.storage_cpu_s, -decision.saved_bytes
                 ):
                     continue
                 decisions[decision.sample_id] = decision
-                metrics = trial
                 accepted_compressions += 1
 
-        final = epoch_model.estimate(metrics)
+        final = budget.estimate()
         return JointPlan(
             offload=OffloadPlan(
                 splits=splits,

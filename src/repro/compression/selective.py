@@ -3,23 +3,22 @@
 Runs *after* the offload decision engine: for samples whose offloaded
 payload crosses the wire uncompressed (uint8 pixels or float tensors), the
 storage node can spend extra CPU to deflate the payload and the compute
-node extra CPU to inflate it.  The planner greedily compresses the samples
-with the highest bytes-saved-per-storage-CPU-second while the network
-remains the predominant metric and the epoch estimate keeps improving --
-the same discipline as the offload engine itself.
+node extra CPU to inflate it.  The planner offers compressions, highest
+bytes-saved-per-storage-CPU-second first, to the offload engine's accept
+step (:class:`~repro.cluster.epoch_model.EpochBudget`).
 """
 
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
-from repro.cluster.epoch_model import EpochEstimate, EpochMetrics, EpochModel
+from repro.cluster.epoch_model import EpochBudget, EpochEstimate
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.trainer import WorkAdjustment
 from repro.compression.codecs import CompressionModel
 from repro.core.plan import OffloadPlan
 from repro.preprocessing.payload import PayloadKind
 from repro.preprocessing.pipeline import Pipeline
-from repro.preprocessing.records import SampleRecord
+from repro.preprocessing.records import RecordTable, SampleRecord
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,6 +36,22 @@ class CompressionDecision:
         if self.storage_cpu_s <= 0:
             return float("inf")
         return self.saved_bytes / self.storage_cpu_s
+
+    @classmethod
+    def of(
+        cls, model: CompressionModel, sample_id: int, kind: PayloadKind, wire: int
+    ) -> Optional["CompressionDecision"]:
+        """Deflating a ``wire``-byte payload, or None when that saves nothing."""
+        saved = model.savings_bytes(kind, wire)
+        if saved <= 0:
+            return None
+        return cls(
+            sample_id,
+            kind,
+            saved,
+            storage_cpu_s=model.compress_seconds(kind, wire),
+            compute_cpu_s=model.decompress_seconds(kind, wire),
+        )
 
 
 @dataclasses.dataclass
@@ -91,6 +106,7 @@ class SelectiveCompressor:
             raise ValueError(
                 f"records cover {len(records)} samples, plan has {len(offload_plan)}"
             )
+        table = RecordTable.covering(records)
         if overhead_bytes is None:
             overhead_bytes = spec.response_overhead_bytes
         if not spec.can_offload:
@@ -99,64 +115,39 @@ class SelectiveCompressor:
             )
 
         kinds = stage_kinds(pipeline)
-        epoch_model = EpochModel(spec)
-
-        # Post-offload baseline metrics.
-        metrics = EpochMetrics(
-            gpu_time_s=gpu_time_s,
-            compute_cpu_s=sum(
-                r.suffix_cost(offload_plan.split_for(r.sample_id)) for r in records
-            ),
-            storage_cpu_s=sum(
-                r.prefix_cost(offload_plan.split_for(r.sample_id)) for r in records
-            ),
-            traffic_bytes=float(
-                offload_plan.expected_traffic_bytes(records, overhead_bytes)
+        budget = EpochBudget(
+            spec,
+            table.epoch_metrics(
+                gpu_time_s, overhead_bytes, offload_plan.splits, offload_plan.scan_counts
             ),
         )
 
         candidates: List[CompressionDecision] = []
-        for record in records:
-            split = offload_plan.split_for(record.sample_id)
+        for record, split in zip(table, offload_plan.splits):
             if split == 0:
                 continue  # raw payloads are already entropy coded
-            kind = kinds[split]
-            wire = record.size_at(split)
-            saved = self.model.savings_bytes(kind, wire)
-            if saved <= 0:
-                continue
-            candidates.append(
-                CompressionDecision(
-                    sample_id=record.sample_id,
-                    kind=kind,
-                    saved_bytes=saved,
-                    storage_cpu_s=self.model.compress_seconds(kind, wire),
-                    compute_cpu_s=self.model.decompress_seconds(kind, wire),
-                )
+            decision = CompressionDecision.of(
+                self.model, record.sample_id, kinds[split], record.size_at(split)
             )
+            if decision is not None:
+                candidates.append(decision)
         candidates.sort(key=lambda d: d.efficiency, reverse=True)
 
         decisions: Dict[int, CompressionDecision] = {}
         reason = "exhausted compressible candidates"
         for decision in candidates:
-            estimate = epoch_model.estimate(metrics)
-            if not estimate.network_bound:
+            if not budget.network_bound:
                 reason = (
                     f"network no longer predominant after {len(decisions)} samples"
                 )
                 break
-            trial = metrics.replace(
-                storage_cpu_s=metrics.storage_cpu_s + decision.storage_cpu_s,
-                compute_cpu_s=metrics.compute_cpu_s + decision.compute_cpu_s,
-                traffic_bytes=metrics.traffic_bytes - decision.saved_bytes,
-            )
-            if epoch_model.estimate(trial).epoch_time_s > estimate.epoch_time_s + 1e-9:
-                continue
-            decisions[decision.sample_id] = decision
-            metrics = trial
+            if budget.offer(
+                decision.compute_cpu_s, decision.storage_cpu_s, -decision.saved_bytes
+            ):
+                decisions[decision.sample_id] = decision
 
         return CompressionPlan(
             decisions=decisions,
             reason=f"compressed {len(decisions)}/{len(records)} samples; {reason}",
-            expected=epoch_model.estimate(metrics),
+            expected=budget.estimate(),
         )

@@ -25,7 +25,7 @@ from repro.core.profiler import (
 from repro.core.decision import DecisionConfig, DecisionEngine
 from repro.core.degraded import DegradedModeFetcher, Demotion, OutageReport
 from repro.core.efficiency import efficiency_distribution, EfficiencySummary
-from repro.core.fidelity import FidelityConfig, FidelityPlanner, plan_with_fidelity
+from repro.core.fidelity import FidelityConfig, FidelityPlanner
 from repro.core.sophon import Sophon
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "EfficiencySummary",
     "FidelityConfig",
     "FidelityPlanner",
-    "plan_with_fidelity",
     "OffloadPlan",
     "OutageReport",
     "Policy",

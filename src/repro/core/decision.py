@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.epoch_model import EpochEstimate, EpochMetrics, EpochModel
+from repro.cluster.epoch_model import EpochBudget
 from repro.cluster.spec import ClusterSpec
 from repro.core.plan import OffloadPlan
 from repro.preprocessing.records import RecordTable, SampleRecord
@@ -54,16 +54,14 @@ def _candidate_splits(record: SampleRecord) -> Tuple[CandidateSplit, ...]:
     )
 
 
-def _budget_state(
-    accepted: int, metrics: EpochMetrics, estimate: EpochEstimate
-) -> BudgetState:
+def _budget_state(accepted: int, budget: EpochBudget) -> BudgetState:
     return BudgetState(
         accepted_samples=accepted,
-        epoch_estimate_s=estimate.epoch_time_s,
-        bottleneck=estimate.bottleneck.value,
-        network_bound=estimate.network_bound,
-        storage_cpu_s=metrics.storage_cpu_s,
-        traffic_bytes=metrics.traffic_bytes,
+        epoch_estimate_s=budget.epoch_time_s,
+        bottleneck=budget.estimate().bottleneck.value,
+        network_bound=budget.network_bound,
+        storage_cpu_s=budget.storage_cpu_s,
+        traffic_bytes=budget.traffic_bytes,
     )
 
 
@@ -182,13 +180,7 @@ class DecisionEngine:
         tracer: when given, each sample's decision is emitted as an instant
             event on its epoch-0 trace (the plan applies to every epoch).
         """
-        table = RecordTable.from_records(records)
-        num_samples = len(table)
-        if not np.array_equal(table.sample_ids, np.arange(num_samples)):
-            raise ValueError(
-                "records must be ordered by sample id covering 0..n-1 "
-                "(as produced by the stage-two profiler)"
-            )
+        table = RecordTable.covering(records)
         if overhead_bytes is None:
             overhead_bytes = spec.response_overhead_bytes
         notes = _Notes(table, audit, tracer)
@@ -214,19 +206,13 @@ class DecisionEngine:
                     notes.note(row, 0, PLANNING_STOPPED, reason)
             return OffloadPlan.no_offload(num_samples, reason=reason)
 
-        model = EpochModel(spec)
         splits = [0] * num_samples
-
-        # Baseline: everything fetched raw, all preprocessing local.  The
-        # totals are builtin sums over Python numbers, in sample order --
-        # exactly the scalar sums (compensated on Python >= 3.12).
-        metrics = EpochMetrics(
-            gpu_time_s=gpu_time_s,
-            compute_cpu_s=sum(table.total_costs()),
-            storage_cpu_s=0.0,
-            traffic_bytes=float(
-                sum(table.raw_size.tolist()) + overhead_bytes * num_samples
-            ),
+        # Baseline: everything fetched raw, all preprocessing local.
+        budget = EpochBudget(
+            spec,
+            table.epoch_metrics(gpu_time_s, overhead_bytes),
+            never_worsen=self.config.never_worsen,
+            epsilon_s=self.config.epsilon_s,
         )
 
         efficiency = table.offload_efficiency
@@ -253,32 +239,19 @@ class DecisionEngine:
             return OffloadPlan(
                 splits=splits,
                 reason="no samples with positive offloading efficiency",
-                expected=model.estimate(metrics),
+                expected=budget.estimate(),
             )
 
-        # The greedy loop runs over Python numbers with EpochModel.estimate
-        # inlined term by term, so every value equals the scalar engine's.
-        t_g = metrics.gpu_time_s
-        compute_cpu_s = metrics.compute_cpu_s
-        storage_cpu_s = metrics.storage_cpu_s
-        traffic_bytes = metrics.traffic_bytes
-        compute_scale, compute_cores = spec.compute_cpu_factor, spec.compute_cores
-        storage_scale, storage_cores = spec.storage_cpu_factor, spec.storage_cores
-        bandwidth = spec.bandwidth_bytes_per_s
-        never_worsen = self.config.never_worsen
-        epsilon_s = self.config.epsilon_s
         accept_text = (
             f"best remaining candidate (order={self.config.order}) while network-bound"
         )
-
-        t_cc = compute_cpu_s * compute_scale / compute_cores
-        t_cs = 0.0 if storage_cpu_s == 0 else storage_cpu_s * storage_scale / storage_cores
-        t_net = traffic_bytes / bandwidth
         accepted = 0
         skipped = 0
         stopped_at = len(candidates)
         reason = "exhausted candidates with positive efficiency"
         rows = candidates.tolist()
+        offer = budget.offer
+        audited = notes.audit is not None
         try:
             for index, (row, split, moved_cpu, saved) in enumerate(
                 zip(
@@ -288,67 +261,40 @@ class DecisionEngine:
                     table.best_savings[candidates].tolist(),
                 )
             ):
-                if not t_net >= max(t_g, t_cc, t_cs):
-                    bottleneck = EpochEstimate(t_g, t_cc, t_cs, t_net).bottleneck.value
+                if not budget.network_bound:
                     reason = (
                         "network no longer predominant (bottleneck: "
-                        f"{bottleneck}) after {accepted} samples"
+                        f"{budget.estimate().bottleneck.value}) after {accepted} samples"
                     )
                     stopped_at = index
                     break
-                epoch_s = max(t_g, t_cc, t_cs, t_net)
-                budget = None
-                if notes.audit is not None:
-                    budget = _budget_state(
-                        accepted,
-                        EpochMetrics(t_g, compute_cpu_s, storage_cpu_s, traffic_bytes),
-                        EpochEstimate(t_g, t_cc, t_cs, t_net),
-                    )
+                state = _budget_state(accepted, budget) if audited else None
                 # The prefix work moves from the compute node to the storage
-                # node; the sample's remaining ops still run locally.  Float
-                # cancellation can push the running sum a hair below zero.
-                local_cpu = compute_cpu_s - moved_cpu
-                trial_compute = local_cpu if local_cpu >= 0 else 0.0
-                trial_storage = storage_cpu_s + moved_cpu
-                trial_traffic = traffic_bytes - saved
-                if trial_storage < 0 or trial_traffic < 0:
-                    EpochMetrics(t_g, trial_compute, trial_storage, trial_traffic)  # raises
-                post_cc = trial_compute * compute_scale / compute_cores
-                post_cs = (
-                    0.0 if trial_storage == 0 else trial_storage * storage_scale / storage_cores
-                )
-                post_net = trial_traffic / bandwidth
-                if never_worsen:
-                    post_s = max(t_g, post_cc, post_cs, post_net)
-                    if post_s > epoch_s + epsilon_s:
-                        skipped += 1
-                        if notes.detailed:
-                            notes.note(
-                                row,
-                                0,
-                                SKIPPED_WOULD_WORSEN,
-                                "offload would raise the epoch estimate "
-                                f"{epoch_s:.6f}s -> {post_s:.6f}s",
-                                budget=budget,
-                                rank=index + 1,
-                            )
-                        continue
+                # node; the sample's remaining ops still run locally.
+                if not offer(-moved_cpu, moved_cpu, -saved):
+                    skipped += 1
+                    if notes.detailed:
+                        notes.note(
+                            row,
+                            0,
+                            SKIPPED_WOULD_WORSEN,
+                            "offload would raise the epoch estimate "
+                            f"{budget.epoch_time_s:.6f}s -> {budget.refused_s:.6f}s",
+                            budget=state,
+                            rank=index + 1,
+                        )
+                    continue
                 splits[row] = split
-                compute_cpu_s, storage_cpu_s, traffic_bytes = (
-                    trial_compute, trial_storage, trial_traffic
-                )
-                t_cc, t_cs, t_net = post_cc, post_cs, post_net
                 accepted += 1
                 if notes.detailed:
-                    notes.note(row, split, OFFLOADED, accept_text, budget=budget, rank=index + 1)
+                    notes.note(row, split, OFFLOADED, accept_text, budget=state, rank=index + 1)
         finally:
             notes.count(OFFLOADED, accepted)
             notes.count(SKIPPED_WOULD_WORSEN, skipped)
-        metrics = EpochMetrics(t_g, compute_cpu_s, storage_cpu_s, traffic_bytes)
-        final = model.estimate(metrics)
+        final = budget.estimate()
         notes.count(PLANNING_STOPPED, len(rows) - stopped_at)
         if notes.detailed and stopped_at < len(rows):
-            final_budget = _budget_state(accepted, metrics, final)
+            final_budget = _budget_state(accepted, budget)
             for index in range(stopped_at, len(rows)):
                 notes.note(
                     rows[index],

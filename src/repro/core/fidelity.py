@@ -9,27 +9,28 @@ can be fetched as any scan prefix, trading PSNR for wire bytes.  The
 1. Run the ordinary :class:`DecisionEngine` pass (where to split).
 2. If the epoch is *still* network-bound after every worthwhile split has
    been offloaded, the split axis is out of levers -- spend fidelity:
-   greedily truncate the raw fetches of progressive samples the engine
-   left at split 0, ranked by bytes saved per dB of PSNR given up, until
-   the network stops being predominant or the quality floor is reached.
+   truncate the raw fetches of progressive samples the engine left at
+   split 0, ranked by bytes saved per dB of PSNR given up and within the
+   quality floor, through the shared accept step
+   (:class:`~repro.cluster.epoch_model.EpochBudget`).
 
-Truncation only ever *removes* wire bytes and moves no CPU work, so no
-``never_worsen`` guard is needed on this pass.  With the axis disabled
-(``enabled=False``, no progressive records, or the split pass already
-un-bound the network) the planner returns the engine's plan object
-untouched -- plans, audit logs, and serialized output are byte-identical
-to fidelity-free planning, gated by ``tests/core/test_fidelity.py``.
+Truncation only ever *removes* wire bytes and moves no CPU work, so the
+pass runs without the ``never_worsen`` guard.  With nothing to degrade
+(no progressive records, or the split pass already un-bound the network)
+the planner returns the engine's plan object untouched -- plans, audit
+logs, and serialized output are byte-identical to fidelity-free planning,
+gated by ``tests/core/test_fidelity.py``.
 """
 
 import dataclasses
 import logging
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.cluster.epoch_model import EpochMetrics, EpochModel
+from repro.cluster.epoch_model import EpochBudget
 from repro.cluster.spec import ClusterSpec
-from repro.core.decision import DecisionConfig, DecisionEngine
+from repro.core.decision import DecisionEngine
 from repro.core.plan import OffloadPlan
-from repro.preprocessing.records import ProgressiveSampleRecord, SampleRecord
+from repro.preprocessing.records import ProgressiveSampleRecord, RecordTable, SampleRecord
 from repro.telemetry.audit import FIDELITY_DEGRADED, AuditLog
 from repro.telemetry.registry import get_default_registry
 from repro.telemetry.spans import Tracer, trace_id
@@ -41,8 +42,6 @@ logger = logging.getLogger(__name__)
 class FidelityConfig:
     """Knobs for the fidelity-degradation pass.
 
-    enabled: master switch; False makes :class:`FidelityPlanner` a
-        transparent wrapper around :class:`DecisionEngine`.
     min_psnr_db: quality floor -- never ship a prefix whose PSNR against
         the full decode is below this.
     min_scans: never ship fewer than this many scans (scan 0 alone is the
@@ -52,7 +51,6 @@ class FidelityConfig:
         prefix doesn't dominate the ranking.
     """
 
-    enabled: bool = True
     min_psnr_db: float = 30.0
     min_scans: int = 1
     psnr_cap_db: float = 60.0
@@ -137,8 +135,7 @@ class FidelityPlanner:
 
         Same signature as :meth:`DecisionEngine.plan`; when the fidelity
         pass has nothing to do, the engine's plan is returned *unchanged*
-        (the same object), so disabling the axis is byte-identical to
-        never having had it.
+        (the same object).
         """
         base = self.engine.plan(
             records,
@@ -148,27 +145,18 @@ class FidelityPlanner:
             audit=audit,
             tracer=tracer,
         )
-        if not self.config.enabled or not spec.can_offload:
+        if not spec.can_offload:
             return base
         if overhead_bytes is None:
             overhead_bytes = spec.response_overhead_bytes
 
-        # Reconstruct the post-split epoch metrics from the plan.
-        metrics = EpochMetrics(
-            gpu_time_s=gpu_time_s,
-            compute_cpu_s=sum(
-                r.total_cost - r.prefix_cost(s) for r, s in zip(records, base.splits)
-            ),
-            storage_cpu_s=sum(
-                r.prefix_cost(s) for r, s in zip(records, base.splits)
-            ),
-            traffic_bytes=float(
-                sum(r.size_at(s) for r, s in zip(records, base.splits))
-                + overhead_bytes * len(records)
-            ),
+        table = RecordTable.from_records(records)
+        budget = EpochBudget(
+            spec,
+            table.epoch_metrics(gpu_time_s, overhead_bytes, base.splits),
+            never_worsen=False,
         )
-        model = EpochModel(spec)
-        if not model.estimate(metrics).network_bound:
+        if not budget.network_bound:
             return base
 
         rungs: List[_Rung] = []
@@ -191,18 +179,15 @@ class FidelityPlanner:
         saved_total = 0
         reason = "exhausted degradable samples"
         for rung in rungs:
-            estimate = model.estimate(metrics)
-            if not estimate.network_bound:
+            if not budget.network_bound:
                 reason = (
                     "network no longer predominant (bottleneck: "
-                    f"{estimate.bottleneck.value}) after {accepted} degradations"
+                    f"{budget.estimate().bottleneck.value}) after {accepted} degradations"
                 )
                 break
             sample_id = rung.record.sample_id
             scan_counts[sample_id] = rung.scan_count
-            metrics = metrics.replace(
-                traffic_bytes=metrics.traffic_bytes - rung.saved_bytes
-            )
+            budget.offer(0.0, 0.0, -rung.saved_bytes)
             accepted += 1
             saved_total += rung.saved_bytes
             degraded.inc()
@@ -231,7 +216,7 @@ class FidelityPlanner:
         if accepted == 0:
             return base
 
-        final = model.estimate(metrics)
+        final = budget.estimate()
         logger.info(
             "fidelity: degraded %d/%d samples, saved %dB; %s",
             accepted,
@@ -248,28 +233,3 @@ class FidelityPlanner:
             expected=final,
             scan_counts=scan_counts,
         )
-
-
-def plan_with_fidelity(
-    records: Sequence[SampleRecord],
-    spec: ClusterSpec,
-    gpu_time_s: float,
-    *,
-    decision_config: Optional[DecisionConfig] = None,
-    fidelity_config: Optional[FidelityConfig] = None,
-    overhead_bytes: Optional[int] = None,
-    audit: Optional[AuditLog] = None,
-    tracer: Optional[Tracer] = None,
-) -> OffloadPlan:
-    """Convenience wrapper: one call for the full two-axis plan."""
-    engine = DecisionEngine(
-        decision_config if decision_config is not None else DecisionConfig()
-    )
-    return FidelityPlanner(engine, fidelity_config).plan(
-        records,
-        spec,
-        gpu_time_s,
-        overhead_bytes=overhead_bytes,
-        audit=audit,
-        tracer=tracer,
-    )

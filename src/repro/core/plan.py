@@ -6,7 +6,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.cluster.epoch_model import EpochEstimate
 from repro.cluster.spec import ClusterSpec
-from repro.preprocessing.records import ProgressiveSampleRecord, SampleRecord
+from repro.preprocessing.records import RecordTable, SampleRecord
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,23 +110,8 @@ class OffloadPlan:
             raise ValueError(
                 f"records cover {len(records)} samples, plan has {len(self.splits)}"
             )
-        if self.scan_counts is None:
-            return sum(
-                record.size_at(split) + overhead_bytes
-                for record, split in zip(records, self.splits)
-            )
-        total = 0
-        for record, split, count in zip(records, self.splits, self.scan_counts):
-            if count is None:
-                total += record.size_at(split) + overhead_bytes
-                continue
-            if not isinstance(record, ProgressiveSampleRecord):
-                raise ValueError(
-                    f"sample {record.sample_id}: plan truncates scans but the "
-                    "record is not progressive"
-                )
-            total += record.size_at_fidelity(count) + overhead_bytes
-        return total
+        wire = RecordTable.from_records(records).wire_bytes(self.splits, self.scan_counts)
+        return sum(wire) + overhead_bytes * len(records)
 
     @classmethod
     def no_offload(cls, num_samples: int, reason: str = "no offloading") -> "OffloadPlan":

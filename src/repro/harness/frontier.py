@@ -230,12 +230,12 @@ def fidelity_frontier(
     engine = DecisionEngine(DecisionConfig())
     points: List[FrontierPoint] = []
     for floor in floors:
-        config = (
-            FidelityConfig(enabled=False)
-            if floor is None
-            else FidelityConfig(min_psnr_db=floor)
-        )
-        plan = FidelityPlanner(engine, config).plan(records, spec, gpu_time_s)
+        if floor is None:
+            plan = engine.plan(records, spec, gpu_time_s)
+        else:
+            plan = FidelityPlanner(engine, FidelityConfig(min_psnr_db=floor)).plan(
+                records, spec, gpu_time_s
+            )
         points.append(
             _point(floor, plan, records, overhead_bytes=spec.response_overhead_bytes)
         )

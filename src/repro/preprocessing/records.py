@@ -8,13 +8,16 @@ saved by offloading to that split, and the paper's *offloading efficiency*
 """
 
 import dataclasses
-from typing import Iterator, List, Optional, Sequence, Tuple, Union, overload
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple, Union, overload
 
 import numpy as np
 
 from repro.preprocessing.cost_model import CostModel
 from repro.preprocessing.payload import StageMeta
 from repro.preprocessing.pipeline import Pipeline
+
+if TYPE_CHECKING:
+    from repro.cluster.epoch_model import EpochMetrics
 
 
 @dataclasses.dataclass(frozen=True)
@@ -223,6 +226,26 @@ def left_fold(costs: np.ndarray, start: int = 0, stop: Optional[int] = None) -> 
     return total.tolist()  # type: ignore[no-any-return]
 
 
+def split_folds(costs: np.ndarray, splits: np.ndarray) -> Tuple[List[float], List[float]]:
+    """Each row's ``sum(costs[:split])`` and ``sum(costs[split:])`` at its
+    split: one :func:`left_fold` per split group (an empty fold is int 0).
+    Rows whose split is outside ``0..n_ops`` get 0 for both."""
+    n, n_ops = costs.shape
+    groups = np.unique(splits).tolist()
+    if len(groups) == 1 and 0 <= groups[0] <= n_ops:  # one group: fold in place
+        return left_fold(costs, 0, groups[0]), left_fold(costs, groups[0])
+    # Object arrays keep the folds' Python numbers as they are.
+    prefix, suffix = np.zeros(n, dtype=object), np.zeros(n, dtype=object)
+    for split in groups:
+        if not 0 <= split <= n_ops:
+            continue
+        rows = np.flatnonzero(splits == split)
+        sub = costs[rows]
+        prefix[rows] = left_fold(sub, 0, split)
+        suffix[rows] = left_fold(sub, split)
+    return prefix.tolist(), suffix.tolist()
+
+
 class RecordTable(Sequence[SampleRecord]):
     """Columnar :class:`SampleRecord`\\ s: one matrix per field.
 
@@ -233,8 +256,7 @@ class RecordTable(Sequence[SampleRecord]):
     (``best_cost``) and ``offload_efficiency`` -- are computed once, column
     by column, with the same left-to-right folds and tie-breaks as the
     scalar properties, so each entry equals the matching
-    :class:`SampleRecord` property bit for bit (``total_costs()`` likewise,
-    on demand).
+    :class:`SampleRecord` property bit for bit.
 
     The table is a ``Sequence[SampleRecord]``: indexing and iteration
     return real rows built by the :class:`SampleRecord` constructor (once,
@@ -315,13 +337,68 @@ class RecordTable(Sequence[SampleRecord]):
         costs = np.array([r.op_costs for r in rows], dtype=np.float64).reshape(len(rows), k)
         return cls([r.sample_id for r in rows], sizes, costs, rows=rows)
 
+    @classmethod
+    def covering(cls, records: Sequence[SampleRecord]) -> "RecordTable":
+        """:meth:`from_records`, checked to hold sample ids 0..n-1 in order --
+        the input every planner indexes its per-sample answers by."""
+        table = cls.from_records(records)
+        if not np.array_equal(table.sample_ids, np.arange(len(table))):
+            raise ValueError(
+                "records must be ordered by sample id covering 0..n-1 "
+                "(as produced by the stage-two profiler)"
+            )
+        return table
+
     @property
     def num_ops(self) -> int:
         return int(self.op_costs.shape[1])
 
-    def total_costs(self) -> List[float]:
-        """Each row's ``total_cost`` as Python numbers (int 0 for 0 ops)."""
-        return left_fold(self.op_costs)
+    def epoch_metrics(
+        self,
+        gpu_time_s: float,
+        overhead_bytes: int,
+        splits: Optional[Sequence[int]] = None,
+        scan_counts: Optional[Sequence[Optional[int]]] = None,
+    ) -> "EpochMetrics":
+        """The :class:`~repro.cluster.epoch_model.EpochMetrics` of running
+        row ``i`` to ``splits[i]`` (``None``: all 0, the No-Off baseline),
+        shipping ``scan_counts[i]`` scans where that is not None.  Each
+        total is a builtin sum, in sample order, over :func:`split_folds`.
+        """
+        from repro.cluster.epoch_model import EpochMetrics  # repro.cluster imports this module
+
+        n = len(self)
+        split_arr = np.zeros(n, dtype=np.int64) if splits is None else np.asarray(splits, dtype=np.int64)
+        wire = self.wire_bytes(split_arr, scan_counts)
+        prefix, suffix = split_folds(self.op_costs, split_arr)
+        return EpochMetrics(
+            gpu_time_s=gpu_time_s,
+            compute_cpu_s=float(sum(suffix)),
+            storage_cpu_s=float(sum(prefix)),
+            traffic_bytes=float(sum(wire) + overhead_bytes * n),
+        )
+
+    def wire_bytes(
+        self, splits: Sequence[int], scan_counts: Optional[Sequence[Optional[int]]] = None
+    ) -> List[int]:
+        """Each row's wire size at ``splits[i]``, or of its first
+        ``scan_counts[i]`` scans where that is not None."""
+        split_arr = np.asarray(splits, dtype=np.int64)
+        bad = np.flatnonzero((split_arr < 0) | (split_arr > self.num_ops))
+        if bad.shape[0]:
+            raise ValueError(f"bad split {int(split_arr[bad[0]])} for {self.num_ops}-op record")
+        wire: List[int] = self.stage_sizes[np.arange(len(self)), split_arr].tolist()
+        for row, count in enumerate(scan_counts or ()):
+            if count is None:
+                continue
+            record = self[row]
+            if not isinstance(record, ProgressiveSampleRecord):
+                raise ValueError(
+                    f"sample {record.sample_id}: plan truncates scans but the "
+                    "record is not progressive"
+                )
+            wire[row] = record.size_at_fidelity(count)
+        return wire
 
     @property
     def rows(self) -> List[SampleRecord]:

@@ -3,7 +3,7 @@
 import dataclasses
 from typing import Dict, Optional, Sequence
 
-from repro.cluster.epoch_model import EpochMetrics, EpochModel
+from repro.cluster.epoch_model import EpochModel
 from repro.cluster.spec import ClusterSpec
 from repro.core.decision import DecisionEngine
 from repro.core.policy import PolicyContext
@@ -85,15 +85,8 @@ class GreedyCoreScheduler:
             seed=job.seed,
         )
         if cores == 0:
-            records = context.records()
-            metrics = EpochMetrics(
-                gpu_time_s=context.epoch_gpu_time_s,
-                compute_cpu_s=sum(r.total_cost for r in records),
-                storage_cpu_s=0.0,
-                traffic_bytes=float(
-                    sum(r.raw_size for r in records)
-                    + spec.response_overhead_bytes * len(records)
-                ),
+            metrics = context.records().epoch_metrics(
+                context.epoch_gpu_time_s, spec.response_overhead_bytes
             )
             time_s = EpochModel(spec).epoch_time_s(metrics)
         else:

@@ -28,8 +28,11 @@ class PlanTask:
 
     deadline_at: absolute time (service clock) after which nobody is
         waiting; workers drop expired tasks without planning.
-    abandoned: set by the handler when it stops waiting (its client's
-        deadline passed); the worker then skips the task entirely.
+    abandoned: set by :meth:`abandon` when the handler stops waiting (its
+        client's deadline passed); the worker then skips the task, or
+        rolls back its ledger commitment if it had already made one.
+    claimed: set by :meth:`claim` when the worker is about to journal a
+        grant; the handler then waits for that answer instead of a 504.
     """
 
     request: Dict[str, object]
@@ -41,9 +44,25 @@ class PlanTask:
     retry_after_s: Optional[float] = None
     outcome: str = "pending"
     abandoned: bool = False
+    claimed: bool = False
     #: Trace id from the request's ``X-Sophon-Trace`` header (if any);
     #: the queue brackets this task's wait with ``service.queue_wait``.
     trace_id: Optional[str] = None
+    _lock: threading.Lock = dataclasses.field(default_factory=threading.Lock, repr=False)
+
+    def claim(self) -> bool:
+        """Worker side: take the task for granting, unless it was abandoned."""
+        with self._lock:
+            if not self.abandoned:
+                self.claimed = True
+            return self.claimed
+
+    def abandon(self) -> bool:
+        """Handler side: give up on the task, unless a worker has claimed it."""
+        with self._lock:
+            if not self.claimed:
+                self.abandoned = True
+            return self.abandoned
 
     def finish(
         self,

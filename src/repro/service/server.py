@@ -8,11 +8,15 @@ Request path for ``POST /v1/plan``::
     submit to bounded queue  ----->    take
       (full -> shed 503)               deadline still live?
     wait on task event                 admission vs core budget
-      (deadline -> 504,                  (oversubscribed -> 503)
-       mark abandoned)                 plan (decision engine)
+      (deadline -> 504 unless            (oversubscribed -> 503)
+       claimed; mark abandoned)        plan (decision engine)
+                                       claim (abandoned -> roll back),
                                        journal grant, then
     respond task.status    <-----      finish task
 
+A 504 means "not granted": the handler abandons and the worker claims
+under the task's lock, so either the worker rolls its ledger commitment
+back or the handler waits for the grant it journalled.
 The grant is journalled *before* the response is sent, so a crash at any
 point leaves the journal a prefix of the uninterrupted run's journal --
 the invariant the crash-recovery byte-identity gate checks.  Shutdown
@@ -366,13 +370,16 @@ class DecisionService:
         try:
             result = self.planner.plan(spec, trace=trace)
         except ValueError as exc:
-            # Roll the commitment back to what it was before this request.
-            if decision.previous_cores > 0:
-                self.ledger.commit(spec.job, decision.previous_cores)
-            else:
-                self.ledger.release(spec.job)
+            self._roll_back(spec.job, decision.previous_cores)
             self._admission("bad_request")
             task.finish(400, {"error": str(exc)}, outcome="bad_request")
+            return
+        if not task.claim():
+            # The handler already answered 504: nothing may be granted.
+            self._roll_back(spec.job, decision.previous_cores)
+            self._admission("abandoned")
+            if trace is not None:
+                self.flight.instant(trace, "service.abandoned")
             return
         with self._state_lock:
             grant = GrantRecord(
@@ -400,6 +407,13 @@ class DecisionService:
             ),
             outcome="granted",
         )
+
+    def _roll_back(self, job: str, previous_cores: int) -> None:
+        """Restore a job's commitment to what it was before this request."""
+        if previous_cores > 0:
+            self.ledger.commit(job, previous_cores)
+        else:
+            self.ledger.release(job)
 
     def _grant_body(
         self,
@@ -479,13 +493,13 @@ class DecisionService:
         timeout = (
             deadline_s + _DEADLINE_GRACE_S if deadline_s is not None else None
         )
-        if not task.done.wait(timeout=timeout):
-            task.abandoned = True
+        if not task.done.wait(timeout=timeout) and task.abandon():
             return (
                 504,
                 {"error": f"no plan within the {deadline_s}s deadline"},
                 None,
             )
+        task.done.wait()  # claimed: the worker is journalling the grant
         return (task.status, task.body, task.retry_after_s)
 
     def release_job(

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster.spec import standard_cluster
 from repro.core.decision import DecisionEngine
-from repro.core.fidelity import FidelityConfig, FidelityPlanner, plan_with_fidelity
+from repro.core.fidelity import FidelityConfig, FidelityPlanner
 from repro.core.plan import OffloadPlan
 from repro.core.serialize import (
     plan_from_json,
@@ -55,28 +55,11 @@ def records():
 
 
 class TestByteIdentityGate:
-    """Disabled (or inapplicable) fidelity must change nothing, bytewise."""
-
-    def test_disabled_returns_the_engine_plan_object(self, records, tight_spec):
-        engine = DecisionEngine()
-        planner = FidelityPlanner(engine, FidelityConfig(enabled=False))
-        base = engine.plan(records, tight_spec, gpu_time_s=0.01)
-        plan = planner.plan(records, tight_spec, gpu_time_s=0.01)
-        assert plan_to_json(plan) == plan_to_json(base)
-        assert "scan_counts" not in json.loads(plan_to_json(plan))
-
-    def test_disabled_audit_is_identical(self, records, tight_spec):
-        base_audit, fid_audit = AuditLog(), AuditLog()
-        DecisionEngine().plan(records, tight_spec, gpu_time_s=0.01, audit=base_audit)
-        FidelityPlanner(config=FidelityConfig(enabled=False)).plan(
-            records, tight_spec, gpu_time_s=0.01, audit=fid_audit
-        )
-        assert fid_audit.to_dicts() == base_audit.to_dicts()
-        assert all("chosen_scans" not in d for d in fid_audit.to_dicts())
+    """Inapplicable fidelity must change nothing, bytewise."""
 
     def test_plain_records_pass_through_unchanged(self, tight_spec):
-        # Enabled planner, but nothing progressive to degrade: the engine's
-        # plan comes back as the same object.
+        # Nothing progressive to degrade: the engine's plan comes back as
+        # the same object.
         plain = [plain_record(i, CROP // 2) for i in range(4)]
         planner = FidelityPlanner()
         plan = planner.plan(plain, tight_spec, gpu_time_s=0.01)
@@ -155,11 +138,6 @@ class TestFidelityPass:
             assert entry.fidelity_psnr_db == pytest.approx(33.0)
             assert "was " in entry.reason
         assert "fidelity" in audit.explain(degraded_ids[0])
-
-    def test_convenience_wrapper_matches_planner(self, records, tight_spec):
-        direct = FidelityPlanner().plan(records, tight_spec, gpu_time_s=0.01)
-        wrapped = plan_with_fidelity(records, tight_spec, 0.01)
-        assert plan_to_json(wrapped) == plan_to_json(direct)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,12 @@ edge-shaped stage sizes) and generated ``ClusterSpec``\\ s.  Each must
 return a plan without raising; a plan built with the never-worsen guard
 must not be worse than the no-offload baseline; and the traffic the
 plan's ``expected`` estimate believes in must equal the traffic re-summed
-from its splits, scan counts and compression savings.
+from its splits, scan counts and compression savings.  Records that do not
+cover sample ids 0..n-1 are rejected with the same ``ValueError`` by all
+four planners.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +20,7 @@ from repro.cluster.spec import standard_cluster
 from repro.compression import JointPlanner, SelectiveCompressor
 from repro.core.decision import DecisionEngine
 from repro.core.fidelity import FidelityConfig, FidelityPlanner
+from repro.core.plan import OffloadPlan
 from repro.preprocessing.pipeline import standard_pipeline
 from repro.preprocessing.records import ProgressiveSampleRecord, SampleRecord
 
@@ -79,11 +83,7 @@ def clusters(draw):
 
 
 GPU_TIMES = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
-FIDELITY = st.builds(
-    FidelityConfig,
-    enabled=st.booleans(),
-    min_psnr_db=st.floats(0.0, 50.0),
-)
+FIDELITY = st.builds(FidelityConfig, min_psnr_db=st.floats(0.0, 50.0))
 
 
 def baseline_epoch_s(records, spec, gpu_time_s):
@@ -150,3 +150,23 @@ def test_joint_planner(records, spec, gpu_time_s):
         - plan.compression.total_saved_bytes
     )
     assert_believed_traffic(plan.offload.expected, resummed, spec)
+
+
+#: Each planner, called on records whose sample ids are 3 and 4.
+PLANNERS = {
+    "engine": lambda records, spec: DecisionEngine().plan(records, spec, 0.01),
+    "fidelity": lambda records, spec: FidelityPlanner().plan(records, spec, 0.01),
+    "selective": lambda records, spec: SelectiveCompressor().plan(
+        records, OffloadPlan.no_offload(len(records)), PIPELINE, spec, 0.01
+    ),
+    "joint": lambda records, spec: JointPlanner().plan(records, PIPELINE, spec, 0.01),
+}
+
+
+@pytest.mark.parametrize("planner", sorted(PLANNERS))
+def test_records_not_covering_ids_from_zero_are_rejected(planner):
+    sizes = (600_000, 2_400_000, CROP, CROP, CROP * 4, CROP * 4)
+    costs = (0.008, 0.002, 0.0001, 0.0005, 0.0008)
+    records = [SampleRecord(sample_id, sizes, costs) for sample_id in (3, 4)]
+    with pytest.raises(ValueError, match="ordered by sample id covering 0..n-1"):
+        PLANNERS[planner](records, standard_cluster())

@@ -16,7 +16,7 @@ from repro.parallel import build_records
 from repro.preprocessing.ops import RandomHorizontalFlip, RandomResizedCrop, ToTensor
 from repro.preprocessing.payload import BatchMeta, StageMeta
 from repro.preprocessing.pipeline import Pipeline, standard_pipeline
-from repro.preprocessing.records import RecordTable, SampleRecord, build_record
+from repro.preprocessing.records import RecordTable, SampleRecord, build_record, split_folds
 
 
 class MixedKindDataset(Dataset):
@@ -47,7 +47,10 @@ def assert_columns_match_rows(table):
         assert table.best_cost[row] == record.prefix_cost(record.min_stage)
         assert table.offload_efficiency[row] == record.offload_efficiency
         assert table.raw_size[row] == record.raw_size
-    assert table.total_costs() == [record.total_cost for record in table]
+    for split in range(table.num_ops + 1):
+        prefix, suffix = split_folds(table.op_costs, np.full(len(table), split))
+        assert prefix == [record.prefix_cost(split) for record in table]
+        assert suffix == [record.suffix_cost(split) for record in table]
 
 
 @pytest.mark.parametrize(
@@ -81,7 +84,8 @@ def test_empty_prefix_stays_int_zero():
         assert json.dumps(record.prefix_cost(0)) == "0"
         assert type(record.suffix_cost(record.num_ops)) is int
     no_ops = RecordTable([0, 1], np.array([[5], [7]]), np.zeros((2, 0)))
-    assert no_ops.total_costs() == [0, 0] and all(type(t) is int for t in no_ops.total_costs())
+    prefix, suffix = split_folds(no_ops.op_costs, np.zeros(2, dtype=np.int64))
+    assert prefix + suffix == [0] * 4 and all(type(t) is int for t in prefix + suffix)
 
 
 def test_from_records_keeps_the_original_rows():
@@ -138,3 +142,23 @@ def test_trace_dataset_batch_meta_equals_per_sample_metas():
     assert [batch.lane(i) for i in range(len(ids))] == [dataset.raw_meta(i) for i in ids]
     with pytest.raises(IndexError, match=r"sample id 50 out of range"):
         dataset.raw_metas([3, 50, -1])
+
+
+def test_epoch_metrics_are_the_scalar_sums():
+    """Totals equal builtin sums of the rows' cached folds, in sample order."""
+    table = build_records(standard_pipeline(), make_openimages(num_samples=200, seed=3), seed=3)
+    splits = [(7 * i) % (table.num_ops + 1) for i in range(len(table))]
+    metrics = table.epoch_metrics(1.5, 64, splits)
+    assert metrics.gpu_time_s == 1.5
+    assert metrics.compute_cpu_s == sum(r.suffix_cost(s) for r, s in zip(table, splits))
+    assert metrics.storage_cpu_s == sum(r.prefix_cost(s) for r, s in zip(table, splits))
+    assert metrics.traffic_bytes == sum(r.size_at(s) + 64 for r, s in zip(table, splits))
+    with pytest.raises(ValueError, match="bad split 9"):
+        table.epoch_metrics(0.0, 0, [9] * len(table))
+
+
+def test_covering_rejects_ids_not_from_zero():
+    records = [SampleRecord(i, (10, 5), (0.1,)) for i in (1, 0)]
+    with pytest.raises(ValueError, match="ordered by sample id covering 0..n-1"):
+        RecordTable.covering(records)
+    assert len(RecordTable.covering(records[::-1])) == 2

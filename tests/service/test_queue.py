@@ -77,3 +77,17 @@ class TestDrainPending:
         q.submit(task())
         q.drain_pending()
         q.join()  # must not hang: drain_pending marked the task done
+
+
+class TestClaimAndAbandon:
+    def test_claimed_task_cannot_be_abandoned(self):
+        t = task()
+        assert t.claim()
+        assert not t.abandon()
+        assert t.claimed and not t.abandoned
+
+    def test_abandoned_task_cannot_be_claimed(self):
+        t = task()
+        assert t.abandon()
+        assert not t.claim()
+        assert t.abandoned and not t.claimed

@@ -139,6 +139,26 @@ class TestBackpressure:
         assert status == 504
         assert "deadline" in str(body["error"])
 
+    def test_504_is_not_granted(self, tmp_path, service_factory):
+        # The worker starts planning inside the deadline and finishes well
+        # after the handler gave up; its commitment must not survive.
+        journal = str(tmp_path / "journal.jsonl")
+        service = service_factory(
+            ServiceConfig(total_storage_cores=16, journal_path=journal),
+            disturbance=lambda index: 0.6,
+        )
+        with open(journal, "rb") as handle:
+            before = handle.read()
+        status, _, _ = service.submit_plan(
+            {"job": "j1", "num_samples": SMALL_SAMPLES, "storage_cores": 4},
+            deadline_s=0.05,
+        )
+        assert status == 504
+        service.queue.join()  # the worker has finished with the task
+        assert service.ledger.committed() == {}
+        with open(journal, "rb") as handle:
+            assert handle.read() == before
+
     def test_worker_drops_tasks_that_expired_while_queued(self, service_factory):
         service = service_factory(
             ServiceConfig(total_storage_cores=48, workers=1, queue_capacity=4),
