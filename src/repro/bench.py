@@ -73,6 +73,7 @@ DEFAULT_SCALES = (400, 4000, 32000)
 LAYERS: Dict[str, Tuple[str, str]] = {
     "parallel.build_records": ("sequential", "vectorized"),
     "core.plan": ("list", "table"),
+    "cluster.epoch_work": ("reference", "fast"),
     "cluster.run_epoch": ("reference", "fast"),
 }
 
@@ -128,6 +129,13 @@ def span_fingerprint(stats: Any) -> List[str]:
     return [repr(event) for event in stats.spans.events]
 
 
+def heap_pushes(trainer: TrainerSim, splits: Sequence[int], kernel: str) -> int:
+    """Heap pushes of one epoch: its environment's sequence counter once
+    the run has drained."""
+    _, env = trainer._simulate(splits, epoch=1, kernel=kernel)
+    return next(env._counter)
+
+
 def _make_trainer(dataset: Dataset, seed: int) -> Tuple[TrainerSim, List[int]]:
     """A trainer over ``dataset`` plus splits of every depth (``i % 6``),
     so the engine's prefix/suffix, chunking and offload branches all see
@@ -175,6 +183,11 @@ def bench_scale(
     def plan(path: str) -> OffloadPlan:
         return engine.plan(plan_inputs[path], trainer.spec, gpu_time_s)
 
+    def epoch_work(path: str) -> object:
+        if path == "reference":
+            return trainer._reference_epoch_work(splits, epoch=1)
+        return trainer._epoch_work(splits, epoch=1)
+
     def simulate(path: str, faults: Optional[FaultSchedule] = None) -> EpochStats:
         return trainer.run_epoch(splits, epoch=1, faults=faults, kernel=path)
 
@@ -203,6 +216,7 @@ def bench_scale(
     runs: Dict[str, Callable[[str], object]] = {
         "parallel.build_records": build,
         "core.plan": plan,
+        "cluster.epoch_work": epoch_work,
         "cluster.run_epoch": simulate,
     }
     layers: Dict[str, object] = {}
@@ -221,6 +235,14 @@ def bench_scale(
             measured = {path: allocation_stats(functools.partial(run, path)) for path in paths}
             row["peak_bytes"] = {path: peak for path, (peak, _) in measured.items()}
             row["live_blocks"] = {path: live for path, (_, live) in measured.items()}
+        if layer == "cluster.run_epoch":
+            pushes = {path: heap_pushes(trainer, splits, path) for path in paths}
+            row["heap_pushes_per_sample"] = {
+                path: count / num_samples for path, count in pushes.items()
+            }
+            row["us_per_push"] = {
+                path: seconds[path] / count * 1e6 for path, count in pushes.items()
+            }
         layers[layer] = row
 
     return {

@@ -3,7 +3,8 @@
 :func:`launch_training_job` runs every ``run_epoch`` except
 ``kernel="reference"``, faults, spans and timeline included.  Each
 sample, batch and GPU consumer is a ``__slots__`` cursor whose bound
-``step`` method is the event callback, dispatching on a state integer.
+``step`` method is the heap callback, dispatching on a state integer;
+each cursor is also the holder of every resource grant it waits on.
 
 **The mirror contract.**  The cursors replay the seed launcher
 (:func:`repro.cluster.refsim.launch_training_processes`) push for push:
@@ -18,22 +19,26 @@ the contract ``repro.bench`` and the identity tests gate.
 =============================  ============================================
 generator path                 cursor mirror
 =============================  ============================================
-``env.process(...)``           start slot pushed at construction
+``env.process(...)``           start entry pushed at construction
 wait on ``timeout(d)``         ``env._call_at(env.now + d, step)``
-wait on a ``grant``            ``grant.callbacks.append(step)``
-process end event              batch-countdown slot (``_BatchRun.child_end``)
-all-of join fires              all-done slot (``_BatchRun.all_done``)
-``batch_ready`` wait           same event; relay slot when already processed
+wait on a ``grant``            ``resource.request(cursor, step)``; the
+                               grant pushes ``step`` at the ``(time,
+                               sequence)`` of the seed's grant event
+process end event              batch-countdown entry (``_BatchRun.child_end``)
+all-of join fires              all-done entry (``_BatchRun.all_done``)
+``batch_ready`` wait           same event; relay entry when already processed
 process end (unused)           dropped (the pop had no side effects)
-``crash_watch`` process        ``_CrashWatch``: start slot, then window slot
+``crash_watch`` process        ``_CrashWatch``: start entry, then window entry
 ``prefix_proc`` sub-process    ``_PrefixRun`` (faulted runs only): own start
-                               slot, end slot resumes the sample
-``proc.interrupt()``           unhook the pending wake (grant callback or
-                               neutered slot), push a throw-in slot
+                               entry, end entry resumes the sample
+``proc.interrupt()``           mark the prefix thrown (its pending wake,
+                               grant or timeout, fires as a no-op), push a
+                               throw-in entry
 ``except Interrupt``           throw-in: ``release`` if the grant is held
                                by then, else ``cancel``
 storage down at arrival        refusal: failure noted, sample demoted
-demotion                       ``fallback_work`` swaps in split-0 work
+demotion                       ``fallback_work``'s split-0 scalars
+                               overwrite the sample's work
 brownout in ``transmit``       chunk time ``chunk / (bandwidth * factor)``
 corrupted payload              full re-send, capped at ``_MAX_PAYLOAD_SENDS``
 ``tracer.*`` / ``timeline.*``  same call, same transition, same order
@@ -56,7 +61,7 @@ from repro.telemetry.spans import Tracer, trace_id
 from repro.workloads.models import ModelProfile
 
 if TYPE_CHECKING:  # pragma: no cover -- trainer imports this module
-    from repro.cluster.trainer import JobHandles, SampleWork
+    from repro.cluster.trainer import EpochWork, JobHandles, SampleWork
 
 __all__ = ["launch_training_job"]
 
@@ -66,17 +71,19 @@ _MAX_PAYLOAD_SENDS = 25
 
 
 class _Job:
-    """Shared per-job state every cursor reads (spec scalars pre-bound)."""
+    """Shared per-job state every cursor reads (spec scalars and the work
+    columns pre-bound)."""
 
     __slots__ = (
-        "env", "handles", "work", "batches", "model", "traffic", "batch_ready",
+        "env", "handles", "link", "compute_cpu", "splits", "wire_bytes", "prefix_cpu_s",
+        "suffix_cpu_s", "batches", "model", "traffic", "batch_ready",
         "rtt", "rtt_half", "storage_cpu_factor", "compute_cpu_factor", "bandwidth",
         "link_chunk", "overhead", "flow_key", "timeline", "tracer", "epoch",
         "faults", "report", "fallback_work", "active_offloads", "messages",
     )
 
     def __init__(
-        self, env: Environment, spec: ClusterSpec, work: Dict[int, "SampleWork"],
+        self, env: Environment, spec: ClusterSpec, work: "EpochWork",
         batches: List[List[int]], model: ModelProfile, handles: "JobHandles",
         timeline: Optional[Timeline], faults: Optional[FaultSchedule], report: FaultReport,
         fallback_work: Optional[Callable[[int], "SampleWork"]], tracer: Optional[Tracer],
@@ -84,7 +91,12 @@ class _Job:
     ) -> None:
         self.env = env
         self.handles = handles
-        self.work = work
+        self.link = handles.link
+        self.compute_cpu = handles.compute_cpu
+        self.splits = work.split
+        self.wire_bytes = work.wire_bytes
+        self.prefix_cpu_s = work.prefix_cpu_s
+        self.suffix_cpu_s = work.suffix_cpu_s
         self.batches = batches
         self.model = model
         self.traffic: Dict[str, Any] = {"bytes": 0, "done": 0}
@@ -115,7 +127,7 @@ class _Job:
 
 
 # _SampleRun states (the wait points of the seed's per-sample process):
-_S_START = 0         # process start slot fired
+_S_START = 0         # process start entry fired
 _S_ARRIVED = 1       # half-RTT request latency elapsed
 _S_PREFIX_GRANT = 2  # storage core granted (inline prefix, fault-free)
 _S_PREFIX_DONE = 3   # offloaded prefix finished (inline prefix, fault-free)
@@ -130,29 +142,35 @@ _S_SUFFIX_DONE = 9   # local suffix finished
 class _SampleRun:
     """One sample's fetch, mirroring the seed's per-sample process.
 
-    Without faults the prefix runs inline (the seed's fault-free process
-    has no sub-process); with faults it runs as a :class:`_PrefixRun`.
+    The sample's four work scalars are copied from the job's columns at
+    launch; a demotion overwrites them with the split-0 fallback.  The
+    cursor itself is the holder of every grant it waits on.  Without
+    faults the prefix runs inline (the seed's fault-free process has no
+    sub-process); with faults it runs as a :class:`_PrefixRun`.
     """
 
-    __slots__ = ("job", "item", "batch", "step", "state", "grant", "pool",
-                 "remaining", "payload", "sends", "trace")
+    __slots__ = ("job", "sample_id", "split", "wire_bytes", "prefix_cpu_s", "suffix_cpu_s",
+                 "batch", "step", "state", "pool", "remaining", "payload", "sends", "trace")
 
-    def __init__(self, job: _Job, item: "SampleWork", batch: "_BatchRun") -> None:
+    def __init__(self, job: _Job, sample_id: int, batch: "_BatchRun") -> None:
         self.job = job
-        self.item = item
+        self.sample_id = sample_id
+        self.split = job.splits[sample_id]
+        self.wire_bytes = job.wire_bytes[sample_id]
+        self.prefix_cpu_s = job.prefix_cpu_s[sample_id]
+        self.suffix_cpu_s = job.suffix_cpu_s[sample_id]
         self.batch = batch
         self.step = self._step  # one reusable bound method for every wait
         self.state = _S_START
-        self.grant: Optional[Event] = None
         self.pool: Optional[Resource] = None
         self.remaining = 0
         self.payload = 0
         self.sends = 0
-        self.trace = trace_id(item.sample_id, job.epoch) if job.tracer is not None else ""
+        self.trace = trace_id(sample_id, job.epoch) if job.tracer is not None else ""
         env = job.env
         env._call_at(env.now, self.step)
 
-    def _step(self, event: Any) -> None:
+    def _step(self, value: Any) -> None:
         job = self.job
         env = job.env
         tracer = job.tracer
@@ -171,16 +189,15 @@ class _SampleRun:
                     job.report.brownout_chunks += 1
                 env._call_at(env.now + chunk / (job.bandwidth * factor), self.step)
         elif state == _S_CHUNK_DONE:
-            link = job.handles.link
-            link.release(self.grant)
+            link = job.link
+            link.release(self)
             chunk = self.remaining
             if chunk > job.link_chunk:
                 chunk = job.link_chunk
             self.remaining -= chunk
             if self.remaining > 0:
                 self.state = _S_CHUNK_GRANT
-                self.grant = link.acquire(job.flow_key, front=True)
-                self.grant.callbacks.append(self.step)
+                link.request(self, self.step, job.flow_key, True)
             else:
                 job.traffic["bytes"] += self.payload
                 if job.faults is not None and self._corrupted():
@@ -192,16 +209,14 @@ class _SampleRun:
                 env._call_at(env.now + job.half_rtt(), self.step)
         elif state == _S_START:
             if tracer is not None:
-                item = self.item
                 tracer.begin(
-                    self.trace, "sample.fetch", split=item.split, wire_bytes=item.wire_bytes,
-                    **job.handles.span_attrs(item.sample_id),
+                    self.trace, "sample.fetch", split=self.split, wire_bytes=self.wire_bytes,
+                    **job.handles.span_attrs(self.sample_id),
                 )
             self.state = _S_ARRIVED
             env._call_at(env.now + job.half_rtt(), self.step)
         elif state == _S_ARRIVED:
-            item = self.item
-            if item.split == 0:
+            if self.split == 0:
                 self._start_transmit()
             elif job.faults is not None and job.faults.storage_down(env.now):
                 # Fetch refused outright: the node is down right now.
@@ -213,32 +228,31 @@ class _SampleRun:
             else:
                 if tracer is not None:
                     tracer.begin(
-                        self.trace, "storage.prefix", split=item.split,
-                        **job.handles.span_attrs(item.sample_id),
+                        self.trace, "storage.prefix", split=self.split,
+                        **job.handles.span_attrs(self.sample_id),
                     )
                 if job.faults is not None:
                     # A crash window may interrupt it: run it as a sub-process.
                     job.report.offload_attempts += 1
-                    job.active_offloads[_PrefixRun(self)] = item.sample_id
+                    job.active_offloads[_PrefixRun(self)] = self.sample_id
                     self.state = _S_PREFIX_ENDED
                     return
-                pool = job.handles.storage_pool(item.sample_id)
+                pool = job.handles.storage_pool(self.sample_id)
                 assert pool is not None  # split > 0 implies an offload-capable spec
                 self.pool = pool
                 self.state = _S_PREFIX_GRANT
-                self.grant = pool.acquire()
-                self.grant.callbacks.append(self.step)
+                pool.request(self, self.step)
         elif state == _S_PREFIX_GRANT:
             self.state = _S_PREFIX_DONE
-            env._call_at(env.now + self.item.prefix_cpu_s * job.storage_cpu_factor, self.step)
+            env._call_at(env.now + self.prefix_cpu_s * job.storage_cpu_factor, self.step)
         elif state == _S_PREFIX_DONE:
             assert self.pool is not None
-            self.pool.release(self.grant)
+            self.pool.release(self)
             if tracer is not None:
-                tracer.end(self.trace, "storage.prefix", cpu_s=self.item.prefix_cpu_s)
+                tracer.end(self.trace, "storage.prefix", cpu_s=self.prefix_cpu_s)
             self._start_transmit()
         elif state == _S_PREFIX_ENDED:
-            prefix = event.value
+            prefix = value
             job.active_offloads.pop(prefix, None)
             if tracer is not None:
                 outcome = "ok" if prefix.ok else "interrupted"
@@ -248,44 +262,46 @@ class _SampleRun:
                 recovering = report.first_failure_s is not None and report.recovered_at_s is None
                 report.note_success(env.now)
                 if recovering and job.timeline is not None:
-                    job.timeline.record_fault(env.now, "recovery", self.item.sample_id)
+                    job.timeline.record_fault(env.now, "recovery", self.sample_id)
             else:
                 report.note_failure(env.now)
                 self._demote()
             self._start_transmit()
         elif state == _S_RESPONDED:
-            if self.item.suffix_cpu_s > 0:
+            if self.suffix_cpu_s > 0:
                 if tracer is not None:
                     tracer.begin(self.trace, "compute.suffix")
                 self.state = _S_SUFFIX_GRANT
-                self.grant = job.handles.compute_cpu.acquire()
-                self.grant.callbacks.append(self.step)
+                job.compute_cpu.request(self, self.step)
             else:
                 self._finish()
         elif state == _S_SUFFIX_GRANT:
             self.state = _S_SUFFIX_DONE
-            env._call_at(env.now + self.item.suffix_cpu_s * job.compute_cpu_factor, self.step)
+            env._call_at(env.now + self.suffix_cpu_s * job.compute_cpu_factor, self.step)
         else:  # _S_SUFFIX_DONE
-            job.handles.compute_cpu.release(self.grant)
+            job.compute_cpu.release(self)
             if tracer is not None:
-                tracer.end(self.trace, "compute.suffix", cpu_s=self.item.suffix_cpu_s)
+                tracer.end(self.trace, "compute.suffix", cpu_s=self.suffix_cpu_s)
             self._finish()
 
     def _demote(self) -> None:
         """Degrade to No-Off: raw fetch + local preprocessing, never lost."""
         job = self.job
-        item = self.item
         job.report.demoted_samples += 1
         if job.timeline is not None:
-            job.timeline.record_fault(job.env.now, "demotion", item.sample_id)
+            job.timeline.record_fault(job.env.now, "demotion", self.sample_id)
         if job.tracer is not None:
-            job.tracer.instant(self.trace, "fault.demote", planned_split=item.split)
+            job.tracer.instant(self.trace, "fault.demote", planned_split=self.split)
         assert job.fallback_work is not None
-        self.item = job.fallback_work(item.sample_id)
+        fallback = job.fallback_work(self.sample_id)
+        self.split = fallback.split
+        self.wire_bytes = fallback.wire_bytes
+        self.prefix_cpu_s = fallback.prefix_cpu_s
+        self.suffix_cpu_s = fallback.suffix_cpu_s
 
     def _start_transmit(self) -> None:
         job = self.job
-        self.payload = self.item.wire_bytes + job.overhead
+        self.payload = self.wire_bytes + job.overhead
         if job.tracer is not None:
             job.tracer.begin(self.trace, "link.transmit", payload_bytes=self.payload)
         self._send()
@@ -295,8 +311,7 @@ class _SampleRun:
         job = self.job
         self.remaining = self.payload
         self.state = _S_CHUNK_GRANT
-        self.grant = job.handles.link.acquire(job.flow_key, front=False)
-        self.grant.callbacks.append(self.step)
+        job.link.request(self, self.step, job.flow_key)
 
     def _corrupted(self) -> bool:
         """Draw this send's corruption coin; True when the payload goes again.
@@ -314,7 +329,7 @@ class _SampleRun:
         if self.sends < _MAX_PAYLOAD_SENDS:
             job.report.corrupt_retries += 1
         if job.timeline is not None:
-            job.timeline.record_fault(job.env.now, "corruption", self.item.sample_id)
+            job.timeline.record_fault(job.env.now, "corruption", self.sample_id)
         if job.tracer is not None:
             job.tracer.instant(self.trace, "fault.corruption", send=send)
         return self.sends < _MAX_PAYLOAD_SENDS
@@ -327,76 +342,69 @@ class _SampleRun:
 
 
 # _PrefixRun states (the wait points of the seed's ``prefix_proc``):
-_P_START = 0   # start slot pending
+_P_START = 0   # start entry pending
 _P_GRANT = 1   # waiting for a storage core
 _P_RUN = 2     # holding the core for the prefix's CPU time
-_P_THROWN = 3  # interrupted; throw-in slot pending
+_P_THROWN = 3  # interrupted; throw-in entry pending
 
 
 class _PrefixRun:
     """An offloaded prefix under fault injection (the seed's ``prefix_proc``).
 
-    A sub-process of its sample -- start slot at construction, end slot
+    A sub-process of its sample -- start entry at construction, end entry
     resuming the sample with this cursor as the value -- so a crash window
     can interrupt it wherever it waits.  ``ok`` is False if interrupted.
     """
 
-    __slots__ = ("sample", "step", "state", "pool", "grant", "wake", "ok", "triggered")
+    __slots__ = ("sample", "step", "state", "pool", "ok", "triggered")
 
     def __init__(self, sample: _SampleRun) -> None:
         self.sample = sample
         self.step = self._step
         self.state = _P_START
         self.pool: Optional[Resource] = None
-        self.grant: Optional[Event] = None
         self.ok = False
-        self.triggered = False  # end slot pushed: crash watches skip it
+        self.triggered = False  # end entry pushed: crash watches skip it
         env = sample.job.env
-        self.wake = env._call_at(env.now, self.step)  # the pending slot, if any
+        env._call_at(env.now, self.step)
 
-    def _step(self, event: Any) -> None:
+    def _step(self, _value: Any) -> None:
         sample = self.sample
         job = sample.job
         env = job.env
-        if self.state == _P_START:
-            self.pool = pool = job.handles.storage_pool(sample.item.sample_id)
+        state = self.state
+        if state == _P_START:
+            self.pool = pool = job.handles.storage_pool(sample.sample_id)
             assert pool is not None  # split > 0 implies an offload-capable spec
             self.state = _P_GRANT
-            self.grant = pool.acquire()
-            self.grant.callbacks.append(self.step)
-        elif self.state == _P_GRANT:
+            pool.request(self, self.step)
+        elif state == _P_GRANT:
             assert job.faults is not None
             self.state = _P_RUN
-            cpu_s = sample.item.prefix_cpu_s * job.storage_cpu_factor
-            self.wake = env._call_at(
-                env.now + cpu_s * job.faults.storage_cpu_factor(env.now), self.step
-            )
-        else:  # _P_RUN
+            cpu_s = sample.prefix_cpu_s * job.storage_cpu_factor
+            env._call_at(env.now + cpu_s * job.faults.storage_cpu_factor(env.now), self.step)
+        elif state == _P_RUN:
             assert self.pool is not None
-            self.pool.release(self.grant)
+            self.pool.release(self)
             self.ok = True
             self._end()
+        # _P_THROWN: the wake abandoned by the interrupt fires into the void.
 
     def interrupt(self) -> None:
         """Abandon the pending wait and deliver the crash through the queue."""
-        if self.state == _P_GRANT:
-            assert self.grant is not None
-            self.grant.callbacks.remove(self.step)
-        else:  # _P_START / _P_RUN: the pending slot fires into the void
-            self.wake.fn = None
         self.state = _P_THROWN
         env = self.sample.job.env
         env._call_at(env.now, self._throw_in)
 
-    def _throw_in(self, event: Any) -> None:
-        # Never started: nothing acquired.  Otherwise the grant may have
+    def _throw_in(self, _value: Any) -> None:
+        # Never started: nothing requested.  Otherwise the grant may have
         # landed since the interrupt, so check before choosing.
-        pool, grant = self.pool, self.grant
-        if pool is not None and grant is not None:
-            if pool.holds(grant):
-                pool.release(grant)
+        pool = self.pool
+        if pool is not None:
+            if pool.holds(self):
+                pool.release(self)
             else:
-                pool.cancel(grant)
+                pool.cancel(self)
         self._end()
 
     def _end(self) -> None:
@@ -415,11 +423,11 @@ class _CrashWatch:
         self.start = start
         job.env._call_at(job.env.now, self.arm)
 
-    def arm(self, event: Any) -> None:
+    def arm(self, _value: Any) -> None:
         env = self.job.env
         env._call_at(env.now + self.start, self.fire)
 
-    def fire(self, event: Any) -> None:
+    def fire(self, _value: Any) -> None:
         job = self.job
         for prefix, sample_id in list(job.active_offloads.items()):
             if prefix.triggered or prefix.state == _P_THROWN:
@@ -433,51 +441,50 @@ class _CrashWatch:
 
 
 class _BatchRun:
-    """One batch's prefetch-token wait and child join (``batch_proc``)."""
+    """One batch's prefetch-token wait and child join (``batch_proc``).
 
-    __slots__ = ("job", "index", "ids", "token", "pending")
+    The cursor holds its prefetch token; ``batch_ready`` carries it to the
+    GPU consumer, which releases it."""
+
+    __slots__ = ("job", "index", "ids", "pending")
 
     def __init__(self, job: _Job, index: int, ids: List[int]) -> None:
         self.job = job
         self.index = index
         self.ids = ids
-        self.token: Optional[Event] = None
         self.pending = 0
         job.env._call_at(job.env.now, self.start)
 
-    def start(self, event: Any) -> None:
+    def start(self, _value: Any) -> None:
         # First resume: claim a prefetch-window token, wait for it.
-        token = self.job.handles.prefetch.acquire()
-        self.token = token
-        token.callbacks.append(self.granted)
+        self.job.handles.prefetch.request(self, self.granted)
 
-    def granted(self, event: Any) -> None:
+    def granted(self, _value: Any) -> None:
         # Token granted: launch every sample, join them via countdown
-        # (one child_end slot per sample plays the child's process-end
+        # (one child_end entry per sample plays the child's process-end
         # event; the final one stands in for the all-of join).
         job = self.job
-        work = job.work
         self.pending = len(self.ids)
         for sample_id in self.ids:
-            _SampleRun(job, work[sample_id], self)
+            _SampleRun(job, sample_id, self)
         if not self.ids:
             job.env._call_at(job.env.now, self.all_done)
 
-    def child_end(self, event: Any) -> None:
+    def child_end(self, _value: Any) -> None:
         self.pending -= 1
         if self.pending == 0:
             env = self.job.env
             env._call_at(env.now, self.all_done)
 
-    def all_done(self, event: Any) -> None:
+    def all_done(self, _value: Any) -> None:
         job = self.job
         if job.timeline is not None:
             job.timeline.trace(self.index).ready_at = job.env.now
-        job.batch_ready[self.index].trigger(self.token)
+        job.batch_ready[self.index].trigger(self)
 
 
 # _GpuRun states (the wait points of the seed's ``gpu_proc``):
-_G_START = 0       # process start slot fired
+_G_START = 0       # process start entry fired
 _G_READY = 1       # batch_ready[index] delivered
 _G_GRANT = 2       # GPU granted
 _G_BATCH_DONE = 3  # batch compute time elapsed
@@ -486,13 +493,12 @@ _G_BATCH_DONE = 3  # batch compute time elapsed
 class _GpuRun:
     """The in-order GPU consumer (``gpu_proc``)."""
 
-    __slots__ = ("job", "index", "token", "grant", "step", "state")
+    __slots__ = ("job", "index", "token", "step", "state")
 
     def __init__(self, job: _Job) -> None:
         self.job = job
         self.index = 0
-        self.token: Optional[Event] = None
-        self.grant: Optional[Event] = None
+        self.token: Optional[_BatchRun] = None  # the prefetch token's holder
         self.state = _G_START
         self.step = self._step
         job.env._call_at(job.env.now, self.step)
@@ -508,15 +514,14 @@ class _GpuRun:
         else:
             ready.callbacks.append(self.step)
 
-    def _step(self, event: Any) -> None:
+    def _step(self, value: Any) -> None:
         job = self.job
         env = job.env
         state = self.state
         if state == _G_READY:
-            self.token = event.value
+            self.token = value
             self.state = _G_GRANT
-            self.grant = job.handles.gpu.acquire()
-            self.grant.callbacks.append(self.step)
+            job.handles.gpu.request(self, self.step)
         elif state == _G_GRANT:
             self.state = _G_BATCH_DONE
             index = self.index
@@ -533,7 +538,7 @@ class _GpuRun:
                 job.timeline.trace(index).gpu_end = env.now
             if job.tracer is not None:
                 job.tracer.end(f"b{index}-e{job.epoch}", "gpu.batch")
-            job.handles.gpu.release(self.grant)
+            job.handles.gpu.release(self)
             job.handles.prefetch.release(self.token)
             self.index += 1
             if self.index < len(job.batches):
@@ -556,7 +561,7 @@ class _GpuRun:
 def launch_training_job(
     env: Environment,
     spec: ClusterSpec,
-    work: Dict[int, "SampleWork"],
+    work: "EpochWork",
     batches: List[List[int]],
     model: ModelProfile,
     handles: "JobHandles",

@@ -1,8 +1,7 @@
 """A minimal callback-driven discrete-event simulation kernel.
 
-Events carry callback lists; the environment fires them in ``(time,
-sequence)`` order off a binary heap.  The cursor engine
-(:mod:`repro.cluster.engine`) drives it for every
+Callbacks fire in ``(time, sequence)`` order off a binary heap.  The
+cursor engine (:mod:`repro.cluster.engine`) drives it for every
 :class:`~repro.cluster.trainer.TrainerSim` epoch; generator processes
 survive only in the frozen seed kernel, :mod:`repro.cluster.refsim`.
 
@@ -10,19 +9,23 @@ Every push lands at the (time, sequence) position the seed kernel would
 have used, which keeps the two byte-identical on every
 :class:`~repro.cluster.trainer.EpochStats` field.  What makes it faster:
 
-- **Slot-based callbacks.**  Where the seed kernel allocated a relay
-  :class:`Event` to wake a process, callers push a two-slot
-  :class:`_Callback` via :meth:`Environment._call_at`; fired slots are
-  recycled through a free list.
+- **Bare callback entries.**  Where the seed kernel allocated a relay
+  :class:`Event` to wake a process, callers push a ``(time, sequence,
+  fn, arg)`` heap entry via :meth:`Environment._call_at`; popping it
+  calls ``fn(arg)``, with no object in between.
+- **Event-free grants.**  A resource grant pushes the waiter's own wake
+  callback at the position where the seed kernel pushed its grant
+  :class:`Event`; grants are keyed by the holding cursor, so no request
+  object exists at all.
 - **O(1) queue discipline.**  Resource wait queues are deques.
 - **A tight drain loop.**  ``run()`` binds the heap and ``heappop``
   locally.
 """
 
-import heapq
 import itertools
 from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, List, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, Deque, Hashable, List, Tuple
 
 __all__ = [
     "Environment",
@@ -37,42 +40,24 @@ class SimulationError(RuntimeError):
     """A caller misused the kernel (e.g. triggered an event twice)."""
 
 
-class _Callback:
-    """A heap entry that calls ``fn(self)`` when it fires.
-
-    The slot-based replacement for single-shot relay events: two slots, no
-    callback list, recycled through :attr:`Environment._cb_pool` after
-    firing.  ``fn`` may be cleared to ``None`` to neuter a pending entry
-    (the engine's interrupt path abandons in-flight wakes this way).
-    ``value`` mirrors :attr:`Event.value` so callback code can read it
-    without caring which kind of entry woke it.
-    """
-
-    __slots__ = ("fn", "value")
-
-    def __init__(self, fn: Optional[Callable[["_Callback"], None]], value: Any) -> None:
-        self.fn = fn
-        self.value = value
-
-    def _fire(self) -> None:
-        fn = self.fn
-        if fn is not None:
-            fn(self)
+#: A scheduled callback: called with the argument pushed alongside it.
+Wake = Callable[[Any], None]
 
 
 class Event:
     """Something that will happen at a point in virtual time.
 
-    Lifecycle: *pending* -> ``trigger()`` puts it on the queue ->
-    *processed* once the scheduler fires its callbacks.  An event fires at
-    most once; its ``value`` is delivered to every waiter.
+    Lifecycle: *pending* -> ``trigger(value)`` puts it on the queue ->
+    *processed* once the scheduler calls every callback with ``value``.
+    An event fires at most once.  The engine uses one per batch
+    (``batch_ready``); every other wake-up is a bare heap entry.
     """
 
     __slots__ = ("env", "callbacks", "triggered", "processed", "value")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        self.callbacks: List[Callable[["Event"], None]] = []
+        self.callbacks: List[Wake] = []
         self.triggered = False
         self.processed = False
         self.value: Any = None
@@ -83,48 +68,34 @@ class Event:
             raise SimulationError("event triggered twice")
         self.triggered = True
         self.value = value
-        env = self.env
-        heapq.heappush(env._heap, (env.now, next(env._counter), self))
+        self.env._call_at(self.env.now, self._fire)
         return self
 
-    def _fire(self) -> None:
+    def _fire(self, _arg: Any) -> None:
         self.processed = True
         callbacks, self.callbacks = self.callbacks, []
         for callback in callbacks:
-            callback(self)
+            callback(self.value)
 
 
 class Environment:
-    """The virtual clock and event queue."""
+    """The virtual clock and event queue.
 
-    __slots__ = ("now", "_heap", "_counter", "_cb_pool")
+    Heap entries are ``(time, sequence, fn, arg)`` tuples; popping one
+    calls ``fn(arg)``.  ``_counter`` hands out the sequence numbers, so
+    after a run its next value is the number of pushes the run made.
+    """
+
+    __slots__ = ("now", "_heap", "_counter")
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: List = []
+        self._heap: List[Tuple[float, int, Wake, Any]] = []
         self._counter = itertools.count()
-        #: Free list of fired _Callback slots, recycled by the run loop.
-        self._cb_pool: List[_Callback] = []
 
-    def _call_at(
-        self, at: float, fn: Callable[[_Callback], None], value: Any = None
-    ) -> _Callback:
-        """Schedule ``fn(slot)`` at virtual time ``at``.
-
-        Allocation goes through the free list; the run loop recycles each
-        slot after it fires.  The returned slot is only valid until then --
-        holders that need to abandon it clear ``slot.fn`` instead of
-        keeping it.
-        """
-        pool = self._cb_pool
-        if pool:
-            cb = pool.pop(-1)
-            cb.fn = fn
-            cb.value = value
-        else:
-            cb = _Callback(fn, value)
-        heapq.heappush(self._heap, (at, next(self._counter), cb))
-        return cb
+    def _call_at(self, at: float, fn: Wake, arg: Any = None) -> None:
+        """Schedule ``fn(arg)`` at virtual time ``at``."""
+        heappush(self._heap, (at, next(self._counter), fn, arg))
 
     def event(self) -> Event:
         return Event(self)
@@ -137,28 +108,35 @@ class Environment:
         ``now + delay`` with ``delay >= 0``), so no monotonicity check.
         """
         heap = self._heap
-        pop = heapq.heappop
-        pool = self._cb_pool
-        pool_push = pool.append
-        callback_cls = _Callback
+        pop = heappop
         while heap:
-            at, _, event = pop(heap)
+            at, _, fn, arg = pop(heap)
             self.now = at
-            event._fire()
-            if event.__class__ is callback_cls:
-                event.fn = None
-                event.value = None
-                pool_push(event)
+            fn(arg)
+
+
+def _drop(queue: Deque[Tuple[Hashable, Wake]], holder: Hashable) -> bool:
+    """Remove ``holder``'s entry from a wait queue; False if it has none."""
+    for index, (waiting, _) in enumerate(queue):
+        if waiting is holder:
+            del queue[index]
+            return True
+    return False
 
 
 class Resource:
     """A FIFO resource with integer capacity (CPU pool, GPU, NIC).
 
-    ``acquire`` returns an event that fires when a slot is granted; pass the
-    same event to ``release``.  ``busy_time`` integrates slot-seconds of use
-    for utilization reporting.  Grant bookkeeping is slot-based: the wait
-    queue is a deque and grant timestamps live in a dict keyed by request,
-    so acquire/release/queue-jump are all O(1).
+    ``request(holder, wake)`` asks for a slot on behalf of ``holder`` (any
+    hashable object, in practice the cursor that waits); when the slot is
+    granted, ``wake(None)`` is pushed through :meth:`Environment._call_at`
+    at the grant instant -- immediately if a slot is free, else when a
+    ``release`` hands one over.  ``release``, ``cancel`` and ``holds`` take
+    the same holder, which has at most one request per resource at a time.
+    ``busy_time`` integrates slot-seconds of use for utilization
+    reporting.  The wait queue is a deque of ``(holder, wake)`` pairs and
+    grant timestamps live in a dict keyed by holder, so request, release
+    and queue-jump are all O(1).
     """
 
     __slots__ = ("env", "capacity", "name", "_in_use", "_waiting", "_grant_times", "busy_time")
@@ -170,7 +148,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiting: Deque[Event] = deque()
+        self._waiting: Deque[Tuple[Hashable, Wake]] = deque()
         self._grant_times: dict = {}
         self.busy_time = 0.0
 
@@ -182,8 +160,8 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiting)
 
-    def acquire(self, key: Any = None, front: bool = False) -> Event:
-        """Request a slot.
+    def request(self, holder: Hashable, wake: Wake, key: Any = None, front: bool = False) -> None:
+        """Ask for a slot; ``wake`` is pushed when ``holder`` gets it.
 
         key: accepted (and ignored) so callers can treat FIFO and
             fair-queued resources uniformly.
@@ -192,42 +170,47 @@ class Resource:
             finishes before the next one starts (otherwise chunking would
             round-robin *all* waiting payloads and destroy delivery order).
         """
-        event = Event(self.env)
         if self._in_use < self.capacity:
-            self._grant(event)
+            self._in_use += 1
+            env = self.env
+            self._grant_times[holder] = env.now
+            env._call_at(env.now, wake)
         elif front:
-            self._waiting.appendleft(event)
+            self._waiting.appendleft((holder, wake))
         else:
-            self._waiting.append(event)
-        return event
+            self._waiting.append((holder, wake))
 
-    def _grant(self, event: Event) -> None:
-        self._in_use += 1
-        self._grant_times[event] = self.env.now
-        event.trigger()
+    def holds(self, holder: Hashable) -> bool:
+        """True if ``holder`` has been granted a slot and not yet released it."""
+        return holder in self._grant_times
 
-    def holds(self, request: Event) -> bool:
-        """True if ``request`` has been granted and not yet released."""
-        return request in self._grant_times
+    def cancel(self, holder: Hashable) -> None:
+        """Withdraw a request that has not been granted yet.
 
-    def cancel(self, request: Event) -> None:
-        """Withdraw an acquire that has not been granted yet.
-
-        Interrupted processes use this to leave the queue cleanly; granted
-        requests must be ``release``d instead.
+        Interrupted cursors use this to leave the queue cleanly; granted
+        requests must be ``release``d instead.  A holder with no request
+        waiting is left alone.
         """
-        if request in self._grant_times:
+        if holder in self._grant_times:
             raise SimulationError("cannot cancel a granted request; release it")
-        if request in self._waiting:
-            self._waiting.remove(request)
+        _drop(self._waiting, holder)
 
-    def release(self, request: Event) -> None:
-        if request not in self._grant_times:
+    def release(self, holder: Hashable) -> None:
+        """Return ``holder``'s slot; the next waiter, if any, is granted it."""
+        grant_times = self._grant_times
+        granted_at = grant_times.pop(holder, None)
+        if granted_at is None:
             raise SimulationError("released a request that was never granted")
-        self.busy_time += self.env.now - self._grant_times.pop(request)
-        self._in_use -= 1
+        env = self.env
+        now = env.now
+        self.busy_time += now - granted_at
         if self._waiting:
-            self._grant(self._waiting.popleft())
+            # Hand the slot straight over: in_use stays the same.
+            waiter, wake = self._waiting.popleft()
+            grant_times[waiter] = now
+            env._call_at(now, wake)
+        else:
+            self._in_use -= 1
 
     def utilization(self, horizon: float) -> float:
         """Average busy fraction over ``horizon`` seconds of virtual time."""
@@ -242,21 +225,21 @@ class FairResource(Resource):
     Plain :class:`Resource` queues strictly FIFO, so a flow that bursts a
     thousand requests starves later arrivals until its burst drains --
     unrealistic for a network link shared by TCP-like flows.
-    ``acquire(key)`` files the request under its flow; when a slot frees,
-    the next grant comes from the next non-empty flow in rotation.
+    ``request(holder, wake, key)`` files the request under its flow; when
+    a slot frees, the next grant comes from the next non-empty flow in
+    rotation.
     """
 
     __slots__ = ("_flow_queues",)
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = "fair") -> None:
         super().__init__(env, capacity, name)
-        self._flow_queues: "OrderedDict[Any, Deque[Event]]" = OrderedDict()
+        self._flow_queues: "OrderedDict[Any, Deque[Tuple[Hashable, Wake]]]" = OrderedDict()
 
-    def acquire(self, key: Any = None, front: bool = False) -> Event:
-        event = Event(self.env)
+    def request(self, holder: Hashable, wake: Wake, key: Any = None, front: bool = False) -> None:
         if self._in_use < self.capacity:
-            self._grant(event)
-            return event
+            super().request(holder, wake)  # granted at once
+            return
         queue = self._flow_queues.get(key)
         if queue is None:
             queue = self._flow_queues[key] = deque()
@@ -264,35 +247,30 @@ class FairResource(Resource):
             # Continue the current payload of this flow ahead of the flow's
             # other waiters; the flow rotation itself is unaffected, so
             # other flows still interleave between chunks.
-            queue.appendleft(event)
+            queue.appendleft((holder, wake))
         else:
-            queue.append(event)
-        return event
+            queue.append((holder, wake))
 
-    def cancel(self, request: Event) -> None:
-        if request in self._grant_times:
+    def cancel(self, holder: Hashable) -> None:
+        if holder in self._grant_times:
             raise SimulationError("cannot cancel a granted request; release it")
         for key, queue in list(self._flow_queues.items()):
-            if request in queue:
-                queue.remove(request)
+            if _drop(queue, holder):
                 if not queue:
                     del self._flow_queues[key]
                 return
 
-    def release(self, request: Event) -> None:
-        if request not in self._grant_times:
-            raise SimulationError("released a request that was never granted")
-        self.busy_time += self.env.now - self._grant_times.pop(request)
-        self._in_use -= 1
+    def release(self, holder: Hashable) -> None:
+        super().release(holder)  # the FIFO queue stays empty: frees the slot
         if self._flow_queues:
             # Serve the flow at the front of the rotation, then move it to
             # the back (dropping it if its queue drained).
             key, queue = next(iter(self._flow_queues.items()))
-            event = queue.popleft()
+            waiter, wake = queue.popleft()
             del self._flow_queues[key]
             if queue:
                 self._flow_queues[key] = queue
-            self._grant(event)
+            super().request(waiter, wake)
 
     @property
     def queue_length(self) -> int:

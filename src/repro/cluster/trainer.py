@@ -26,8 +26,11 @@ Every epoch runs on the cursor engine (:mod:`repro.cluster.engine`);
 """
 
 import dataclasses
+import numbers
 from types import ModuleType
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, cast
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, cast,
+)
 
 import numpy as np
 
@@ -73,6 +76,76 @@ class SampleWork:
     wire_bytes: int
     prefix_cpu_s: float
     suffix_cpu_s: float
+
+
+class EpochWork(Mapping[int, SampleWork]):
+    """One epoch's per-sample work as four columns indexed by sample id.
+
+    What :meth:`TrainerSim._epoch_work` builds and the cursor engine
+    reads: entry ``i`` of ``split``, ``wire_bytes``, ``prefix_cpu_s`` and
+    ``suffix_cpu_s`` belongs to sample ``i``.  As a mapping it reads like
+    the reference builder's ``{sample_id: SampleWork}`` dict -- rows are
+    built on access -- so the two compare equal exactly when every field
+    of every sample does.
+    """
+
+    __slots__ = ("split", "wire_bytes", "prefix_cpu_s", "suffix_cpu_s")
+
+    def __init__(
+        self,
+        split: List[int],
+        wire_bytes: List[int],
+        prefix_cpu_s: List[float],
+        suffix_cpu_s: List[float],
+    ) -> None:
+        self.split = split
+        self.wire_bytes = wire_bytes
+        self.prefix_cpu_s = prefix_cpu_s
+        self.suffix_cpu_s = suffix_cpu_s
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[SampleWork]) -> "EpochWork":
+        """Columns of per-sample rows given in sample-id order 0..n-1."""
+        rows = list(rows)
+        return cls(
+            [row.split for row in rows],
+            [row.wire_bytes for row in rows],
+            [row.prefix_cpu_s for row in rows],
+            [row.suffix_cpu_s for row in rows],
+        )
+
+    def __len__(self) -> int:
+        return len(self.split)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.split)))
+
+    def __getitem__(self, sample_id: int) -> SampleWork:
+        if not 0 <= sample_id < len(self.split):
+            raise KeyError(sample_id)
+        return SampleWork(
+            sample_id=sample_id,
+            split=self.split[sample_id],
+            wire_bytes=self.wire_bytes[sample_id],
+            prefix_cpu_s=self.prefix_cpu_s[sample_id],
+            suffix_cpu_s=self.suffix_cpu_s[sample_id],
+        )
+
+    def set_row(self, item: SampleWork) -> None:
+        """Overwrite one sample's entries with ``item``."""
+        index = item.sample_id
+        self.split[index] = item.split
+        self.wire_bytes[index] = item.wire_bytes
+        self.prefix_cpu_s[index] = item.prefix_cpu_s
+        self.suffix_cpu_s[index] = item.suffix_cpu_s
+
+
+def _split_index(split: Any, n_ops: int) -> int:
+    """``split`` as an int, or ``ValueError`` unless it is a whole number
+    in ``0..n_ops`` (1.7 and NaN are rejected, not truncated)."""
+    if isinstance(split, numbers.Real) and 0 <= split <= n_ops and split == split // 1:
+        return int(split)
+    raise ValueError(f"bad split {split} for {n_ops}-op pipeline")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -213,8 +286,7 @@ class TrainerSim:
         run = self.pipeline.simulate(
             meta, seed=self.seed, epoch=epoch, sample_id=sample_id
         )
-        if not 0 <= split <= len(run.stages):
-            raise ValueError(f"bad split {split} for {len(run.stages)}-op pipeline")
+        split = _split_index(split, len(run.stages))
         sizes = [meta.nbytes] + [s.out_meta.nbytes for s in run.stages]
         costs = [s.cost_s for s in run.stages]
         return SampleWork(
@@ -260,8 +332,9 @@ class TrainerSim:
         splits: Optional[Sequence[int]],
         epoch: int,
         adjustments: Optional[Dict[int, "WorkAdjustment"]] = None,
-    ) -> Dict[int, SampleWork]:
-        """Every sample's work for one epoch, from one batch simulation.
+    ) -> EpochWork:
+        """Every sample's work for one epoch, as columns, from one batch
+        simulation.
 
         One :func:`~repro.parallel.vectorized.simulate_batch` call over the
         dataset's raw metas gives the stage-size and op-cost matrices;
@@ -272,17 +345,21 @@ class TrainerSim:
         """
         from repro.parallel import vectorized
 
-        ids = list(self.dataset.sample_ids())
-        if not ids:
-            return {}
+        ids = self.dataset.sample_ids()
+        n = len(ids)
+        if not n:
+            return EpochWork([], [], [], [])
         sizes, costs = vectorized.simulate_batch(
             self.pipeline, self.dataset.raw_metas(ids), ids, seed=self.seed, epoch=epoch
         )
-        n = len(ids)
         n_ops = int(costs.shape[1])
-        split_list = [0] * n if splits is None else [splits[i] for i in ids]
-        split_arr = np.asarray(split_list, dtype=np.int64)
-        in_range = (split_arr >= 0) & (split_arr <= n_ops)
+        if splits is None:
+            values = np.zeros(n)
+        else:
+            values = np.asarray(splits[:n], dtype=np.float64)
+        # Whole numbers in 0..n_ops only (NaN fails every comparison).
+        in_range = (values >= 0) & (values <= n_ops) & (values == np.floor(values))
+        split_arr = np.where(in_range, values, 0).astype(np.int64)
 
         # The first sample a check rejects outright: a bad split, or any
         # offload on a cluster without storage cores.  Adjusted samples are
@@ -293,29 +370,27 @@ class TrainerSim:
         first_rejected = int(np.argmax(rejected)) if rejected.any() else n
 
         prefix, suffix = split_folds(costs, split_arr)
-        wire = sizes[np.arange(n), np.where(in_range, split_arr, 0)].tolist()
+        work = EpochWork(
+            split_arr.tolist(), sizes[np.arange(n), split_arr].tolist(), prefix, suffix
+        )
 
-        def item_at(row: int) -> SampleWork:
-            sample_id = ids[row]
-            item = SampleWork(
-                sample_id=sample_id,
-                split=split_list[row],
-                wire_bytes=wire[row],
-                prefix_cpu_s=prefix[row],
-                suffix_cpu_s=suffix[row],
-            )
+        def checked(sample_id: int) -> SampleWork:
+            item = work[sample_id]
             if adjustments is not None and sample_id in adjustments:
                 item = adjustments[sample_id].apply(item)
-                self._check_work(item)
+            self._check_work(item)
             return item
 
-        work = {ids[row]: item_at(row) for row in range(first_rejected)}
+        for sample_id in sorted(adjustments or ()):
+            if 0 <= sample_id < first_rejected:
+                work.set_row(checked(sample_id))
         if first_rejected < n:
             if not in_range[first_rejected]:
+                assert splits is not None
                 raise ValueError(
-                    f"bad split {split_list[first_rejected]} for {n_ops}-op pipeline"
+                    f"bad split {splits[first_rejected]} for {n_ops}-op pipeline"
                 )
-            self._check_work(item_at(first_rejected))  # raises
+            checked(first_rejected)  # raises
         return work
 
     # -- simulation -----------------------------------------------------------
@@ -390,6 +465,22 @@ class TrainerSim:
             produce byte-identical stats, fault reports, spans and
             timelines -- the contract ``repro.bench`` gates on.
         """
+        return self._simulate(
+            splits, epoch, adjustments, record_timeline, faults, record_spans, kernel
+        )[0]
+
+    def _simulate(
+        self,
+        splits: Optional[Sequence[int]] = None,
+        epoch: int = 0,
+        adjustments: Optional[Dict[int, WorkAdjustment]] = None,
+        record_timeline: bool = False,
+        faults: Optional[FaultSchedule] = None,
+        record_spans: bool = False,
+        kernel: str = "fast",
+    ) -> Tuple[EpochStats, Environment]:
+        """:meth:`run_epoch`, also returning the drained environment (whose
+        sequence counter tells how many heap pushes the epoch made)."""
         kernel_mod, launch = _kernel(kernel)
         if splits is not None and len(splits) != len(self.dataset):
             raise ValueError(
@@ -398,10 +489,12 @@ class TrainerSim:
         if faults is not None and faults.is_empty:
             faults = None
 
+        work: Mapping[int, SampleWork]
         if kernel == "reference":
             work = self._reference_epoch_work(splits, epoch, adjustments)
+            columns = EpochWork.from_rows(work.values())
         else:
-            work = self._epoch_work(splits, epoch, adjustments)
+            work = columns = self._epoch_work(splits, epoch, adjustments)
         batches = list(BatchSampler(self.sampler, self.batch_size).epoch_batches(epoch))
         fault_report = FaultReport() if faults is not None else None
         fallback_cache: Dict[int, SampleWork] = {}
@@ -436,21 +529,23 @@ class TrainerSim:
         env.run()
 
         horizon = env.now
+        split = columns.split
+        overhead = spec.response_overhead_bytes
+        # Left folds over the columns in sample order, as the per-row sums
+        # over the reference builder's dict run.
         analytic = EpochMetrics(
             gpu_time_s=sum(self.model.batch_time_s(len(ids)) for ids in batches),
             # Raw single-core seconds; EpochModel applies the CPU factors.
-            compute_cpu_s=sum(w.suffix_cpu_s for w in work.values()),
-            storage_cpu_s=sum(w.prefix_cpu_s for w in work.values() if w.split > 0),
-            traffic_bytes=sum(
-                w.wire_bytes + spec.response_overhead_bytes for w in work.values()
-            ),
+            compute_cpu_s=sum(columns.suffix_cpu_s),
+            storage_cpu_s=sum([p for s, p in zip(split, columns.prefix_cpu_s) if s > 0]),
+            traffic_bytes=sum([wire + overhead for wire in columns.wire_bytes]),
         )
         stats = EpochStats(
             epoch_time_s=horizon,
             traffic_bytes=traffic["bytes"],
-            num_samples=len(work),
+            num_samples=len(split),
             num_batches=len(batches),
-            offloaded_samples=sum(1 for w in work.values() if w.split > 0),
+            offloaded_samples=len(split) - split.count(0),
             gpu_utilization=handles.gpu.utilization(horizon),
             compute_cpu_utilization=handles.compute_cpu.utilization(horizon),
             storage_cpu_utilization=self._storage_utilization(handles, horizon),
@@ -460,4 +555,4 @@ class TrainerSim:
             faults=fault_report,
             spans=tracer,
         )
-        return self._wrap_stats(stats, handles, horizon)
+        return self._wrap_stats(stats, handles, horizon), env

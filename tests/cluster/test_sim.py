@@ -1,9 +1,10 @@
 """Discrete-event simulation kernel tests.
 
 The live kernel (:mod:`repro.cluster.sim`) is callback-driven: events,
-pooled ``_call_at`` slots and resources.  Its cases below drive it the way
-the cursor engine does.  Generator processes, timeouts, all-of joins,
-stores and interrupts survive only in the frozen seed kernel
+bare ``_call_at`` heap entries and resources whose grants push the
+holder's wake callback.  Its cases below drive it the way the cursor
+engine does.  Generator processes, timeouts, all-of joins, stores and
+interrupts survive only in the frozen seed kernel
 (:mod:`repro.cluster.refsim`), so those cases run there.
 """
 
@@ -15,27 +16,38 @@ from repro.cluster.sim import Environment, FairResource, Resource, SimulationErr
 
 
 def after(env, delay, fn):
-    """Run ``fn()`` ``delay`` virtual seconds from now (a pooled slot)."""
-    env._call_at(env.now + delay, lambda _slot: fn())
+    """Run ``fn()`` ``delay`` virtual seconds from now (one heap entry)."""
+    env._call_at(env.now + delay, lambda _arg: fn())
+
+
+def ask(resource, key=None, front=False, on_grant=None):
+    """Request a slot for a fresh holder; returns the holder."""
+    holder = object()
+
+    def wake(_arg):
+        if on_grant is not None:
+            on_grant()
+
+    resource.request(holder, wake, key, front)
+    return holder
 
 
 def hold_for(env, resource, duration, key=None, front=False, on_start=None, on_done=None):
-    """Acquire, hold for ``duration``, release -- as queued callbacks."""
-    request = resource.acquire(key, front=front)
+    """Request, hold for ``duration``, release -- as queued callbacks."""
 
-    def granted(_event):
+    def granted():
         if on_start is not None:
             on_start()
 
         def finish():
-            resource.release(request)
+            resource.release(holder)
             if on_done is not None:
                 on_done()
 
         after(env, duration, finish)
 
-    request.callbacks.append(granted)
-    return request
+    holder = ask(resource, key, front, on_grant=granted)
+    return holder
 
 
 class TestEnvironment:
@@ -248,9 +260,9 @@ class TestResource:
     def test_queue_length_visible(self):
         env = Environment()
         cpu = Resource(env, capacity=1)
-        cpu.acquire()
-        cpu.acquire()
-        cpu.acquire()
+        ask(cpu)
+        ask(cpu)
+        ask(cpu)
         assert cpu.in_use == 1
         assert cpu.queue_length == 2
 
@@ -314,9 +326,9 @@ class TestFairResource:
     def test_queue_length(self):
         env = Environment()
         link = FairResource(env, capacity=1)
-        link.acquire("a")
-        link.acquire("a")
-        link.acquire("b")
+        ask(link, "a")
+        ask(link, "a")
+        ask(link, "b")
         assert link.in_use == 1
         assert link.queue_length == 2
 
@@ -520,11 +532,36 @@ class TestInterrupt:
         # runs on to t=100 -- but the process ended at t=2.
 
 
+class TestGrantWake:
+    def test_free_slot_wakes_through_the_queue(self):
+        # The grant is immediate, but the wake is a heap entry: it runs
+        # after callbacks already queued for the same instant.
+        env = Environment()
+        res = Resource(env, capacity=1)
+        log = []
+        after(env, 0.0, lambda: log.append("queued first"))
+        holder = ask(res, on_grant=lambda: log.append("granted"))
+        assert res.holds(holder) and log == []
+        env.run()
+        assert log == ["queued first", "granted"]
+
+    def test_release_hands_the_slot_to_the_next_waiter(self):
+        env = Environment()
+        res = Resource(env, capacity=1)
+        first = ask(res)
+        second = ask(res)
+        after(env, 2.0, lambda: res.release(first))
+        env.run()
+        assert res.holds(second) and not res.holds(first)
+        assert res.in_use == 1 and res.queue_length == 0
+        assert res.busy_time == pytest.approx(2.0)
+
+
 class TestResourceCancel:
     def test_holds_tracks_grant_lifecycle(self):
         env = Environment()
         res = Resource(env, capacity=1)
-        req = res.acquire()
+        req = ask(res)
         assert res.holds(req)
         res.release(req)
         assert not res.holds(req)
@@ -532,9 +569,9 @@ class TestResourceCancel:
     def test_cancel_removes_a_waiting_request(self):
         env = Environment()
         res = Resource(env, capacity=1)
-        first = res.acquire()
-        second = res.acquire()  # queued
-        third = res.acquire()  # queued behind it
+        first = ask(res)
+        second = ask(res)  # queued
+        third = ask(res)  # queued behind it
         res.cancel(second)
         res.release(first)
         env.run()
@@ -545,25 +582,31 @@ class TestResourceCancel:
     def test_cancel_granted_request_is_an_error(self):
         env = Environment()
         res = Resource(env, capacity=1)
-        req = res.acquire()
+        req = ask(res)
         with pytest.raises(SimulationError):
             res.cancel(req)
 
     def test_fair_resource_cancel_clears_its_flow(self):
         env = Environment()
         res = FairResource(env, capacity=1)
-        first = res.acquire(key="a")
-        waiting = res.acquire(key="b")
+        first = ask(res, key="a")
+        waiting = ask(res, key="b")
         res.cancel(waiting)
         res.release(first)
         env.run()
         assert not res.holds(waiting)
-        follow_up = res.acquire(key="c")
+        follow_up = ask(res, key="c")
         assert res.holds(follow_up)  # the slot was genuinely free
+
+    def test_cancel_without_a_request_is_a_noop(self):
+        env = Environment()
+        res = Resource(env, capacity=1)
+        res.cancel(object())
+        assert res.queue_length == 0 and res.in_use == 0
 
     def test_fair_resource_cancel_granted_is_an_error(self):
         env = Environment()
         res = FairResource(env, capacity=1)
-        req = res.acquire(key="a")
+        req = ask(res, key="a")
         with pytest.raises(SimulationError):
             res.cancel(req)

@@ -6,9 +6,11 @@ overhaul (see docs/performance.md) and encode its observable semantics.
 - **Resource ordering** -- FIFO grant order under arbitrary interleavings
   of acquire / release / cancel / withdrawal, fair-queue rotation, busy
   time -- is shared by both kernels and parameterized over them.  These
-  cases are driven through event callbacks scheduled on the queue (the
-  way the cursor engine drives the live kernel), so ``sim`` and the frozen
-  ``refsim`` copy can never drift apart silently.
+  cases are driven through callbacks scheduled on the queue (the way the
+  cursor engine drives the live kernel), so ``sim`` and the frozen
+  ``refsim`` copy can never drift apart silently.  The two grant APIs
+  differ -- ``sim`` keys grants by a holder and pushes its wake callback,
+  ``refsim`` returns a grant ``Event`` -- and :func:`on_grant` hides that.
 - **Generator processes** -- ``AllOf`` joins with already-fired children,
   interrupt delivery windows (including interrupting a process that
   already finished), ``Store`` FIFO, and queue-mediated resumption -- live
@@ -43,7 +45,7 @@ def seed_kernel(request):
 def call_at(env, at, fn):
     """Run ``fn()`` at virtual time ``at`` through the kernel's queue."""
     if isinstance(env, optsim.Environment):
-        env._call_at(at, lambda _slot: fn())
+        env._call_at(at, lambda _arg: fn())
     else:  # the seed kernel: a pre-triggered bare event on the heap
         event = refsim.Event(env)
         event.triggered = True
@@ -51,16 +53,36 @@ def call_at(env, at, fn):
         env._schedule(at, event)
 
 
-def on_grant(request, fn):
-    """Run ``fn()`` when ``request`` is granted; returns the hook to unhook."""
-    hook = lambda _event: fn()  # noqa: E731
-    request.callbacks.append(hook)
-    return hook
+class Hook:
+    """A grant's wake-up: runs ``fn()`` unless :func:`withdraw` disarmed it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, _event):
+        if self.fn is not None:
+            self.fn()
+
+
+def on_grant(env, res, fn, key=None, front=False):
+    """Request a slot of ``res``; ``fn()`` runs when it is granted.
+
+    Returns ``(request, hook)``: ``request`` is what ``release`` /
+    ``cancel`` / ``holds`` take -- a fresh holder on ``sim``, the grant
+    event on ``refsim`` -- and ``hook`` is the wake-up to unhook.
+    """
+    hook = Hook(fn)
+    if isinstance(env, optsim.Environment):
+        request = object()
+        res.request(request, hook, key, front)
+    else:
+        request = res.acquire(key, front=front)
+        request.callbacks.append(hook)
+    return request, hook
 
 
 def hold(env, res, duration, key=None, front=False, on_start=None, on_done=None):
-    """Acquire, hold for ``duration``, release -- as queued callbacks."""
-    request = res.acquire(key, front=front)
+    """Request, hold for ``duration``, release -- as queued callbacks."""
 
     def granted():
         if on_start is not None:
@@ -73,16 +95,20 @@ def hold(env, res, duration, key=None, front=False, on_start=None, on_done=None)
 
         call_at(env, env.now + duration, finish)
 
-    on_grant(request, granted)
+    request, _ = on_grant(env, res, granted, key, front)
     return request
 
 
 def withdraw(env, res, request, hook):
     """Interrupt a request the way the engine does: unhook its wake-up,
     then -- through the queue -- release it if it was granted by then,
-    otherwise cancel it."""
-    if hook in request.callbacks:
-        request.callbacks.remove(hook)
+    otherwise cancel it.  On ``sim`` the wake may already be on the heap,
+    so unhooking disarms it; on ``refsim`` it leaves the event's callbacks."""
+    if hook is not None:
+        if isinstance(env, optsim.Environment):
+            hook.fn = None
+        elif hook in request.callbacks:
+            request.callbacks.remove(hook)
     call_at(
         env,
         env.now,
@@ -121,8 +147,7 @@ class TestResourceFifo:
         res = kernel.Resource(env, capacity=1)
         order = []
         hold(env, res, 2.0)
-        victim = res.acquire()
-        hook = on_grant(victim, lambda: order.append("v"))
+        victim, hook = on_grant(env, res, lambda: order.append("v"))
         hold(env, res, 0.0, on_start=lambda: order.append("w"))
 
         def interrupt():
@@ -139,14 +164,13 @@ class TestResourceFifo:
         env = kernel.Environment()
         res = kernel.Resource(env, capacity=1)
         order = []
-        holder = res.acquire()
         alive = {"holder": True}
 
         def holder_done():
             if alive["holder"]:  # the abandoned timeout fires into the void
                 res.release(holder)
 
-        on_grant(holder, lambda: call_at(env, env.now + 10.0, holder_done))
+        holder, _ = on_grant(env, res, lambda: call_at(env, env.now + 10.0, holder_done))
         hold(env, res, 0.0, on_start=lambda: order.append(("waiter", env.now)))
 
         def interrupt():
@@ -161,10 +185,9 @@ class TestResourceFifo:
     def test_busy_time_survives_interleaved_interrupts(self, kernel):
         env = kernel.Environment()
         res = kernel.Resource(env, capacity=2)
-        doomed = res.acquire()
         alive = {"doomed": True}
-        on_grant(
-            doomed,
+        doomed, _ = on_grant(
+            env, res,
             lambda: call_at(
                 env, env.now + 100.0,
                 lambda: res.release(doomed) if alive["doomed"] else None,
@@ -211,8 +234,7 @@ class TestResourceFifo:
                         return  # interrupted before it started
                     self.state = "waiting"
                     request_log.append(self.name)
-                    self.request = res.acquire()
-                    self.hook = on_grant(self.request, self.granted)
+                    self.request, self.hook = on_grant(env, res, self.granted)
 
                 def granted(self):
                     self.state = "holding"
@@ -556,7 +578,6 @@ class TestSchedulingDiscipline:
     def test_cancel_granted_request_raises(self, kernel):
         env = kernel.Environment()
         res = kernel.Resource(env, capacity=1)
-        req = res.acquire()
         checked = []
 
         def granted():
@@ -565,7 +586,7 @@ class TestSchedulingDiscipline:
             res.release(req)
             checked.append(True)
 
-        on_grant(req, granted)
+        req, _ = on_grant(env, res, granted)
         env.run()
         assert checked == [True]
 
@@ -620,8 +641,7 @@ class TestFairResourceSemantics:
         res = kernel.FairResource(env, capacity=1)
         order = []
         hold(env, res, 2.0, key="h")
-        quitter = res.acquire("q")
-        hook = on_grant(quitter, lambda: order.append("q"))
+        quitter, hook = on_grant(env, res, lambda: order.append("q"), "q")
         hold(env, res, 0.0, key="s", on_start=lambda: order.append("s"))
         call_at(env, 1.0, lambda: withdraw(env, res, quitter, hook))
         env.run()

@@ -4,8 +4,9 @@ import dataclasses
 
 import pytest
 
+from repro.cluster import sim
 from repro.cluster.spec import standard_cluster
-from repro.cluster.trainer import TrainerSim, WorkAdjustment
+from repro.cluster.trainer import KERNEL_CHOICES, TrainerSim, WorkAdjustment
 from repro.workloads.models import get_model_profile
 
 
@@ -100,6 +101,42 @@ class TestRunEpoch:
         )
         with pytest.raises(ValueError):
             trainer.run_epoch(splits=[1] * len(openimages_small), epoch=0)
+
+    @pytest.mark.parametrize("kernel", KERNEL_CHOICES)
+    @pytest.mark.parametrize("bad", [1.7, float("nan")])
+    def test_non_integral_split_rejected_at_first_sample(self, trainer, kernel, bad):
+        # Not truncated to a whole op count: both work builders reject the
+        # first such split, naming it, before any later bad one.
+        splits = [0] * len(trainer.dataset)
+        splits[3] = bad
+        splits[7] = 2.5
+        with pytest.raises(ValueError) as raised:
+            trainer.run_epoch(splits=splits, epoch=0, kernel=kernel)
+        assert str(raised.value) == f"bad split {bad} for 5-op pipeline"
+
+    @pytest.mark.parametrize("kernel", KERNEL_CHOICES)
+    def test_whole_float_split_runs_as_int(self, trainer, kernel):
+        splits = [i % 3 for i in range(len(trainer.dataset))]
+        as_floats = [float(split) for split in splits]
+        assert trainer.run_epoch(as_floats, epoch=0, kernel=kernel) == trainer.run_epoch(
+            splits, epoch=0, kernel=kernel
+        )
+
+    def test_fault_free_epoch_builds_one_event_per_batch(self, trainer, monkeypatch):
+        # Grants and wake-ups are bare heap entries; the only Event left is
+        # each batch's batch_ready.
+        built = []
+        init = sim.Event.__init__
+
+        def counting_init(event, env):
+            built.append(event)
+            init(event, env)
+
+        monkeypatch.setattr(sim.Event, "__init__", counting_init)
+        splits = [i % 6 for i in range(len(trainer.dataset))]
+        stats = trainer.run_epoch(splits=splits, epoch=0, kernel="fast")
+        assert stats.num_samples > stats.num_batches > 1
+        assert len(built) == stats.num_batches
 
     def test_deterministic(self, trainer):
         a = trainer.run_epoch(splits=None, epoch=1)
