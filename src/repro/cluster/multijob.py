@@ -10,7 +10,11 @@ This module simulates J concurrent jobs: each job has its own compute
 node (CPU pool, GPU, prefetch window) but all jobs contend for one shared
 egress link and one shared storage-node CPU pool.  The per-job epoch
 completion times quantify how many jobs a given egress budget sustains --
-with and without SOPHON shrinking each job's wire bytes.
+with and without SOPHON shrinking each job's wire bytes.  Each tenant
+launches through :class:`~repro.cluster.trainer.TrainerSim`'s one launch
+path, so its plan is checked and its work built exactly as on a single
+node; this module owns only the shared resources, the per-tenant handles
+and the result rows.
 
 ``run_epoch`` accepts the same telemetry switches as the single-node
 trainer: ``record_spans`` collects every tenant's per-sample spans into
@@ -28,7 +32,6 @@ from repro.cluster.sim import Environment
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.trainer import JobHandles, TrainerSim, WorkAdjustment, _kernel
 from repro.data.dataset import Dataset
-from repro.data.sampler import BatchSampler, SequentialSampler
 from repro.metrics.timeline import Timeline
 from repro.preprocessing.pipeline import Pipeline
 from repro.telemetry.spans import Tracer
@@ -117,7 +120,7 @@ class SharedLinkSim:
             byte-identical.
         Neither telemetry switch perturbs the simulated schedule.
         """
-        kernel_mod, launch = _kernel(kernel)
+        kernel_mod = _kernel(kernel)
         names = [job.name for job in jobs]
         if len(set(names)) != len(names):
             raise ValueError(f"job names must be unique, got {names}")
@@ -129,10 +132,10 @@ class SharedLinkSim:
         # Fair-queued: concurrent jobs share bandwidth round-robin at chunk
         # granularity instead of draining whole bursts FIFO.
         link = kernel_mod.FairResource(env, 1, "shared-link")
-        storage_cpu = (
-            kernel_mod.Resource(env, spec.storage_cores, "shared-storage-cpu")
+        storage_pools = (
+            [kernel_mod.Resource(env, spec.storage_cores, "shared-storage-cpu")]
             if spec.can_offload
-            else None
+            else []
         )
         tracer = Tracer(clock=lambda: env.now) if record_spans else None
         timelines: Optional[Dict[str, Timeline]] = (
@@ -149,39 +152,23 @@ class SharedLinkSim:
                 batch_size=job.batch_size,
                 seed=job.seed,
             )
-            job_splits = list(job.splits) if job.splits is not None else None
-            if kernel == "reference":
-                work = trainer._reference_epoch_work(job_splits, epoch, job.adjustments)
-            else:
-                work = trainer._epoch_work(job_splits, epoch, job.adjustments)
-            batches = list(
-                BatchSampler(
-                    SequentialSampler(len(job.dataset)), trainer.batch_size
-                ).epoch_batches(epoch)
-            )
             handles = JobHandles(
                 compute_cpu=kernel_mod.Resource(
                     env, spec.compute_cores, f"{job.name}-cpu"
                 ),
-                storage_cpu=storage_cpu,
                 link=link,
                 gpu=kernel_mod.Resource(env, 1, f"{job.name}-gpu"),
                 prefetch=kernel_mod.Resource(
                     env, spec.prefetch_batches, f"{job.name}-prefetch"
                 ),
+                storage_pools=storage_pools,
                 flow_key=job.name,
                 job_label=job.name,
             )
-            counters[job.name] = launch(
-                env,
-                spec,
-                work,
-                batches,
-                job.model,
-                handles,
+            _, _, counters[job.name] = trainer._launch(
+                env, handles, kernel, job.splits, epoch, job.adjustments,
                 timeline=timelines[job.name] if timelines is not None else None,
                 tracer=tracer,
-                epoch=epoch,
             )
 
         env.run()
@@ -203,7 +190,7 @@ class SharedLinkSim:
             total_traffic_bytes=sum(r.traffic_bytes for r in results.values()),
             link_utilization=link.utilization(makespan),
             storage_cpu_utilization=(
-                storage_cpu.utilization(makespan) if storage_cpu is not None else 0.0
+                storage_pools[0].utilization(makespan) if storage_pools else 0.0
             ),
             spans=tracer,
             timelines=timelines,

@@ -15,17 +15,17 @@ others idle -- aggregate cores stop being the right capacity measure.
 own ``run_epoch`` -- ``record_spans``, ``record_timeline``, ``adjustments``,
 ``faults`` and ``kernel`` all work, and any caller written against the base
 class can be handed the sharded sim unchanged; the stats it returns are a
-:class:`ShardedStats`.  Per-sample spans land
-on the same ``trace_id(sample, epoch)`` ids as the single-node path, with a
+:class:`ShardedStats`.  It overrides only the hook that makes the storage
+pools (one per shard, plus the placement map).  Per-sample spans land on
+the same ``trace_id(sample, epoch)`` ids as the single-node path, with a
 ``shard`` label naming the pool that ran the offloaded prefix.
 """
 
 import dataclasses
 from types import ModuleType
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.cluster import sim as _fast_kernel
-from repro.cluster.sim import Environment
+from repro.cluster.sim import Environment, Resource
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.trainer import EpochStats, JobHandles, TrainerSim
 from repro.data.dataset import Dataset
@@ -68,11 +68,6 @@ class ShardedStats(EpochStats):
     """
 
     shard_utilization: List[float] = dataclasses.field(default_factory=list)
-
-    @property
-    def stats(self) -> "ShardedStats":
-        """Pre-unification alias: callers used to read ``result.stats.*``."""
-        return self
 
     @property
     def hottest_shard(self) -> float:
@@ -132,42 +127,25 @@ class ShardedTrainerSim(TrainerSim):
         """The shard holding ``sample_id`` (also the span ``shard`` label)."""
         return self.placement[sample_id]
 
-    def _build_handles(
-        self, env: Environment, kernel: ModuleType = _fast_kernel
-    ) -> JobHandles:
-        spec = self.spec
+    def _storage_pools(
+        self, env: Environment, kernel: ModuleType
+    ) -> Tuple[List[Resource], Optional[Callable[[int], int]]]:
         # No storage cores means no shard pools at all: a split > 0 plan is
         # rejected by the work builder exactly as on the single-node sim,
         # instead of silently granting each shard a phantom core.
-        pools = (
-            [
-                kernel.Resource(env, spec.storage_cores, f"shard-{s}-cpu")
-                for s in range(self.num_shards)
-            ]
-            if spec.can_offload
-            else None
-        )
-        return JobHandles(
-            compute_cpu=kernel.Resource(env, spec.compute_cores, "compute-cpu"),
-            storage_cpu=None,
-            link=kernel.Resource(env, 1, "link"),
-            gpu=kernel.Resource(env, 1, "gpu"),
-            prefetch=kernel.Resource(env, spec.prefetch_batches, "prefetch-window"),
-            storage_pools=pools,
-            shard_of=self.shard_of,
-            job_label=self.job_label,
-        )
+        shards = range(self.num_shards) if self.spec.can_offload else ()
+        pools = [
+            kernel.Resource(env, self.spec.storage_cores, f"shard-{s}-cpu") for s in shards
+        ]
+        return pools, self.shard_of
 
     def _wrap_stats(
         self, stats: EpochStats, handles: JobHandles, horizon: float
     ) -> "ShardedStats":
-        pools = handles.storage_pools
-        utilization = (
-            [pool.utilization(horizon) for pool in pools]
-            if pools is not None
-            else [0.0] * self.num_shards
-        )
+        utilization = [pool.utilization(horizon) for pool in handles.storage_pools]
         fields = {
             f.name: getattr(stats, f.name) for f in dataclasses.fields(EpochStats)
         }
-        return ShardedStats(shard_utilization=utilization, **fields)
+        return ShardedStats(
+            shard_utilization=utilization or [0.0] * self.num_shards, **fields
+        )

@@ -23,9 +23,13 @@ path.
 Every epoch runs on the cursor engine (:mod:`repro.cluster.engine`);
 ``kernel="reference"`` replays the frozen seed kernel and launcher
 (:mod:`repro.cluster.refsim`) instead, as the byte-identity oracle.
+Single-node, sharded and shared-link runs all register their epochs
+through :meth:`TrainerSim._launch`; they differ only in the
+:class:`JobHandles` resource set they hand it.
 """
 
 import dataclasses
+import functools
 import numbers
 from types import ModuleType
 from typing import (
@@ -54,17 +58,12 @@ from repro.workloads.models import ModelProfile
 #: sequential work builder -- the byte-identity oracle.
 KERNEL_CHOICES = ("fast", "reference")
 
-#: Registers one job's epoch on an environment (engine or seed launcher).
-Launcher = Callable[..., Dict[str, Any]]
 
-
-def _kernel(kernel: str) -> Tuple[ModuleType, Launcher]:
-    """The DES module and job launcher behind a ``kernel=`` choice."""
+def _kernel(kernel: str) -> ModuleType:
+    """The DES module behind a ``kernel=`` choice."""
     if kernel not in KERNEL_CHOICES:
         raise ValueError(f"kernel must be one of {KERNEL_CHOICES}, got {kernel!r}")
-    if kernel == "reference":
-        return _reference_kernel, _reference_kernel.launch_training_processes
-    return _fast_kernel, launch_training_job
+    return _reference_kernel if kernel == "reference" else _fast_kernel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,25 +209,23 @@ class JobHandles:
     """The simulation resources one training job runs against.
 
     In single-job runs every resource is private; in multi-job runs the
-    link (and possibly the storage CPU pool) is shared across jobs -- see
-    :mod:`repro.cluster.multijob`.  On sharded storage clusters the single
-    ``storage_cpu`` pool is replaced by ``storage_pools`` plus a
-    ``shard_of`` placement map: an offloaded prefix runs on the pool of
-    the shard holding its sample -- see :mod:`repro.cluster.sharded`.
+    link and the storage pool are shared across jobs -- see
+    :mod:`repro.cluster.multijob`.  ``storage_pools`` holds one pool on a
+    single node or a shared link, one per shard on a sharded storage
+    cluster (:mod:`repro.cluster.sharded`), where ``shard_of`` picks the
+    pool of the shard holding each sample, and none without storage cores.
     """
 
     compute_cpu: Resource
-    storage_cpu: Optional[Resource]
     link: Resource
     gpu: Resource
     prefetch: Resource
+    #: Storage CPU pools offloaded prefixes run on (empty: no storage cores).
+    storage_pools: Sequence[Resource]
     #: Flow identifier for fair-queued shared links (None on private links).
     flow_key: object = None
-    #: Per-shard storage CPU pools (sharded clusters); when set, offloaded
-    #: prefixes route through ``shard_of`` instead of ``storage_cpu``.
-    storage_pools: Optional[Sequence[Resource]] = None
-    #: sample id -> shard index; required alongside ``storage_pools`` and
-    #: also used to stamp a ``shard`` label onto per-sample spans.
+    #: sample id -> index into ``storage_pools`` (sharded clusters); also
+    #: stamps a ``shard`` label onto per-sample spans.
     shard_of: Optional[Callable[[int], int]] = None
     #: Tenant name stamped as a ``job`` label onto every span this job
     #: emits (multi-job runs share one tracer across tenants).
@@ -236,11 +233,16 @@ class JobHandles:
 
     def storage_pool(self, sample_id: int) -> Optional[Resource]:
         """The storage CPU pool an offloaded prefix of ``sample_id`` uses."""
-        if self.storage_pools is not None:
-            if self.shard_of is None:
-                raise ValueError("storage_pools requires a shard_of placement map")
-            return self.storage_pools[self.shard_of(sample_id)]
-        return self.storage_cpu
+        if not self.storage_pools:
+            return None
+        return self.storage_pools[0 if self.shard_of is None else self.shard_of(sample_id)]
+
+    def storage_utilization(self, horizon: float) -> float:
+        """Aggregate storage-CPU busy fraction across every pool."""
+        capacity = sum(pool.capacity for pool in self.storage_pools)
+        if horizon <= 0 or capacity == 0:
+            return 0.0
+        return sum(pool.busy_time for pool in self.storage_pools) / (capacity * horizon)
 
     def span_attrs(self, sample_id: Optional[int] = None) -> Dict[str, object]:
         """Shard/tenant labels for spans about ``sample_id`` (or job-wide)."""
@@ -334,25 +336,36 @@ class TrainerSim:
         adjustments: Optional[Dict[int, "WorkAdjustment"]] = None,
     ) -> EpochWork:
         """Every sample's work for one epoch, as columns, from one batch
-        simulation.
+        simulation (:meth:`_stages` cut by :meth:`_fold_work`)."""
+        return self._fold_work(self._stages(epoch), splits, adjustments)
 
-        One :func:`~repro.parallel.vectorized.simulate_batch` call over the
-        dataset's raw metas gives the stage-size and op-cost matrices;
-        :func:`~repro.preprocessing.records.split_folds` sums each sample's
-        prefix and suffix in the association order ``sum(costs[:split])``
-        uses (empty folds stay int 0).  Validation is column-wise and raises
-        :meth:`_reference_epoch_work`'s messages at the same first sample.
-        """
+    def _stages(self, epoch: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Every sample's stage-size and op-cost matrices at ``epoch``, from
+        one :func:`~repro.parallel.vectorized.simulate_batch` call."""
         from repro.parallel import vectorized
 
         ids = self.dataset.sample_ids()
-        n = len(ids)
-        if not n:
-            return EpochWork([], [], [], [])
-        sizes, costs = vectorized.simulate_batch(
+        return vectorized.simulate_batch(
             self.pipeline, self.dataset.raw_metas(ids), ids, seed=self.seed, epoch=epoch
         )
-        n_ops = int(costs.shape[1])
+
+    def _fold_work(
+        self,
+        stages: Tuple[np.ndarray, np.ndarray],
+        splits: Optional[Sequence[int]],
+        adjustments: Optional[Dict[int, "WorkAdjustment"]] = None,
+    ) -> EpochWork:
+        """The epoch work ``splits`` cuts from the :meth:`_stages` matrices.
+
+        :func:`~repro.preprocessing.records.split_folds` sums each sample's
+        prefix and suffix in the association order ``sum(costs[:split])``
+        uses (empty folds stay int 0), so ``splits=None`` gives exactly the
+        split-0 :meth:`sample_work` rows a demoted sample falls back to.
+        Validation is column-wise and raises :meth:`_reference_epoch_work`'s
+        messages at the same first sample.
+        """
+        sizes, costs = stages
+        n, n_ops = costs.shape
         if splits is None:
             values = np.zeros(n)
         else:
@@ -398,37 +411,31 @@ class TrainerSim:
     def _build_handles(
         self, env: Environment, kernel: ModuleType = _fast_kernel
     ) -> JobHandles:
-        """The resource set one epoch runs against (overridden by subclasses:
-        sharded clusters swap the single storage pool for per-shard pools).
+        """The private resource set one epoch runs against.
 
         ``kernel`` supplies the Resource classes so reference-kernel runs
         build refsim resources against a refsim environment.
         """
         spec = self.spec
+        pools, shard_of = self._storage_pools(env, kernel)
         return JobHandles(
             compute_cpu=kernel.Resource(env, spec.compute_cores, "compute-cpu"),
-            storage_cpu=(
-                kernel.Resource(env, spec.storage_cores, "storage-cpu")
-                if spec.can_offload
-                else None
-            ),
             link=kernel.Resource(env, 1, "link"),
             gpu=kernel.Resource(env, 1, "gpu"),
             prefetch=kernel.Resource(env, spec.prefetch_batches, "prefetch-window"),
+            storage_pools=pools,
+            shard_of=shard_of,
             job_label=self.job_label,
         )
 
-    def _storage_utilization(self, handles: JobHandles, horizon: float) -> float:
-        """Aggregate storage-CPU busy fraction across however many pools."""
-        pools = handles.storage_pools
-        if pools is not None:
-            capacity = sum(pool.capacity for pool in pools)
-            if horizon <= 0 or capacity == 0:
-                return 0.0
-            return sum(pool.busy_time for pool in pools) / (capacity * horizon)
-        if handles.storage_cpu is None:
-            return 0.0
-        return handles.storage_cpu.utilization(horizon)
+    def _storage_pools(
+        self, env: Environment, kernel: ModuleType
+    ) -> Tuple[List[Resource], Optional[Callable[[int], int]]]:
+        """The storage CPU pools and the sample -> pool map (overridden by
+        sharded clusters: one pool per shard).  No storage cores, no pools."""
+        if not self.spec.can_offload:
+            return [], None
+        return [kernel.Resource(env, self.spec.storage_cores, "storage-cpu")], None
 
     def _wrap_stats(
         self, stats: EpochStats, handles: JobHandles, horizon: float
@@ -481,56 +488,25 @@ class TrainerSim:
     ) -> Tuple[EpochStats, Environment]:
         """:meth:`run_epoch`, also returning the drained environment (whose
         sequence counter tells how many heap pushes the epoch made)."""
-        kernel_mod, launch = _kernel(kernel)
-        if splits is not None and len(splits) != len(self.dataset):
-            raise ValueError(
-                f"splits has {len(splits)} entries, dataset has {len(self.dataset)}"
-            )
+        kernel_mod = _kernel(kernel)
         if faults is not None and faults.is_empty:
             faults = None
-
-        work: Mapping[int, SampleWork]
-        if kernel == "reference":
-            work = self._reference_epoch_work(splits, epoch, adjustments)
-            columns = EpochWork.from_rows(work.values())
-        else:
-            work = columns = self._epoch_work(splits, epoch, adjustments)
-        batches = list(BatchSampler(self.sampler, self.batch_size).epoch_batches(epoch))
         fault_report = FaultReport() if faults is not None else None
-        fallback_cache: Dict[int, SampleWork] = {}
-
-        def fallback_work(sample_id: int) -> SampleWork:
-            """The split-0 (No-Off) work a demoted sample falls back to."""
-            if sample_id not in fallback_cache:
-                fallback_cache[sample_id] = self.sample_work(sample_id, 0, epoch)
-            return fallback_cache[sample_id]
-
         # The two kernels are duck-compatible; refsim environments carry
         # refsim resources (built below), so the cast is safe.
         env = cast(Environment, kernel_mod.Environment())
-        spec = self.spec
         handles = self._build_handles(env, kernel_mod)
         timeline = Timeline() if record_timeline else None
         tracer = Tracer(clock=lambda: env.now) if record_spans else None
-        traffic = launch(
-            env,
-            spec,
-            work,
-            batches,
-            self.model,
-            handles,
-            timeline=timeline,
-            faults=faults,
-            fault_report=fault_report,
-            fallback_work=fallback_work if faults is not None else None,
-            tracer=tracer,
-            epoch=epoch,
+        columns, batches, traffic = self._launch(
+            env, handles, kernel, splits, epoch, adjustments,
+            timeline=timeline, faults=faults, fault_report=fault_report, tracer=tracer,
         )
         env.run()
 
         horizon = env.now
         split = columns.split
-        overhead = spec.response_overhead_bytes
+        overhead = self.spec.response_overhead_bytes
         # Left folds over the columns in sample order, as the per-row sums
         # over the reference builder's dict run.
         analytic = EpochMetrics(
@@ -548,7 +524,7 @@ class TrainerSim:
             offloaded_samples=len(split) - split.count(0),
             gpu_utilization=handles.gpu.utilization(horizon),
             compute_cpu_utilization=handles.compute_cpu.utilization(horizon),
-            storage_cpu_utilization=self._storage_utilization(handles, horizon),
+            storage_cpu_utilization=handles.storage_utilization(horizon),
             link_utilization=handles.link.utilization(horizon),
             analytic=analytic,
             timeline=timeline,
@@ -556,3 +532,52 @@ class TrainerSim:
             spans=tracer,
         )
         return self._wrap_stats(stats, handles, horizon), env
+
+    def _launch(
+        self,
+        env: Environment,
+        handles: JobHandles,
+        kernel: str,
+        splits: Optional[Sequence[int]],
+        epoch: int,
+        adjustments: Optional[Dict[int, WorkAdjustment]] = None,
+        timeline: Optional[Timeline] = None,
+        faults: Optional[FaultSchedule] = None,
+        fault_report: Optional[FaultReport] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> Tuple[EpochWork, List[List[int]], Dict[str, Any]]:
+        """Register this job's epoch on ``env`` against ``handles``: the one
+        launch path single-node, sharded and shared-link runs share.
+
+        Checks ``splits`` against the dataset, builds the epoch work with
+        ``kernel``'s builder (on the fast kernel, the split-0 demotion
+        fallback comes from the same ``simulate_batch`` call), batches the
+        sampler's order and calls ``kernel``'s launcher.  Returns the work
+        columns, the batches and the job's live traffic counter.
+        """
+        if splits is not None and len(splits) != len(self.dataset):
+            raise ValueError(
+                f"splits has {len(splits)} entries, dataset has {len(self.dataset)}"
+            )
+        launch: Callable[..., Dict[str, Any]]
+        work: Mapping[int, SampleWork]
+        fallback_work: Optional[Callable[[int], SampleWork]] = None
+        if kernel == "reference":
+            launch = _reference_kernel.launch_training_processes
+            work = self._reference_epoch_work(splits, epoch, adjustments)
+            columns = EpochWork.from_rows(work.values())
+            if faults is not None:
+                fallback_work = functools.partial(self.sample_work, split=0, epoch=epoch)
+        else:
+            launch = launch_training_job
+            stages = self._stages(epoch)
+            work = columns = self._fold_work(stages, splits, adjustments)
+            if faults is not None:
+                fallback_work = self._fold_work(stages, None).__getitem__
+        batches = list(BatchSampler(self.sampler, self.batch_size).epoch_batches(epoch))
+        traffic = launch(
+            env, self.spec, work, batches, self.model, handles,
+            timeline=timeline, faults=faults, fault_report=fault_report,
+            fallback_work=fallback_work, tracer=tracer, epoch=epoch,
+        )
+        return columns, batches, traffic

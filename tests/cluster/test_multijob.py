@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.multijob import SharedJob, SharedLinkSim
 from repro.cluster.spec import standard_cluster
-from repro.cluster.trainer import TrainerSim
+from repro.cluster.trainer import KERNEL_CHOICES, TrainerSim
 from repro.core.profiler import StageTwoProfiler
 from repro.data.catalog import make_openimages
 from repro.workloads.models import get_model_profile
@@ -85,6 +85,18 @@ class TestSharedLinkSim:
         job = make_shared_job("dup", small_dataset, pipeline)
         with pytest.raises(ValueError):
             sim.run_epoch([job, job])
+
+    @pytest.mark.parametrize("kernel", KERNEL_CHOICES)
+    @pytest.mark.parametrize("entries", [30, 50])
+    def test_wrong_length_plan_rejected(self, pipeline, kernel, entries):
+        # A plan must cover its job's dataset exactly, as on TrainerSim:
+        # a longer one must not run, a shorter one must not die in numpy.
+        job = make_shared_job(
+            "j", make_openimages(num_samples=40, seed=5), pipeline, splits=[1] * entries
+        )
+        sim = SharedLinkSim(standard_cluster(storage_cores=8))
+        with pytest.raises(ValueError, match=f"splits has {entries} entries, dataset has 40"):
+            sim.run_epoch([job], kernel=kernel)
 
     def test_empty_job_list_rejected(self):
         with pytest.raises(ValueError):

@@ -57,7 +57,7 @@ class TestShardedSim:
             batch_size=64,
         ).run_epoch(splits, epoch=0)
         assert sharded.epoch_time_s == pytest.approx(plain.epoch_time_s, rel=1e-9)
-        assert sharded.stats.traffic_bytes == plain.traffic_bytes
+        assert sharded.traffic_bytes == plain.traffic_bytes
 
     def test_traffic_independent_of_placement(self, openimages_small, pipeline, splits):
         rr = make_sim(
@@ -68,7 +68,7 @@ class TestShardedSim:
             openimages_small, pipeline,
             contiguous_placement(len(openimages_small), 4),
         ).run_epoch(splits, epoch=0)
-        assert rr.stats.traffic_bytes == cont.stats.traffic_bytes
+        assert rr.traffic_bytes == cont.traffic_bytes
 
     def test_per_shard_utilization_reported(self, openimages_small, pipeline, splits):
         result = make_sim(

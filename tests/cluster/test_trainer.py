@@ -5,8 +5,12 @@ import dataclasses
 import pytest
 
 from repro.cluster import sim
+from repro.cluster.sharded import ShardedTrainerSim, round_robin_placement
 from repro.cluster.spec import standard_cluster
 from repro.cluster.trainer import KERNEL_CHOICES, TrainerSim, WorkAdjustment
+from repro.faults import FaultSchedule
+from repro.parallel import vectorized
+from repro.preprocessing.pipeline import Pipeline
 from repro.workloads.models import get_model_profile
 
 
@@ -47,6 +51,55 @@ class TestSampleWork:
     def test_invalid_split_rejected(self, trainer):
         with pytest.raises(ValueError):
             trainer.sample_work(0, split=6, epoch=0)
+
+
+class TestDemotionFallback:
+    @pytest.mark.parametrize("dataset_name", ["openimages_small", "imagenet_small"])
+    @pytest.mark.parametrize("epoch", [0, 1, 3])
+    def test_split_zero_columns_equal_sample_work(
+        self, request, pipeline, alexnet, dataset_name, epoch
+    ):
+        dataset = request.getfixturevalue(dataset_name)
+        trainer = TrainerSim(dataset, pipeline, alexnet, standard_cluster(), seed=4)
+        fallback = trainer._fold_work(trainer._stages(epoch), None)
+        for sample_id in range(0, len(dataset), 7):
+            assert fallback[sample_id] == trainer.sample_work(sample_id, 0, epoch)
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_faulted_fast_epoch_runs_one_batch_simulation(
+        self, openimages_small, pipeline, alexnet, monkeypatch, sharded
+    ):
+        # Demoted samples fall back to split-0 work folded from the epoch's
+        # one simulate_batch call, never to the scalar Pipeline.simulate.
+        spec = standard_cluster(storage_cores=8)
+        if sharded:
+            placement = round_robin_placement(len(openimages_small), 3)
+            trainer = ShardedTrainerSim(
+                openimages_small, pipeline, alexnet, spec, placement, batch_size=64
+            )
+        else:
+            trainer = TrainerSim(openimages_small, pipeline, alexnet, spec, batch_size=64)
+        splits = [i % 6 for i in range(len(openimages_small))]
+        base = trainer.run_epoch(splits, epoch=1)
+        faults = FaultSchedule().with_crash(
+            0.3 * base.epoch_time_s, duration=0.2 * base.epoch_time_s
+        )
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("scalar Pipeline.simulate on the fast path")
+
+        calls = []
+        batch = vectorized.simulate_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(Pipeline, "simulate", scalar)
+        monkeypatch.setattr(vectorized, "simulate_batch", counting)
+        stats = trainer.run_epoch(splits, epoch=1, faults=faults)
+        assert stats.faults.demoted_samples > 0
+        assert len(calls) == 1
 
 
 class TestRunEpoch:
