@@ -10,7 +10,9 @@ frozen seed kernel (``kernel="reference"``) and the cursor engine
 results go to ``BENCH.json`` with schema ``sophon-bench/v2``: per scale,
 one row per layer, keyed by the layer names ``BENCHMARK.json`` uses,
 holding best-of seconds and µs per sample for each path (reference path
-first).  The smallest scale's record-building and epoch rows also carry
+first); the ``cluster.run_epoch`` row adds the fast path's µs per sample
+with faults, spans and timeline all on (``instrumented_us_per_sample``).
+The smallest scale's record-building and epoch rows also carry
 tracemalloc peak bytes and live blocks.
 
 Every production path is gated against its reference, and a speed
@@ -205,6 +207,12 @@ def bench_scale(
         )
         .with_corruption(0.02)
     )
+
+    def instrumented() -> EpochStats:
+        return trainer.run_epoch(
+            splits, epoch=1, faults=faults, record_spans=True, record_timeline=True
+        )
+
     gates = {
         "records": records["vectorized"] == records["sequential"],
         "plan": table_plan == plan("list"),
@@ -236,6 +244,9 @@ def bench_scale(
             row["peak_bytes"] = {path: peak for path, (peak, _) in measured.items()}
             row["live_blocks"] = {path: live for path, (_, live) in measured.items()}
         if layer == "cluster.run_epoch":
+            row["instrumented_us_per_sample"] = {
+                "fast": best_of(instrumented, repeats, timer) / num_samples * 1e6
+            }
             pushes = {path: heap_pushes(trainer, splits, path) for path in paths}
             row["heap_pushes_per_sample"] = {
                 path: count / num_samples for path, count in pushes.items()
@@ -482,6 +493,11 @@ def render_summary(report: Dict[str, Any]) -> str:
                 f"    {layer:<24} {reference} {us[reference]:.2f} -> "
                 f"{production} {us[production]:.2f}{speedup}"
             )
+        instrumented = entry["layers"]["cluster.run_epoch"]["instrumented_us_per_sample"]
+        lines.append(
+            f"    {'cluster.run_epoch':<24} fast + faults, spans, timeline "
+            f"{instrumented['fast']:.2f}"
+        )
     smallest = report["scales"][0]
     for layer in ALLOCATION_LAYERS:
         peaks = smallest["layers"][layer].get("peak_bytes")

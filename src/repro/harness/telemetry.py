@@ -124,7 +124,7 @@ def epoch_trace_records(
         records.append(
             EpochTraceRecord(
                 epoch=epoch,
-                spans=tuple(stats.spans.events) if stats.spans is not None else (),
+                spans=stats.spans.events if stats.spans is not None else (),
                 timeline=stats.timeline,
             )
         )
@@ -152,7 +152,8 @@ def emit_combined_artifacts(
     records = epoch_trace_records(per_epoch)
     merged = Tracer()
     for record in records:
-        merged.events.extend(record.spans)
+        for event in record.spans:
+            merged.record(event)
 
     paths: List[str] = []
     if merged.events or registry is not None or audit is not None:

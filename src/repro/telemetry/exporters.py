@@ -319,7 +319,7 @@ def replay_jsonl_lines(lines: Iterable[str]) -> ReplayedTelemetry:
         elif kind == "metric":
             _replay_metric(registry, entry)
         elif kind == "span":
-            tracer.events.append(
+            tracer.record(
                 SpanEvent(
                     trace_id=entry["trace"],
                     name=entry["name"],

@@ -24,7 +24,6 @@ receives every span as well, which is how a traced chaos run exports the
 import collections
 import dataclasses
 import json
-import threading
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.telemetry.clock import Clock
@@ -48,8 +47,9 @@ class FlightSnapshot:
 class FlightRecorder(Tracer):
     """A thread-safe :class:`Tracer` recording into a bounded ring, plus logs.
 
-    Only :meth:`_emit` differs from the base tracer.  The inherited
-    ``events`` list stays empty: read the window through :meth:`snapshot`.
+    :meth:`_emit` and :meth:`record` land in the ring (and the tee) under
+    the base tracer's lock.  The inherited columns stay empty, so
+    ``events`` is always ``()``: read the window through :meth:`snapshot`.
     """
 
     def __init__(
@@ -63,7 +63,6 @@ class FlightRecorder(Tracer):
         super().__init__(clock)
         self.capacity = capacity
         self.tee = tee
-        self._lock = threading.Lock()
         self._spans: Deque[SpanEvent] = collections.deque(maxlen=capacity)
         self._logs: Deque[LogRecord] = collections.deque(maxlen=capacity)
         self._span_total = 0
@@ -71,18 +70,22 @@ class FlightRecorder(Tracer):
 
     # -- recording ---------------------------------------------------------
 
-    def _emit(
-        self, trace: str, name: str, phase: str, attrs: Dict[str, object]
-    ) -> SpanEvent:
+    def _emit(self, trace: str, name: str, phase: str, attrs: Dict[str, object]) -> None:
         with self._lock:
-            event = SpanEvent(
-                trace_id=trace, name=name, phase=phase, t_s=self.clock(), attrs=attrs
+            self._keep(
+                SpanEvent(trace_id=trace, name=name, phase=phase, t_s=self.clock(), attrs=attrs)
             )
-            self._spans.append(event)
-            self._span_total += 1
-            if self.tee is not None:
-                self.tee.events.append(event)
-        return event
+
+    def record(self, event: SpanEvent) -> None:
+        with self._lock:
+            self._keep(event)
+
+    def _keep(self, event: SpanEvent) -> None:
+        """Ring and tee one event; the caller holds the lock."""
+        self._spans.append(event)
+        self._span_total += 1
+        if self.tee is not None:
+            self.tee.record(event)
 
     def record_log(self, record: LogRecord) -> None:
         """Sink for :class:`~repro.telemetry.logs.StructuredLogger`."""

@@ -15,6 +15,8 @@ def test_bench_scale_shape_and_identity_gate(bench_scale_entry):
     assert set(row["seconds"]) == set(KERNEL_CHOICES) == set(row["us_per_sample"])
     assert all(value > 0 for value in row["seconds"].values())
     assert all(value > 0 for value in row["us_per_sample"].values())
+    assert set(row["instrumented_us_per_sample"]) == {"fast"}
+    assert row["instrumented_us_per_sample"]["fast"] > 0
     assert result["epoch_time_s"] > 0
     assert result["traffic_bytes"] > 0
 
