@@ -1,8 +1,9 @@
 """Library micro-benchmarks: real wall-clock throughput of the hot paths.
 
 Unlike the figure regenerators (which run in virtual time), these measure
-the actual Python/numpy implementations -- codec encode/decode, bilinear
-resize, the full pipeline, and message serialization -- with
+the actual Python/numpy implementations -- codec encode/decode (whole
+image and crop window), bilinear resize, the fused Decode -> crop prefix,
+the full pipeline, and message serialization -- with
 pytest-benchmark's normal multi-round timing.  They guard against
 performance regressions in the substrate itself.
 """
@@ -37,6 +38,24 @@ def test_micro_codec_decode(benchmark, image, codec):
     encoded = codec.encode(image)
     decoded = benchmark(codec.decode, encoded)
     assert decoded.shape == image.shape
+
+
+def test_micro_decode_window(benchmark, image, codec):
+    encoded = codec.encode(image)
+    decoded = benchmark(codec.decode, encoded, window=(64, 96, 224, 256))
+    assert decoded.shape == (224, 256, 3)
+
+
+def test_micro_decode_crop(benchmark, image, codec):
+    """Decode -> RandomResizedCrop, which decodes only the crop's window."""
+    pipeline = standard_pipeline(codec=codec)
+    payload = Payload.encoded(codec.encode(image), height=384, width=512)
+
+    def run():
+        return pipeline.run(payload, seed=0, epoch=0, sample_id=0, stop=2)
+
+    result = benchmark(run)
+    assert result.payload.data.shape == (224, 224, 3)
 
 
 def test_micro_resize(benchmark, image):

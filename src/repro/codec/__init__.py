@@ -9,9 +9,9 @@ way JPEG sizes do, without shipping binary JPEG machinery.
 
 Public API:
 
-- :class:`ToyJpegCodec` -- encode/decode uint8 RGB images.
+- :class:`ToyJpegCodec` -- encode/decode uint8 RGB images; ``decode``
+  takes an optional pixel window and decodes only the blocks it reads.
 - :class:`CodecConfig` -- quality / subsampling knobs.
-- :func:`encoded_size` -- convenience wrapper returning only the byte count.
 - :class:`ProgressiveJpegCodec` / :class:`ProgressiveCodecConfig` -- the
   layered variant whose streams decode from any scan prefix
   (:mod:`repro.codec.progressive`).
@@ -24,8 +24,8 @@ Public API:
 from repro.codec.errors import CodecError, CorruptStreamError
 from repro.codec.quant import BASE_LUMA_TABLE, quality_scaled_table
 from repro.codec.zigzag import zigzag_indices, zigzag_order, inverse_zigzag
-from repro.codec.jpeg import CodecConfig, ToyJpegCodec, encoded_size
-from repro.codec.metrics import compression_ratio, mse, psnr
+from repro.codec.jpeg import CodecConfig, ToyJpegCodec
+from repro.codec.metrics import mse, psnr
 from repro.codec.progressive import (
     DEFAULT_SCAN_BANDS,
     ProgressiveCodecConfig,
@@ -47,8 +47,6 @@ __all__ = [
     "ProgressiveJpegCodec",
     "ScanFidelity",
     "ToyJpegCodec",
-    "compression_ratio",
-    "encoded_size",
     "inverse_zigzag",
     "mse",
     "psnr",

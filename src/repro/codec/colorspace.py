@@ -26,7 +26,7 @@ def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
 
 def ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
     """Convert float64 YCbCr back to uint8 RGB, clipping to [0, 255]."""
-    shifted = ycc.astype(np.float64).copy()
+    shifted = ycc.astype(np.float64)
     shifted[..., 1:] -= 128.0
     rgb = shifted @ _YCBCR_TO_RGB.T
     return np.clip(np.round(rgb), 0, 255).astype(np.uint8)

@@ -46,6 +46,9 @@ _PLANE_HEADER = struct.Struct("<III")  # plane height, width, payload length
 _FLAG_SUBSAMPLE = 0x01
 _FLAG_GRAYSCALE = 0x02
 
+#: A pixel window of an image or plane: (top, left, height, width).
+Window = Tuple[int, int, int, int]
+
 
 @dataclasses.dataclass(frozen=True)
 class CodecConfig:
@@ -109,35 +112,54 @@ def quantize_plane(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_plane(
-    flat: np.ndarray, height: int, width: int, table: np.ndarray
+    flat: np.ndarray, width: int, table: np.ndarray, window: Window
 ) -> np.ndarray:
-    """Rebuild a float plane from delta-DC zigzag coefficients.
+    """Rebuild the pixel ``window`` of a float plane from delta-DC coefficients.
 
     ``flat`` is (num_blocks, 64) integer coefficients as produced by
-    :func:`quantize_plane` (DC still delta-coded).
+    :func:`quantize_plane` for a plane ``width`` pixels wide (DC still
+    delta-coded, so the DC cumsum runs over every block).  Only the 8x8
+    blocks that cover ``window`` are transformed.
     """
-    flat = flat.astype(np.int64)
-    flat[:, 0] = np.cumsum(flat[:, 0])
-    quantized = inverse_zigzag(flat.astype(np.float64))
-    coeffs = quantized * table
+    top, left, win_h, win_w = window
+    cols = (width + 7) // 8
+    r0, c0 = top // 8, left // 8
+    r1, c1 = (top + win_h + 7) // 8, (left + win_w + 7) // 8
+    dc = np.cumsum(flat[:, 0], dtype=np.int64).reshape(-1, cols)[r0:r1, c0:c1]
+    grid = flat.reshape(-1, cols, 64)[r0:r1, c0:c1].astype(np.float64)
+    grid[..., 0] = dc
+    coeffs = inverse_zigzag(grid.reshape(-1, 64)) * table
     blocks = idctn(coeffs, axes=(-2, -1), norm="ortho") + 128.0
-    return from_blocks(blocks, height, width)
+    plane = from_blocks(blocks, (r1 - r0) * 8, (c1 - c0) * 8)
+    top, left = top - r0 * 8, left - c0 * 8
+    return plane[top : top + win_h, left : left + win_w]
+
+
+def plane_window(window: Window, index: int, grayscale: bool, subsampled: bool) -> Window:
+    """The window plane ``index`` must supply for an image ``window``."""
+    if grayscale or index == 0 or not subsampled:
+        return window
+    top, left, height, width = window
+    return (
+        top // 2,
+        left // 2,
+        (top + height + 1) // 2 - top // 2,
+        (left + width + 1) // 2 - left // 2,
+    )
 
 
 def assemble_image(
-    planes: List[np.ndarray],
-    grayscale: bool,
-    subsampled: bool,
-    height: int,
-    width: int,
+    planes: List[np.ndarray], grayscale: bool, subsampled: bool, window: Window
 ) -> np.ndarray:
-    """Combine decoded float planes into the final uint8 image."""
+    """Combine decoded float planes of an image ``window`` into uint8 pixels."""
     if grayscale:
         return np.clip(np.round(planes[0]), 0, 255).astype(np.uint8)
+    top, left, height, width = window
     luma, cb, cr = planes
     if subsampled:
-        cb = upsample_420(cb, height, width)
-        cr = upsample_420(cr, height, width)
+        dy, dx = top % 2, left % 2
+        cb = upsample_420(cb, dy + height, dx + width)[dy:, dx:]
+        cr = upsample_420(cr, dy + height, dx + width)[dy:, dx:]
     ycc = np.stack([luma, cb, cr], axis=-1)
     return ycbcr_to_rgb(ycc)
 
@@ -156,6 +178,34 @@ def num_blocks_for(height: int, width: int, block: int = 8) -> int:
     rows = (height + block - 1) // block
     cols = (width + block - 1) // block
     return rows * cols
+
+
+def image_window(window: Optional[Window], height: int, width: int) -> Window:
+    """``window`` checked against a ``height`` x ``width`` image; None is all of it."""
+    if window is None:
+        return 0, 0, height, width
+    top, left, win_h, win_w = window
+    if min(top, left) < 0 or min(win_h, win_w) < 1 or top + win_h > height or left + win_w > width:
+        raise ValueError(f"window {tuple(window)} does not fit a {height}x{width} image")
+    return top, left, win_h, win_w
+
+
+def inflate_exact(payload: bytes, expected_bytes: int) -> bytes:
+    """Inflate ``payload``, requiring exactly ``expected_bytes`` out.
+
+    Decompression is capped at the expected size, so a hostile stream
+    cannot drive a huge allocation through a deflate bomb.
+    """
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(payload, expected_bytes + 1)
+    except zlib.error as exc:
+        raise CorruptStreamError(f"deflate stream corrupt: {exc}") from exc
+    if len(raw) != expected_bytes or not inflater.eof or inflater.unused_data:
+        raise CorruptStreamError(
+            f"payload inflates to {len(raw)}+ bytes, expected {expected_bytes}"
+        )
+    return raw
 
 
 def validate_header_dims(height: int, width: int) -> None:
@@ -213,8 +263,13 @@ class ToyJpegCodec:
 
     # -- decoding ---------------------------------------------------------
 
-    def decode(self, data: bytes) -> np.ndarray:
-        """Decode bytes produced by :meth:`encode` back into a uint8 image."""
+    def decode(self, data: bytes, window: Optional[Window] = None) -> np.ndarray:
+        """Decode bytes produced by :meth:`encode` back into a uint8 image.
+
+        window: (top, left, height, width) pixels to decode; None means the
+            whole image.  The result equals ``decode(data)`` sliced to the
+            window, and the whole stream is validated either way.
+        """
         if len(data) < _HEADER.size:
             raise CorruptStreamError("stream shorter than header")
         magic, version, flags, quality, height, width, num_planes = _HEADER.unpack_from(
@@ -229,6 +284,7 @@ class ToyJpegCodec:
         subsampled = bool(flags & _FLAG_SUBSAMPLE)
         validate_plane_count(num_planes, grayscale)
         validate_header_dims(height, width)
+        window = image_window(window, height, width)
         luma_table = quality_scaled_table(BASE_LUMA_TABLE, quality)
         chroma_table = quality_scaled_table(BASE_CHROMA_TABLE, quality)
 
@@ -250,33 +306,19 @@ class ToyJpegCodec:
             if offset + p_len > len(data):
                 raise CorruptStreamError("truncated plane payload")
             table = luma_table if index == 0 else chroma_table
+            raw = inflate_exact(data[offset : offset + p_len], num_blocks_for(p_h, p_w) * 128)
+            flat = np.frombuffer(raw, dtype="<i2").reshape(-1, 64)
             planes.append(
-                self._decode_plane(data[offset : offset + p_len], p_h, p_w, table)
+                reconstruct_plane(
+                    flat, p_w, table, plane_window(window, index, grayscale, subsampled)
+                )
             )
             offset += p_len
         if offset != len(data):
             raise CorruptStreamError(
                 f"{len(data) - offset} trailing bytes after the last plane"
             )
-        return assemble_image(planes, grayscale, subsampled, height, width)
-
-    def _decode_plane(
-        self, payload: bytes, height: int, width: int, table: np.ndarray
-    ) -> np.ndarray:
-        try:
-            raw = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise CorruptStreamError(f"deflate stream corrupt: {exc}") from exc
-        flat = np.frombuffer(raw, dtype="<i2")
-        if flat.size % 64:
-            raise CorruptStreamError(f"coefficient count {flat.size} not 64-aligned")
-        flat = flat.reshape(-1, 64)
-        if flat.shape[0] != num_blocks_for(height, width):
-            raise CorruptStreamError(
-                f"plane carries {flat.shape[0]} blocks, "
-                f"{height}x{width} needs {num_blocks_for(height, width)}"
-            )
-        return reconstruct_plane(flat, height, width, table)
+        return assemble_image(planes, grayscale, subsampled, window)
 
     # -- helpers ----------------------------------------------------------
 
@@ -293,8 +335,3 @@ class ToyJpegCodec:
         if image.shape[0] < 1 or image.shape[1] < 1:
             raise UnsupportedImageError(f"empty image {image.shape}")
         return image
-
-
-def encoded_size(image: np.ndarray, config: Optional[CodecConfig] = None) -> int:
-    """Return the encoded byte size of ``image`` under ``config``."""
-    return len(ToyJpegCodec(config).encode(image))

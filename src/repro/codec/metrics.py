@@ -25,10 +25,3 @@ def psnr(reference: np.ndarray, candidate: np.ndarray, peak: float = 255.0) -> f
     if is_exact_zero(error):
         return math.inf
     return 10.0 * math.log10(peak * peak / error)
-
-
-def compression_ratio(original_bytes: int, encoded_bytes: int) -> float:
-    """original / encoded; > 1 means the codec shrank the image."""
-    if encoded_bytes <= 0:
-        raise ValueError(f"encoded_bytes must be > 0, got {encoded_bytes}")
-    return original_bytes / encoded_bytes

@@ -38,9 +38,13 @@ from repro.codec.errors import CorruptStreamError
 from repro.codec.jpeg import (
     CodecConfig,
     ToyJpegCodec,
+    Window,
     assemble_image,
     expected_plane_dims,
+    image_window,
+    inflate_exact,
     num_blocks_for,
+    plane_window,
     quantize_plane,
     reconstruct_plane,
     split_planes,
@@ -214,24 +218,6 @@ def _parse_stream(data: bytes) -> _ParsedStream:
     )
 
 
-def _inflate_exact(payload: bytes, expected_bytes: int) -> bytes:
-    """Inflate ``payload``, requiring exactly ``expected_bytes`` out.
-
-    Decompression is capped at the expected size, so a hostile directory
-    cannot drive a huge allocation through a deflate bomb.
-    """
-    inflater = zlib.decompressobj()
-    try:
-        raw = inflater.decompress(payload, expected_bytes + 1)
-    except zlib.error as exc:
-        raise CorruptStreamError(f"deflate stream corrupt: {exc}") from exc
-    if len(raw) != expected_bytes or not inflater.eof or inflater.unused_data:
-        raise CorruptStreamError(
-            f"scan payload inflates to {len(raw)}+ bytes, expected {expected_bytes}"
-        )
-    return raw
-
-
 class ProgressiveJpegCodec:
     """Layered image codec whose streams decode from any scan prefix."""
 
@@ -293,13 +279,20 @@ class ProgressiveJpegCodec:
 
     # -- decoding ---------------------------------------------------------
 
-    def decode(self, data: bytes, scan_count: Optional[int] = None) -> np.ndarray:
+    def decode(
+        self,
+        data: bytes,
+        scan_count: Optional[int] = None,
+        window: Optional[Window] = None,
+    ) -> np.ndarray:
         """Decode a scan prefix of ``data`` into a uint8 image.
 
         scan_count: how many leading scans to use; None means every scan
             the stream carries.  Decoding all scans of a complete stream
             is byte-identical to :meth:`ToyJpegCodec.decode` on the
             baseline encoding of the same image.
+        window: (top, left, height, width) pixels to decode, as in
+            :meth:`ToyJpegCodec.decode`; None means the whole image.
 
         Baseline (``TJPG``) streams are accepted too -- and delegated to
         :class:`ToyJpegCodec` -- so a pipeline's decode op handles stored
@@ -310,7 +303,7 @@ class ProgressiveJpegCodec:
                 raise CorruptStreamError(
                     "baseline stream has no scans to select from"
                 )
-            return ToyJpegCodec(self.config.base).decode(data)
+            return ToyJpegCodec(self.config.base).decode(data, window)
         parsed = _parse_stream(data)
         if scan_count is None:
             scan_count = parsed.available_scans
@@ -323,6 +316,7 @@ class ProgressiveJpegCodec:
                 f"stream carries {parsed.available_scans} scan(s), "
                 f"{scan_count} requested"
             )
+        window = image_window(window, parsed.height, parsed.width)
 
         luma_table = quality_scaled_table(BASE_LUMA_TABLE, parsed.quality)
         chroma_table = quality_scaled_table(BASE_CHROMA_TABLE, parsed.quality)
@@ -336,14 +330,19 @@ class ProgressiveJpegCodec:
                 lo, hi = parsed.band_range(scan)
                 start = offset_base[scan] + sum(parsed.lengths[scan][:index])
                 payload = data[start : start + parsed.lengths[scan][index]]
-                raw = _inflate_exact(payload, blocks * (hi - lo) * 2)
+                raw = inflate_exact(payload, blocks * (hi - lo) * 2)
                 band = np.frombuffer(raw, dtype="<i2").reshape(blocks, hi - lo)
                 flat[:, lo:hi] = band
             table = luma_table if index == 0 else chroma_table
-            planes.append(reconstruct_plane(flat, p_h, p_w, table))
-        return assemble_image(
-            planes, parsed.grayscale, parsed.subsampled, parsed.height, parsed.width
-        )
+            planes.append(
+                reconstruct_plane(
+                    flat,
+                    p_w,
+                    table,
+                    plane_window(window, index, parsed.grayscale, parsed.subsampled),
+                )
+            )
+        return assemble_image(planes, parsed.grayscale, parsed.subsampled, window)
 
     # -- stream introspection ---------------------------------------------
 

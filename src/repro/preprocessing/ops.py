@@ -18,6 +18,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.codec import CodecConfig, ToyJpegCodec
+from repro.codec.jpeg import Window
 from repro.preprocessing.payload import Payload, PayloadKind, StageMeta
 from repro.preprocessing.resize import resize_bilinear
 
@@ -76,9 +77,10 @@ class Decode(Op):
     def __init__(self, codec: Optional[ToyJpegCodec] = None) -> None:
         self.codec = codec if codec is not None else ToyJpegCodec(CodecConfig())
 
-    def apply(self, payload: Payload, params: Params) -> Payload:
+    def apply(self, payload: Payload, params: Params, window: Optional[Window] = None) -> Payload:
+        """Decode the image, or only its (top, left, height, width) ``window``."""
         self._check_input(payload.kind)
-        image = self.codec.decode(payload.data)
+        image = self.codec.decode(payload.data, window=window)
         if image.ndim == 2:  # promote grayscale so downstream ops see 3 channels
             image = np.stack([image] * 3, axis=-1)
         return Payload.image(image)

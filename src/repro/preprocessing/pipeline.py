@@ -96,6 +96,10 @@ class Pipeline:
 
         ``start=0, stop=None`` runs the whole pipeline.  Costs are *virtual*
         (from the cost model), not wall-clock.
+
+        A Decode followed by a RandomResizedCrop in the range decodes only
+        the crop's window; payload and traces equal decoding the whole
+        image and cropping it (the Decode trace keeps the full image meta).
         """
         stop = len(self.ops) if stop is None else stop
         self._check_range(start, stop)
@@ -103,16 +107,25 @@ class Pipeline:
 
         stages: List[StageTrace] = []
         meta = payload.meta
-        for index in range(start, stop):
+        index = start
+        while index < stop:
             op = self.ops[index]
-            rng = op_rng(seed, epoch, sample_id, index)
-            params = op.draw_params(rng, meta)
-            payload = op.apply(payload, params)
-            out_meta = payload.meta
-            in_px, out_px = op.work_pixels(meta, out_meta, params)
-            cost = model.op_seconds(op.name, in_px, out_px)
-            stages.append(StageTrace(op.name, index + 1, params, out_meta, cost))
-            meta = out_meta
+            params = op.draw_params(op_rng(seed, epoch, sample_id, index), meta)
+            crop = self.ops[index + 1] if index + 1 < stop else None
+            if isinstance(op, Decode) and isinstance(crop, RandomResizedCrop):
+                # The crop is drawn from the meta a full decode would have.
+                decoded = op.simulate(meta, params)
+                stages.append(self._trace(op, index, params, meta, decoded, model))
+                box = crop.draw_params(op_rng(seed, epoch, sample_id, index + 1), decoded)
+                window = (box["top"], box["left"], box["crop_h"], box["crop_w"])
+                region = op.apply(payload, params, window)
+                op, params, meta, index = crop, box, decoded, index + 1
+                payload = op.apply(region, {**params, "top": 0, "left": 0})
+            else:
+                payload = op.apply(payload, params)
+            stages.append(self._trace(op, index, params, meta, payload.meta, model))
+            meta = payload.meta
+            index += 1
         return PipelineRun(payload=payload, out_meta=meta, stages=stages)
 
     def simulate(
@@ -134,14 +147,19 @@ class Pipeline:
         stages: List[StageTrace] = []
         for index in range(start, stop):
             op = self.ops[index]
-            rng = op_rng(seed, epoch, sample_id, index)
-            params = op.draw_params(rng, meta)
+            params = op.draw_params(op_rng(seed, epoch, sample_id, index), meta)
             out_meta = op.simulate(meta, params)
-            in_px, out_px = op.work_pixels(meta, out_meta, params)
-            cost = model.op_seconds(op.name, in_px, out_px)
-            stages.append(StageTrace(op.name, index + 1, params, out_meta, cost))
+            stages.append(self._trace(op, index, params, meta, out_meta, model))
             meta = out_meta
         return PipelineRun(payload=None, out_meta=meta, stages=stages)
+
+    @staticmethod
+    def _trace(
+        op: Op, index: int, params: Params, meta: StageMeta, out_meta: StageMeta, model: CostModel
+    ) -> StageTrace:
+        in_px, out_px = op.work_pixels(meta, out_meta, params)
+        cost = model.op_seconds(op.name, in_px, out_px)
+        return StageTrace(op.name, index + 1, params, out_meta, cost)
 
     # -- derived views -----------------------------------------------------
 

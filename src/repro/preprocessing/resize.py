@@ -32,9 +32,12 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         wy = wy[..., None]
         wx = wx[..., None]
 
-    pixels = image.astype(np.float64)
-    top = pixels[y0][:, x0] * (1 - wx) + pixels[y0][:, x1] * wx
-    bottom = pixels[y1][:, x0] * (1 - wx) + pixels[y1][:, x1] * wx
+    # Gather on the input dtype, then widen only the sampled pixels.
+    rows0, rows1 = image[y0], image[y1]
+    p00, p01 = rows0[:, x0].astype(np.float64), rows0[:, x1].astype(np.float64)
+    p10, p11 = rows1[:, x0].astype(np.float64), rows1[:, x1].astype(np.float64)
+    top = p00 * (1 - wx) + p01 * wx
+    bottom = p10 * (1 - wx) + p11 * wx
     out = top * (1 - wy) + bottom * wy
 
     if np.issubdtype(image.dtype, np.integer):

@@ -1,11 +1,15 @@
 """Toy codec end-to-end tests: fidelity, size behaviour, robustness."""
 
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codec import CodecConfig, CorruptStreamError, ToyJpegCodec, encoded_size
+from repro.codec import CodecConfig, CorruptStreamError, ToyJpegCodec
 from repro.codec.errors import UnsupportedImageError
 from repro.data.synthetic import generate_image
 
@@ -73,23 +77,24 @@ class TestSizeBehaviour:
     def test_smooth_images_compress_better_than_noisy(self, rng):
         smooth = generate_image(rng, 128, 128, texture=0.0)
         noisy = generate_image(rng, 128, 128, texture=1.0)
-        assert encoded_size(smooth) < encoded_size(noisy)
+        codec = make_codec()
+        assert len(codec.encode(smooth)) < len(codec.encode(noisy))
 
     def test_higher_quality_is_bigger(self, rng):
         image = generate_image(rng, 96, 96, texture=0.5)
-        assert encoded_size(image, CodecConfig(quality=90)) > encoded_size(
-            image, CodecConfig(quality=30)
+        assert len(make_codec(quality=90).encode(image)) > len(
+            make_codec(quality=30).encode(image)
         )
 
     def test_subsampling_shrinks_color_images(self, rng):
         image = generate_image(rng, 96, 96, texture=0.5)
-        with_sub = encoded_size(image, CodecConfig(subsample=True))
-        without = encoded_size(image, CodecConfig(subsample=False))
+        with_sub = len(make_codec(subsample=True).encode(image))
+        without = len(make_codec(subsample=False).encode(image))
         assert with_sub < without
 
     def test_compression_beats_raw_for_natural_content(self, rng):
         image = generate_image(rng, 256, 256, texture=0.4)
-        assert encoded_size(image) < image.nbytes
+        assert len(make_codec().encode(image)) < image.nbytes
 
     def test_encode_is_deterministic(self, rng):
         image = generate_image(rng, 64, 80, texture=0.6)
@@ -158,6 +163,24 @@ class TestRobustness:
         data = make_codec().encode(generate_image(rng, 16, 16, texture=0.2))
         with pytest.raises(CorruptStreamError):
             make_codec().decode(data + b"\x00")
+
+    def test_rejects_deflate_bomb_without_inflating_it(self):
+        # Regression: a grayscale 8x8 stream (one block, 128 coefficient
+        # bytes) whose plane inflates to 128 MiB used to be inflated in
+        # full before the block count rejected it.
+        packer = zlib.compressobj(9)
+        chunk = bytes(1 << 20)
+        bomb = b"".join(packer.compress(chunk) for _ in range(128)) + packer.flush()
+        header = struct.pack("<4sBBBIIB", b"TJPG", 1, 0x02, 75, 8, 8, 1)
+        data = header + struct.pack("<III", 8, 8, len(bomb)) + bomb
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptStreamError):
+                make_codec().decode(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize(
         "bad",

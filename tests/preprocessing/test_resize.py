@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.preprocessing.resize import resize_bilinear
+from tests.preprocessing.oracles import resize_bilinear_reference
 
 
 class TestResize:
@@ -66,3 +67,37 @@ class TestResize:
     def test_shape_property(self, in_h, in_w, out_h, out_w):
         image = np.zeros((in_h, in_w, 3), dtype=np.uint8)
         assert resize_bilinear(image, out_h, out_w).shape == (out_h, out_w, 3)
+
+
+class TestMatchesReference:
+    """The row-gathering resize is value-identical to widening up front."""
+
+    @given(
+        in_h=st.integers(1, 40),
+        in_w=st.integers(1, 40),
+        out_h=st.integers(1, 48),
+        out_w=st.integers(1, 48),
+        channels=st.sampled_from([None, 3]),
+        dtype=st.sampled_from([np.uint8, np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_reference(self, in_h, in_w, out_h, out_w, channels, dtype, seed):
+        rng = np.random.default_rng(seed)
+        shape = (in_h, in_w) if channels is None else (in_h, in_w, channels)
+        if dtype is np.uint8:
+            image = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        else:
+            image = rng.normal(0.0, 100.0, size=shape).astype(dtype)
+        got = resize_bilinear(image, out_h, out_w)
+        want = resize_bilinear_reference(image, out_h, out_w)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_equals_reference_on_a_crop_view(self, rng):
+        # RandomResizedCrop hands resize a non-contiguous slice.
+        image = rng.integers(0, 256, size=(120, 90, 3), dtype=np.uint8)
+        region = image[7:100, 13:77]
+        assert resize_bilinear(region, 224, 224).tobytes() == (
+            resize_bilinear_reference(region, 224, 224).tobytes()
+        )
