@@ -2,9 +2,9 @@
 
 Unlike the figure regenerators (which run in virtual time), these measure
 the actual Python/numpy implementations -- codec encode/decode (whole
-image and crop window), bilinear resize, the fused Decode -> crop prefix,
-the full pipeline, and message serialization -- with
-pytest-benchmark's normal multi-round timing.  They guard against
+image and crop window), YCbCr -> RGB conversion, bilinear resize (down
+and up), the fused Decode -> crop prefix, the full pipeline, and message
+serialization -- with pytest-benchmark's normal multi-round timing.  They guard against
 performance regressions in the substrate itself.
 """
 
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.codec import CodecConfig, ToyJpegCodec
+from repro.codec.colorspace import rgb_to_ycbcr, ycbcr_to_rgb
 from repro.data.synthetic import generate_image
 from repro.preprocessing.payload import Payload
 from repro.preprocessing.pipeline import standard_pipeline
@@ -58,8 +59,21 @@ def test_micro_decode_crop(benchmark, image, codec):
     assert result.payload.data.shape == (224, 224, 3)
 
 
+def test_micro_ycbcr_to_rgb(benchmark, image):
+    ycc = rgb_to_ycbcr(image)
+    rgb = benchmark(ycbcr_to_rgb, ycc)
+    assert rgb.shape == image.shape and rgb.dtype == np.uint8
+
+
 def test_micro_resize(benchmark, image):
     out = benchmark(resize_bilinear, image, 224, 224)
+    assert out.shape == (224, 224, 3)
+
+
+def test_micro_resize_upscaling_crop(benchmark, image):
+    """A RandomResizedCrop region smaller than 224 px on both sides."""
+    region = image[40:190, 60:220]
+    out = benchmark(resize_bilinear, region, 224, 224)
     assert out.shape == (224, 224, 3)
 
 

@@ -40,7 +40,13 @@ from repro.harness.fig3 import ample_cpu_comparison
 from repro.harness.fig4 import limited_cpu_sweep
 from repro.harness.table1 import render_capability_matrix
 from repro.preprocessing.pipeline import standard_pipeline
+from repro.utils.floats import checked
 from repro.utils.tables import render_table
+
+
+def mbps(text: str) -> float:
+    """argparse type of a link bandwidth: a finite number of Mbps > 0."""
+    return checked("bandwidth", float(text), 0.0, open_low=True)
 
 
 def _dataset(name: str, samples: Optional[int], seed: int):
@@ -709,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig1d", help="GPU utilization by model")
     p.add_argument("--dataset", default="openimages")
-    p.add_argument("--bandwidth", type=float, default=1000.0, help="Mbps")
+    p.add_argument("--bandwidth", type=mbps, default=1000.0, help="Mbps")
     p.add_argument("--telemetry-dir", help="write telemetry artifacts here")
     p.set_defaults(func=cmd_fig1d)
 
@@ -761,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
         "frontier", help="traffic-vs-fidelity frontier (progressive records)"
     )
     p.add_argument("--dataset", default="openimages")
-    p.add_argument("--bandwidth", type=float, default=50.0,
+    p.add_argument("--bandwidth", type=mbps, default=50.0,
                    help="link bandwidth in Mbps (tight by default so the "
                    "fidelity pass has traffic to shed)")
     p.add_argument("--floors", type=float, nargs="+", default=None,
@@ -814,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default="openimages")
     p.add_argument("--cores", type=int, nargs="+",
                    help="storage_cores axis values")
-    p.add_argument("--bandwidths", type=float, nargs="+",
+    p.add_argument("--bandwidths", type=mbps, nargs="+",
                    help="bandwidth_mbps axis values")
     p.add_argument("--csv", help="also write the grid as CSV to this path")
     p.set_defaults(func=cmd_sweep)
@@ -856,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_loadgen)
 
     p = sub.add_parser("all", help="everything above")
-    p.add_argument("--bandwidth", type=float, default=1000.0)
+    p.add_argument("--bandwidth", type=mbps, default=1000.0)
     p.add_argument("--storage-cores", type=int, default=48)
     p.add_argument("--cores", type=int, nargs="+", default=[0, 1, 2, 3, 4, 5])
     p.set_defaults(func=cmd_all)

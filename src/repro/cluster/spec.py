@@ -2,6 +2,7 @@
 
 import dataclasses
 
+from repro.utils.floats import checked
 from repro.utils.units import mbps_to_bytes_per_s
 
 
@@ -27,6 +28,9 @@ class ClusterSpec:
         bandwidth round-robin (TCP-fair-ish) instead of serializing whole
         payloads FIFO -- this matters when several jobs share one egress
         link.
+
+    Every field must be finite; the counts (cores, batches, bytes) must be
+    integers, not bools or floats.  Anything else raises ValueError.
     """
 
     compute_cores: int = 48
@@ -41,22 +45,19 @@ class ClusterSpec:
     link_chunk_bytes: int = 262_144
 
     def __post_init__(self) -> None:
-        if self.compute_cores < 1:
-            raise ValueError(f"compute_cores must be >= 1, got {self.compute_cores}")
-        if self.storage_cores < 0:
-            raise ValueError(f"storage_cores must be >= 0, got {self.storage_cores}")
-        if self.bandwidth_mbps <= 0:
-            raise ValueError(f"bandwidth_mbps must be > 0, got {self.bandwidth_mbps}")
-        if self.network_rtt_s < 0:
-            raise ValueError(f"network_rtt_s must be >= 0, got {self.network_rtt_s}")
-        if self.compute_cpu_factor <= 0 or self.storage_cpu_factor <= 0:
-            raise ValueError("CPU speed factors must be > 0")
-        if self.prefetch_batches < 1:
-            raise ValueError(f"prefetch_batches must be >= 1, got {self.prefetch_batches}")
-        if self.link_chunk_bytes < 4096:
-            raise ValueError(
-                f"link_chunk_bytes must be >= 4096, got {self.link_chunk_bytes}"
-            )
+        counts = (
+            ("compute_cores", 1),
+            ("storage_cores", 0),
+            ("prefetch_batches", 1),
+            ("request_overhead_bytes", 0),
+            ("response_overhead_bytes", 0),
+            ("link_chunk_bytes", 4096),
+        )
+        for name, low in counts:
+            checked(name, getattr(self, name), low, integral=True)
+        checked("network_rtt_s", self.network_rtt_s, 0.0)
+        for name in ("bandwidth_mbps", "compute_cpu_factor", "storage_cpu_factor"):
+            checked(name, getattr(self, name), 0.0, open_low=True)
 
     @property
     def bandwidth_bytes_per_s(self) -> float:

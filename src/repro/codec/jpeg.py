@@ -19,6 +19,7 @@ progressive decodes are byte-identical to this codec by construction.
 """
 
 import dataclasses
+import operator
 import struct
 import zlib
 from typing import List, Optional, Tuple
@@ -28,10 +29,11 @@ from scipy.fft import dctn, idctn
 
 from repro.codec.blocks import from_blocks, to_blocks
 from repro.codec.colorspace import (
+    centered_ycbcr_to_rgb,
     rgb_to_ycbcr,
     subsample_420,
+    to_uint8,
     upsample_420,
-    ycbcr_to_rgb,
 )
 from repro.codec.errors import CorruptStreamError, UnsupportedImageError
 from repro.codec.quant import BASE_CHROMA_TABLE, BASE_LUMA_TABLE, quality_scaled_table
@@ -126,10 +128,12 @@ def reconstruct_plane(
     r0, c0 = top // 8, left // 8
     r1, c1 = (top + win_h + 7) // 8, (left + win_w + 7) // 8
     dc = np.cumsum(flat[:, 0], dtype=np.int64).reshape(-1, cols)[r0:r1, c0:c1]
-    grid = flat.reshape(-1, cols, 64)[r0:r1, c0:c1].astype(np.float64)
-    grid[..., 0] = dc
-    coeffs = inverse_zigzag(grid.reshape(-1, 64)) * table
-    blocks = idctn(coeffs, axes=(-2, -1), norm="ortho") + 128.0
+    # Lay the integer coefficients out row-major, widen them in the table
+    # multiply, and put back the DC terms (which can outgrow int16).
+    coeffs = np.multiply(inverse_zigzag(flat.reshape(-1, cols, 64)[r0:r1, c0:c1]), table)
+    coeffs[..., 0, 0] = dc * table[0, 0]
+    blocks = idctn(coeffs.reshape(-1, 8, 8), axes=(-2, -1), norm="ortho", overwrite_x=True)
+    blocks += 128.0
     plane = from_blocks(blocks, (r1 - r0) * 8, (c1 - c0) * 8)
     top, left = top - r0 * 8, left - c0 * 8
     return plane[top : top + win_h, left : left + win_w]
@@ -151,17 +155,25 @@ def plane_window(window: Window, index: int, grayscale: bool, subsampled: bool) 
 def assemble_image(
     planes: List[np.ndarray], grayscale: bool, subsampled: bool, window: Window
 ) -> np.ndarray:
-    """Combine decoded float planes of an image ``window`` into uint8 pixels."""
+    """Combine decoded float planes of an image ``window`` into uint8 pixels.
+
+    Colour windows are built in one (height, width, 3) array: luma is
+    copied in, and each chroma plane is centered (``- 128``) at its own
+    resolution before the nearest-neighbour upsample writes it, which
+    gives the same values as centering after the upsample.
+    """
     if grayscale:
-        return np.clip(np.round(planes[0]), 0, 255).astype(np.uint8)
+        return to_uint8(planes[0].copy())
     top, left, height, width = window
-    luma, cb, cr = planes
-    if subsampled:
-        dy, dx = top % 2, left % 2
-        cb = upsample_420(cb, dy + height, dx + width)[dy:, dx:]
-        cr = upsample_420(cr, dy + height, dx + width)[dy:, dx:]
-    ycc = np.stack([luma, cb, cr], axis=-1)
-    return ycbcr_to_rgb(ycc)
+    ycc = np.empty((height, width, 3))
+    ycc[..., 0] = planes[0]
+    for channel in (1, 2):
+        if subsampled:
+            phase = (top % 2, left % 2)
+            upsample_420(planes[channel] - 128.0, ycc[..., channel], phase)
+        else:
+            np.subtract(planes[channel], 128.0, out=ycc[..., channel])
+    return centered_ycbcr_to_rgb(ycc)
 
 
 def expected_plane_dims(
@@ -180,11 +192,25 @@ def num_blocks_for(height: int, width: int, block: int = 8) -> int:
     return rows * cols
 
 
+def _window_entry(value: int) -> int:
+    """One window entry as an int; bools and non-integers raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"bool window entry {value!r}")
+    return operator.index(value)
+
+
 def image_window(window: Optional[Window], height: int, width: int) -> Window:
-    """``window`` checked against a ``height`` x ``width`` image; None is all of it."""
+    """``window`` checked against a ``height`` x ``width`` image; None is all of it.
+
+    The four entries must be integers (``operator.index``), not bools or
+    floats; anything else, or a window outside the image, is a ValueError.
+    """
     if window is None:
         return 0, 0, height, width
-    top, left, win_h, win_w = window
+    try:
+        top, left, win_h, win_w = map(_window_entry, window)
+    except (TypeError, ValueError):
+        raise ValueError(f"window {window!r} is not four integers") from None
     if min(top, left) < 0 or min(win_h, win_w) < 1 or top + win_h > height or left + win_w > width:
         raise ValueError(f"window {tuple(window)} does not fit a {height}x{width} image")
     return top, left, win_h, win_w

@@ -32,6 +32,20 @@ def zigzag_indices(n: int = 8) -> tuple:
     return rows, cols
 
 
+@functools.lru_cache(maxsize=None)
+def _inverse_scan(n: int) -> np.ndarray:
+    """Zigzag position of each row-major cell of an n x n block.
+
+    ``flat[..., _inverse_scan(n)]`` lays zigzag-ordered coefficients out
+    row-major in one gather.  Cached and read-only, like
+    :func:`zigzag_indices`.
+    """
+    rows, cols = zigzag_indices(n)
+    order = np.argsort(rows * n + cols).astype(np.intp)
+    order.setflags(write=False)
+    return order
+
+
 def zigzag_order(block: np.ndarray) -> np.ndarray:
     """Flatten a square block (or stack of blocks) into zigzag order.
 
@@ -52,7 +66,4 @@ def inverse_zigzag(flat: np.ndarray, n: int = 8) -> np.ndarray:
     """
     if flat.shape[-1] != n * n:
         raise ValueError(f"expected trailing axis of {n * n}, got {flat.shape}")
-    rows, cols = zigzag_indices(n)
-    out = np.zeros(flat.shape[:-1] + (n, n), dtype=flat.dtype)
-    out[..., rows, cols] = flat
-    return out
+    return flat[..., _inverse_scan(n)].reshape(flat.shape[:-1] + (n, n))

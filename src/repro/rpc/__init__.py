@@ -24,7 +24,6 @@ from repro.rpc.messages import (
     FetchRequest,
     FetchResponse,
     ProtocolError,
-    frame_type_for,
     payload_checksum,
     response_wire_size,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "StorageServer",
     "SupportsFetch",
     "SupportsScanFetch",
-    "frame_type_for",
     "payload_checksum",
     "response_wire_size",
 ]

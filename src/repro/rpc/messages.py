@@ -245,17 +245,6 @@ FRAME_TYPES = {
 }
 
 
-def frame_type_for(data: bytes) -> type:
-    """The frame class that decodes *data*, by its 4-byte magic."""
-    if len(data) < 4:
-        raise ProtocolError(f"frame truncated at {len(data)} bytes, no magic")
-    magic = bytes(data[:4])
-    try:
-        return FRAME_TYPES[magic]
-    except KeyError:
-        raise ProtocolError(f"bad frame magic {magic!r}") from None
-
-
 def response_wire_size(payload_nbytes: int) -> int:
     """Total response size on the wire for a payload of ``payload_nbytes``.
 

@@ -9,9 +9,14 @@ get named helpers instead:
   values that are *assigned* (never computed), e.g. "corruption_rate was
   configured to 0" or "the MSE of two identical uint8 images".
 * :func:`close` -- tolerance comparison for computed quantities.
+
+:func:`checked` is the range check for configuration numbers: NaN passes
+every ``<``/``<=`` comparison and ``inf`` passes most, so each bound is
+checked together with finiteness.
 """
 
 import math
+import numbers
 
 
 def is_exact_zero(value: float) -> bool:
@@ -32,3 +37,28 @@ def close(
 ) -> bool:
     """Tolerance equality for computed floats (wraps :func:`math.isclose`)."""
     return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
+
+
+def checked(
+    name: str, value: object, low: float, *, open_low: bool = False, integral: bool = False
+) -> float:
+    """``value`` if it is a finite number >= ``low``; ValueError if not.
+
+    open_low: require ``value > low`` instead, for quantities that must be
+        positive.
+    integral: require an integer (``int`` or a numpy integer), for counts;
+        the integer is returned.
+    Bools are rejected either way: ``True`` is an int to Python, but never
+    a meaningful core count, rate or duration.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if integral and not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    number = int(value) if isinstance(value, numbers.Integral) else float(value)
+    finite = isinstance(number, int) or math.isfinite(number)
+    below = number <= low if open_low else number < low
+    if not finite or below:
+        relation = ">" if open_low else ">="
+        raise ValueError(f"{name} must be finite and {relation} {low}, got {value!r}")
+    return number

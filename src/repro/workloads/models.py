@@ -11,6 +11,8 @@ event simulator.
 import dataclasses
 from typing import Dict, Tuple
 
+from repro.utils.floats import checked
+
 
 @dataclasses.dataclass(frozen=True)
 class ModelProfile:
@@ -28,10 +30,8 @@ class ModelProfile:
     batch_size: int = 256
 
     def __post_init__(self) -> None:
-        if self.images_per_second <= 0:
-            raise ValueError(f"images_per_second must be > 0, got {self.images_per_second}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        checked("images_per_second", self.images_per_second, 0.0, open_low=True)
+        checked("batch_size", self.batch_size, 1, integral=True)
 
     @property
     def seconds_per_image(self) -> float:

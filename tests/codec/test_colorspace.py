@@ -59,12 +59,13 @@ class TestSubsampling:
 
     def test_upsample_restores_shape(self):
         plane = np.arange(12, dtype=np.float64).reshape(3, 4)
-        up = upsample_420(subsample_420(plane), 3, 4)
+        up = upsample_420(subsample_420(plane), np.empty((3, 4)))
         assert up.shape == (3, 4)
+        assert np.array_equal(up, [[2.5, 2.5, 4.5, 4.5], [2.5, 2.5, 4.5, 4.5], [8.5, 8.5, 10.5, 10.5]])
 
     def test_constant_plane_survives_round_trip_exactly(self):
         plane = np.full((10, 10), 7.0)
-        up = upsample_420(subsample_420(plane), 10, 10)
+        up = upsample_420(subsample_420(plane), np.empty((10, 10)))
         assert np.array_equal(up, plane)
 
     def test_halves_resolution(self):

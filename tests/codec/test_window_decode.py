@@ -94,6 +94,23 @@ class TestWindowValidation:
         with pytest.raises(ValueError, match="does not fit"):
             codec.decode(data, window=window)
 
+    @pytest.mark.parametrize(
+        "window",
+        [(0, 0, 2.5, 3), (True, 0, 3, 3), (0, 0, 3, np.float64(3)), (0, 0, 3), "abcd", 4],
+    )
+    @pytest.mark.parametrize("codec_index", [0, 1])
+    def test_rejects_windows_that_are_not_four_integers(self, rng, window, codec_index):
+        codec = codecs("color-420", 75)[codec_index]
+        data = codec.encode(make_image(rng, 16, 20, "color-420"))
+        with pytest.raises(ValueError, match="four integers"):
+            codec.decode(data, window=window)
+
+    def test_accepts_numpy_integer_windows(self, rng):
+        codec = ToyJpegCodec()
+        data = codec.encode(make_image(rng, 16, 20, "color-420"))
+        window = tuple(np.int64(v) for v in (1, 2, 3, 4))
+        assert np.array_equal(codec.decode(data, window=window), codec.decode(data)[1:4, 2:6])
+
     def test_window_still_validates_every_plane(self, rng):
         # The window reads one block per plane; a corrupt tail of the Cr
         # payload, whose blocks lie outside it, must still fail the decode.

@@ -57,6 +57,11 @@ class TestResize:
         with pytest.raises(ValueError):
             resize_bilinear(image, 0, 5)
 
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3), (0, 0)])
+    def test_rejects_empty_input(self, shape):
+        with pytest.raises(ValueError, match="empty"):
+            resize_bilinear(np.zeros(shape, np.uint8), 2, 2)
+
     @given(
         in_h=st.integers(1, 32),
         in_w=st.integers(1, 32),

@@ -122,6 +122,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("command", ["fig1d", "frontier", "all"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
+    def test_bandwidth_must_be_finite_and_positive(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exited:
+            main(["--samples", "8", command, "--bandwidth", value])
+        assert exited.value.code == 2
+        assert "invalid mbps value" in capsys.readouterr().err
+
 
 class TestClusterTelemetryCli:
     def test_audit_with_shards(self, capsys):

@@ -52,3 +52,16 @@ class TestModelProfiles:
             ModelProfile("m", "g", images_per_second=1.0).batch_time_s(0)
         with pytest.raises(ValueError):
             ModelProfile("m", "g", images_per_second=1.0).epoch_gpu_time_s(-1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"images_per_second": float("nan")},
+            {"images_per_second": float("inf")},
+            {"images_per_second": 1.0, "batch_size": True},
+            {"images_per_second": 1.0, "batch_size": 8.5},
+        ],
+    )
+    def test_rejects_non_finite_and_non_integral(self, kwargs):
+        with pytest.raises(ValueError):
+            ModelProfile("m", "g", **kwargs)

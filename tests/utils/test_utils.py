@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.utils.floats import checked
 from repro.utils.rng import derive_rng, op_rng, sample_rng
 from repro.utils.tables import render_table
 from repro.utils.units import format_bytes, format_seconds, mbps_to_bytes_per_s
@@ -84,3 +85,31 @@ class TestTables:
     def test_empty_rows_ok(self):
         out = render_table(("A",), [])
         assert out.splitlines()[0] == "A"
+
+
+class TestChecked:
+    def test_returns_in_range_numbers(self):
+        assert checked("x", 2.5, 0.0, open_low=True) == 2.5
+        assert checked("x", 0.0, 0.0) == 0.0
+        assert checked("n", np.int64(4), 1, integral=True) == 4
+        assert checked("n", 10**400, 0, integral=True) == 10**400
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), float("-inf"), np.float64("nan"), True, np.True_, "3", None],
+    )
+    def test_rejects_non_finite_and_non_numbers(self, value):
+        with pytest.raises(ValueError, match="x must be"):
+            checked("x", value, 0.0)
+
+    def test_bounds(self):
+        with pytest.raises(ValueError, match="> 0"):
+            checked("x", 0.0, 0.0, open_low=True)
+        with pytest.raises(ValueError, match=">= 1"):
+            checked("n", 0, 1, integral=True)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, np.float64(3.0)])
+    def test_counts_must_be_integers(self, value):
+        with pytest.raises(ValueError, match="integer"):
+            checked("n", value, 0, integral=True)
+
