@@ -5,8 +5,7 @@ in local storage or memory", noting they are "limited by the capacities of
 local storage and memory".  This package implements that alternative so the
 comparison can actually be run:
 
-- :class:`ByteCache` with pluggable eviction (:class:`LruPolicy`,
-  :class:`FifoPolicy`, :class:`LfuPolicy`) over a byte budget;
+- :class:`ByteCache`, an LRU cache over a byte budget;
 - :class:`CachingFetcher` -- a loader-compatible fetcher that caches *raw*
   samples only (caching augmented payloads would freeze the random
   augmentations, the accuracy hazard of section 3.3);
@@ -14,14 +13,7 @@ comparison can actually be run:
   training run, with or without a SOPHON offload plan layered on top.
 """
 
-from repro.cache.core import (
-    ByteCache,
-    CacheStats,
-    EvictionPolicy,
-    FifoPolicy,
-    LfuPolicy,
-    LruPolicy,
-)
+from repro.cache.core import ByteCache, CacheStats
 from repro.cache.fetcher import CachingFetcher
 from repro.cache.baseline import (
     epoch_traffic_with_cache,
@@ -32,10 +24,6 @@ __all__ = [
     "ByteCache",
     "CacheStats",
     "CachingFetcher",
-    "EvictionPolicy",
-    "FifoPolicy",
-    "LfuPolicy",
-    "LruPolicy",
     "epoch_traffic_with_cache",
     "epoch_traffic_with_pinned_cache",
 ]

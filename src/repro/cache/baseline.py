@@ -8,7 +8,7 @@ re-fetched every epoch; raw-fetched samples hit the cache).
 
 from typing import List, Optional, Sequence
 
-from repro.cache.core import ByteCache, EvictionPolicy, LruPolicy
+from repro.cache.core import ByteCache
 from repro.data.dataset import Dataset
 from repro.data.sampler import RandomSampler, Sampler
 from repro.preprocessing.records import SampleRecord
@@ -21,7 +21,6 @@ def epoch_traffic_with_cache(
     splits: Optional[Sequence[int]] = None,
     records: Optional[Sequence[SampleRecord]] = None,
     sampler: Optional[Sampler] = None,
-    policy: Optional[EvictionPolicy] = None,
     overhead_bytes: int = 0,
     seed: int = 0,
 ) -> List[int]:
@@ -42,7 +41,7 @@ def epoch_traffic_with_cache(
         )
     if sampler is None:
         sampler = RandomSampler(len(dataset), seed=seed)
-    cache = ByteCache(capacity_bytes, policy if policy is not None else LruPolicy())
+    cache = ByteCache(capacity_bytes)
 
     traffic: List[int] = []
     for epoch in range(epochs):

@@ -1,6 +1,5 @@
-"""Byte-budgeted cache with pluggable eviction policies."""
+"""Byte-budgeted LRU cache."""
 
-import abc
 import collections
 import dataclasses
 from typing import Any, Dict, Hashable, Optional
@@ -27,97 +26,20 @@ class CacheStats:
         return self.hits / self.lookups
 
 
-class EvictionPolicy(abc.ABC):
-    """Chooses which resident key to evict."""
-
-    @abc.abstractmethod
-    def on_insert(self, key: Hashable) -> None:
-        """A key became resident."""
-
-    @abc.abstractmethod
-    def on_access(self, key: Hashable) -> None:
-        """A resident key was hit."""
-
-    @abc.abstractmethod
-    def on_evict(self, key: Hashable) -> None:
-        """A key left the cache (evicted or invalidated)."""
-
-    @abc.abstractmethod
-    def victim(self) -> Hashable:
-        """The key to evict next; only called when non-empty."""
-
-
-class LruPolicy(EvictionPolicy):
-    """Evict the least recently used key."""
-
-    def __init__(self) -> None:
-        self._order: "collections.OrderedDict[Hashable, None]" = collections.OrderedDict()
-
-    def on_insert(self, key: Hashable) -> None:
-        self._order[key] = None
-
-    def on_access(self, key: Hashable) -> None:
-        self._order.move_to_end(key)
-
-    def on_evict(self, key: Hashable) -> None:
-        self._order.pop(key, None)
-
-    def victim(self) -> Hashable:
-        return next(iter(self._order))
-
-
-class FifoPolicy(EvictionPolicy):
-    """Evict in insertion order, ignoring hits."""
-
-    def __init__(self) -> None:
-        self._order: "collections.OrderedDict[Hashable, None]" = collections.OrderedDict()
-
-    def on_insert(self, key: Hashable) -> None:
-        self._order[key] = None
-
-    def on_access(self, key: Hashable) -> None:
-        pass
-
-    def on_evict(self, key: Hashable) -> None:
-        self._order.pop(key, None)
-
-    def victim(self) -> Hashable:
-        return next(iter(self._order))
-
-
-class LfuPolicy(EvictionPolicy):
-    """Evict the least frequently used key (FIFO among ties)."""
-
-    def __init__(self) -> None:
-        self._counts: "collections.OrderedDict[Hashable, int]" = collections.OrderedDict()
-
-    def on_insert(self, key: Hashable) -> None:
-        self._counts[key] = 1
-
-    def on_access(self, key: Hashable) -> None:
-        self._counts[key] += 1
-
-    def on_evict(self, key: Hashable) -> None:
-        self._counts.pop(key, None)
-
-    def victim(self) -> Hashable:
-        return min(self._counts, key=lambda k: self._counts[k])
-
-
 class ByteCache:
-    """Maps keys to values under a total byte budget.
+    """Maps keys to values under a total byte budget, evicting LRU-first.
 
-    Values carry an explicit size; inserting evicts victims until the new
-    value fits.  A value larger than the whole budget is simply not
-    admitted (counted as an eviction-less miss on later lookups).
+    Values carry an explicit size; inserting evicts the least recently used
+    keys until the new value fits.  A value larger than the whole budget is
+    simply not admitted (counted as an eviction-less miss on later lookups).
     """
 
-    def __init__(self, capacity_bytes: int, policy: Optional[EvictionPolicy] = None) -> None:
+    def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes < 0:
             raise ValueError(f"capacity_bytes must be >= 0, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
-        self.policy = policy if policy is not None else LruPolicy()
-        self._values: Dict[Hashable, Any] = {}
+        # Least recently used first: a hit moves its key to the end.
+        self._values: "collections.OrderedDict[Hashable, Any]" = collections.OrderedDict()
         self._sizes: Dict[Hashable, int] = {}
         self._used = 0
         self.stats = CacheStats()
@@ -137,7 +59,7 @@ class ByteCache:
         if key in self._values:
             self.stats.hits += 1
             self.stats.bytes_hit += self._sizes[key]
-            self.policy.on_access(key)
+            self._values.move_to_end(key)
             return self._values[key]
         self.stats.misses += 1
         self.stats.bytes_missed += size_hint
@@ -156,7 +78,6 @@ class ByteCache:
         self._values[key] = value
         self._sizes[key] = size
         self._used += size
-        self.policy.on_insert(key)
         return True
 
     def invalidate(self, key: Hashable) -> None:
@@ -166,9 +87,7 @@ class ByteCache:
     def _remove(self, key: Hashable) -> None:
         self._used -= self._sizes.pop(key)
         del self._values[key]
-        self.policy.on_evict(key)
 
     def _evict_one(self) -> None:
-        victim = self.policy.victim()
         self.stats.evictions += 1
-        self._remove(victim)
+        self._remove(next(iter(self._values)))

@@ -38,26 +38,6 @@ def round_robin_placement(num_samples: int, num_shards: int) -> List[int]:
     return [i % num_shards for i in range(num_samples)]
 
 
-def contiguous_placement(num_samples: int, num_shards: int) -> List[int]:
-    """sample_id -> shard in contiguous ranges (how naive ingest lands)."""
-    per_shard = max(1, (num_samples + num_shards - 1) // num_shards)
-    return [min(i // per_shard, num_shards - 1) for i in range(num_samples)]
-
-
-def size_balanced_placement(dataset: Dataset, num_shards: int) -> List[int]:
-    """Greedy bin-packing by raw size: heaviest samples spread first."""
-    order = sorted(
-        dataset.sample_ids(), key=lambda i: dataset.raw_meta(i).nbytes, reverse=True
-    )
-    loads = [0] * num_shards
-    placement = [0] * len(dataset)
-    for sample_id in order:
-        shard = loads.index(min(loads))
-        placement[sample_id] = shard
-        loads[shard] += dataset.raw_meta(sample_id).nbytes
-    return placement
-
-
 @dataclasses.dataclass
 class ShardedStats(EpochStats):
     """Epoch stats plus per-shard CPU utilization.

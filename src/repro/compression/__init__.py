@@ -4,8 +4,6 @@ Paper section 6 (future work): "design a strategy to selectively compress
 preprocessed data, further reducing data traffic while considering
 potential CPU overhead increases."  This package implements that strategy:
 
-- :class:`DeflatePayloadCodec` -- real deflate compression of wire payloads
-  (used on the materialized RPC path);
 - :class:`CompressionModel` -- per-payload-kind compressibility ratios and
   CPU throughputs so the planner and simulator can reason about traces;
 - :class:`SelectiveCompressor` -- a greedy planner in the spirit of the
@@ -13,7 +11,7 @@ potential CPU overhead increases."  This package implements that strategy:
   bytes-saved-per-CPU-second until the network stops being predominant.
 """
 
-from repro.compression.codecs import CompressionModel, DeflatePayloadCodec
+from repro.compression.codecs import CompressionModel
 from repro.compression.selective import (
     CompressionDecision,
     CompressionPlan,
@@ -25,7 +23,6 @@ __all__ = [
     "CompressionDecision",
     "CompressionModel",
     "CompressionPlan",
-    "DeflatePayloadCodec",
     "JointPlan",
     "JointPlanner",
     "SelectiveCompressor",

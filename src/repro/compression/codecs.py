@@ -1,25 +1,9 @@
 """Payload compression codecs and their cost/size models."""
 
 import dataclasses
-import zlib
 from typing import Dict
 
 from repro.preprocessing.payload import PayloadKind
-
-
-class DeflatePayloadCodec:
-    """Deflate (zlib) over serialized wire payloads."""
-
-    def __init__(self, level: int = 1) -> None:
-        if not 1 <= level <= 9:
-            raise ValueError(f"level must be in [1, 9], got {level}")
-        self.level = level
-
-    def compress(self, payload: bytes) -> bytes:
-        return zlib.compress(payload, self.level)
-
-    def decompress(self, data: bytes) -> bytes:
-        return zlib.decompress(data)
 
 
 @dataclasses.dataclass(frozen=True)

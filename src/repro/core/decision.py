@@ -37,6 +37,7 @@ from repro.telemetry.audit import (
 )
 from repro.telemetry.registry import get_default_registry
 from repro.telemetry.spans import Tracer, trace_id
+from repro.utils.floats import checked
 
 logger = logging.getLogger(__name__)
 
@@ -70,7 +71,7 @@ class DecisionConfig:
     """Engine knobs.
 
     never_worsen: skip samples whose offload would raise the epoch estimate.
-    epsilon_s: tolerance when comparing epoch estimates.
+    epsilon_s: tolerance when comparing epoch estimates (finite, >= 0).
     order: candidate ranking -- "efficiency" (the paper's bytes saved per
         CPU-second), "savings" (absolute bytes saved; ignores CPU cost), or
         "arrival" (sample-id order; no ranking at all).  The alternatives
@@ -85,6 +86,7 @@ class DecisionConfig:
     _ORDERS = ("efficiency", "savings", "arrival")
 
     def __post_init__(self) -> None:
+        checked("epsilon_s", self.epsilon_s, 0.0)
         if self.order not in self._ORDERS:
             raise ValueError(
                 f"order must be one of {self._ORDERS}, got {self.order!r}"

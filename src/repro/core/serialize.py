@@ -1,37 +1,15 @@
-"""JSON persistence for plans and profile records.
+"""JSON form of an offload plan (``sophon-repro plan --save``).
 
-Stage-two profiling is a whole epoch of work; plans encode policy output.
-Persisting both lets a training job restart (or a later analysis pass)
-reuse them without re-profiling.
-
-Fidelity-axis fields (``scan_counts`` on plans, ``scan_sizes`` /
-``scan_psnr_db`` on records) are emitted only when present, so output for
-fidelity-free plans and plain records is byte-identical to before the
-axis existed -- the gate `tests/core/test_fidelity.py` pins this.
+The fidelity axis's ``scan_counts`` is emitted only when present, so
+output for fidelity-free plans is byte-identical to before the axis
+existed.
 """
 
 import json
-from typing import List, Sequence
 
 from repro.core.plan import OffloadPlan
-from repro.preprocessing.records import ProgressiveSampleRecord, SampleRecord
 
 _PLAN_VERSION = 1
-_RECORDS_VERSION = 1
-
-
-def _json_psnr(value: float) -> object:
-    """JSON has no Infinity literal; the exact full prefix becomes "inf"."""
-    if value == float("inf"):
-        return "inf"
-    return value
-
-
-def _parse_psnr(value: object) -> float:
-    if isinstance(value, str):
-        return float(value)
-    assert isinstance(value, (int, float))
-    return float(value)
 
 
 def plan_to_json(plan: OffloadPlan) -> str:
@@ -44,69 +22,3 @@ def plan_to_json(plan: OffloadPlan) -> str:
     if plan.scan_counts is not None:
         doc["scan_counts"] = list(plan.scan_counts)
     return json.dumps(doc)
-
-
-def plan_from_json(text: str) -> OffloadPlan:
-    doc = json.loads(text)
-    if doc.get("kind") != "offload-plan":
-        raise ValueError(f"not an offload plan: kind={doc.get('kind')!r}")
-    if doc.get("version") != _PLAN_VERSION:
-        raise ValueError(f"unsupported plan version {doc.get('version')}")
-    scan_counts = doc.get("scan_counts")
-    return OffloadPlan(
-        splits=list(doc["splits"]),
-        reason=doc.get("reason", ""),
-        scan_counts=None if scan_counts is None else list(scan_counts),
-    )
-
-
-def records_to_json(records: Sequence[SampleRecord]) -> str:
-    entries = []
-    for r in records:
-        entry = {
-            "id": r.sample_id,
-            "sizes": list(r.stage_sizes),
-            "costs": list(r.op_costs),
-        }
-        if isinstance(r, ProgressiveSampleRecord):
-            entry["scan_sizes"] = list(r.scan_sizes)
-            entry["scan_psnr_db"] = [_json_psnr(p) for p in r.scan_psnr_db]
-        entries.append(entry)
-    return json.dumps(
-        {
-            "version": _RECORDS_VERSION,
-            "kind": "sample-records",
-            "records": entries,
-        }
-    )
-
-
-def records_from_json(text: str) -> List[SampleRecord]:
-    doc = json.loads(text)
-    if doc.get("kind") != "sample-records":
-        raise ValueError(f"not sample records: kind={doc.get('kind')!r}")
-    if doc.get("version") != _RECORDS_VERSION:
-        raise ValueError(f"unsupported records version {doc.get('version')}")
-    out: List[SampleRecord] = []
-    for entry in doc["records"]:
-        if "scan_sizes" in entry:
-            out.append(
-                ProgressiveSampleRecord(
-                    sample_id=entry["id"],
-                    stage_sizes=tuple(entry["sizes"]),
-                    op_costs=tuple(entry["costs"]),
-                    scan_sizes=tuple(entry["scan_sizes"]),
-                    scan_psnr_db=tuple(
-                        _parse_psnr(p) for p in entry["scan_psnr_db"]
-                    ),
-                )
-            )
-        else:
-            out.append(
-                SampleRecord(
-                    sample_id=entry["id"],
-                    stage_sizes=tuple(entry["sizes"]),
-                    op_costs=tuple(entry["costs"]),
-                )
-            )
-    return out

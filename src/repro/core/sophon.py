@@ -1,18 +1,13 @@
 """The SOPHON policy: two-stage profiling + efficiency-greedy planning."""
 
 import logging
-import time
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.baselines.capabilities import Capabilities
 from repro.core.decision import DecisionConfig, DecisionEngine
-from repro.core.degraded import DegradedModeFetcher
 from repro.core.plan import OffloadPlan
 from repro.core.policy import Policy, PolicyContext
 from repro.core.profiler import StageOneProfiler, ThroughputProbe
-from repro.preprocessing.pipeline import Pipeline
-from repro.rpc.breaker import CircuitBreaker
-from repro.rpc.fetcher import SupportsFetch
 from repro.telemetry.audit import AuditLog
 from repro.telemetry.spans import Tracer
 
@@ -108,29 +103,3 @@ class Sophon(Policy):
             tracer=tracer,
         )
 
-    def degraded_fetcher(
-        self,
-        primary: SupportsFetch,
-        pipeline: Pipeline,
-        fallback: Optional[SupportsFetch] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        seed: int = 0,
-        clock: Callable[[], float] = time.monotonic,
-        tracer: Optional[Tracer] = None,
-    ) -> DegradedModeFetcher:
-        """Wrap *primary* so epochs survive storage outages.
-
-        The returned fetcher demotes samples to split 0 (raw fetch + local
-        prefix execution) whenever the offload path fails or the breaker is
-        open, and records outages for adaptive re-planning -- see
-        :mod:`repro.core.degraded`.
-        """
-        return DegradedModeFetcher(
-            primary=primary,
-            pipeline=pipeline,
-            fallback=fallback,
-            breaker=breaker,
-            seed=seed,
-            clock=clock,
-            tracer=tracer,
-        )

@@ -1,17 +1,10 @@
-"""Save/load trace datasets; build traces from real file-size listings.
+"""Build trace datasets from real file-size listings.
 
-Trace datasets synthesized from the calibrated distributions are cheap to
-regenerate, but persisting them pins an *exact* population for
-cross-machine reproducibility (and lets external tools inspect the traces).
-Format: a compressed ``.npz`` with the three per-sample arrays plus a name.
-
-:func:`trace_from_size_listing` goes the other way: anyone with a real
-image dataset can feed its byte sizes (``ls -l`` / ``du``-style, one
-integer per line) and get a trace dataset whose SOPHON results reflect
-*their* data.
+Anyone with a real image dataset can feed its byte sizes (``ls -l`` /
+``du``-style, one integer per line) and get a trace dataset whose SOPHON
+results reflect *their* data.
 """
 
-import os
 from typing import Iterable, Union
 
 import numpy as np
@@ -19,22 +12,6 @@ import numpy as np
 from repro.data.distributions import dimensions_for_sizes
 from repro.data.trace import TraceDataset
 from repro.utils.rng import derive_rng
-
-_FORMAT_KEY = "trace_dataset_v1"
-
-
-def save_trace_dataset(dataset: TraceDataset, path: str) -> None:
-    """Write a trace dataset to ``path`` (.npz, compressed)."""
-    heights = np.array([dataset.raw_meta(i).height for i in dataset.sample_ids()])
-    widths = np.array([dataset.raw_meta(i).width for i in dataset.sample_ids()])
-    np.savez_compressed(
-        path,
-        format=np.array(_FORMAT_KEY),
-        name=np.array(dataset.name),
-        raw_bytes=np.asarray(dataset.raw_sizes),
-        heights=heights,
-        widths=widths,
-    )
 
 
 def trace_from_size_listing(
@@ -77,17 +54,3 @@ def trace_from_size_listing(
     )
     return TraceDataset(array, heights, widths, name=name)
 
-
-def load_trace_dataset(path: str) -> TraceDataset:
-    """Read a trace dataset written by :func:`save_trace_dataset`."""
-    if not os.path.exists(path) and os.path.exists(path + ".npz"):
-        path = path + ".npz"  # np.savez appends the suffix
-    with np.load(path, allow_pickle=False) as archive:
-        if "format" not in archive or str(archive["format"]) != _FORMAT_KEY:
-            raise ValueError(f"{path} is not a {_FORMAT_KEY} archive")
-        return TraceDataset(
-            raw_bytes=archive["raw_bytes"],
-            heights=archive["heights"],
-            widths=archive["widths"],
-            name=str(archive["name"]),
-        )

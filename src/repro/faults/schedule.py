@@ -23,7 +23,7 @@ import dataclasses
 import math
 from typing import Optional, Tuple
 
-from repro.utils.floats import is_exact_zero
+from repro.utils.floats import checked, is_exact_zero
 
 _MASK64 = (1 << 64) - 1
 
@@ -46,9 +46,9 @@ def fault_draw(seed: int, index: int, salt: int = 0) -> float:
 
 
 def _window_check(start: float, end: float, kind: str) -> None:
-    if start < 0:
-        raise ValueError(f"{kind} start must be >= 0, got {start}")
-    if end <= start:
+    """A finite start >= 0 and an end after it (``math.inf``: never ends)."""
+    checked(f"{kind} start", start, 0.0)
+    if not end > start:  # also rejects a NaN end
         raise ValueError(f"{kind} must end after it starts: [{start}, {end})")
 
 
@@ -88,8 +88,7 @@ class Brownout:
             raise ValueError(
                 f"bandwidth_factor must be in (0, 1], got {self.bandwidth_factor}"
             )
-        if self.extra_rtt_s < 0:
-            raise ValueError(f"extra_rtt_s must be >= 0, got {self.extra_rtt_s}")
+        checked("extra_rtt_s", self.extra_rtt_s, 0.0)
 
     def covers(self, t: float) -> bool:
         return self.start <= t < self.end
@@ -105,8 +104,7 @@ class CpuDrift:
 
     def __post_init__(self) -> None:
         _window_check(self.start, self.end, "cpu drift")
-        if self.factor < 1.0:
-            raise ValueError(f"drift factor must be >= 1, got {self.factor}")
+        checked("drift factor", self.factor, 1.0)
 
     def covers(self, t: float) -> bool:
         return self.start <= t < self.end
@@ -132,9 +130,8 @@ class FaultSchedule:
     # -- builders -----------------------------------------------------------
 
     def with_crash(self, start: float, duration: float = math.inf) -> "FaultSchedule":
-        end = math.inf if math.isinf(duration) else start + duration
         return dataclasses.replace(
-            self, crashes=self.crashes + (CrashWindow(start, end),)
+            self, crashes=self.crashes + (CrashWindow(start, start + duration),)
         )
 
     def with_brownout(

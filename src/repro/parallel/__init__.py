@@ -26,7 +26,6 @@ from repro.parallel.vectorized import (
     build_records_vectorized,
     left_fold,
     simulate_batch,
-    supports_batch,
 )
 from repro.preprocessing.cost_model import CostModel
 from repro.preprocessing.pipeline import Pipeline
@@ -79,5 +78,4 @@ __all__ = [
     "build_records_vectorized",
     "left_fold",
     "simulate_batch",
-    "supports_batch",
 ]

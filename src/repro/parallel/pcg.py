@@ -18,7 +18,7 @@ module stays inside the DET01/DET02 lint envelope.
 """
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -271,37 +271,3 @@ class LaneGenerators:
         result[drawing] = (m >> np.uint64(32)).astype(np.int64)
         return result
 
-
-def reference_state(
-    seed: int, epoch: int, sample_id: int, op_index: int
-) -> Tuple[int, int]:
-    """The (state, inc) a real ``op_rng`` PCG64 would start from.
-
-    A pure-Python single-sample twin of :meth:`LaneGenerators.for_op`,
-    used by tests to triangulate the batch path against NumPy itself.
-    """
-    words = seed_state_words(seed, epoch, np.array([sample_id]), op_index)[:, 0]
-    mask = (1 << 128) - 1
-    mult = (int(_PCG_MULT_HI) << 64) | int(_PCG_MULT_LO)
-    initstate = (int(words[0]) << 64) | int(words[1])
-    initseq = (int(words[2]) << 64) | int(words[3])
-    inc = ((initseq << 1) | 1) & mask
-    state = inc & mask  # 0 * mult + inc
-    state = (state + initstate) & mask
-    state = (state * mult + inc) & mask
-    return state, inc
-
-
-def lane_subset(lanes: LaneGenerators, keep: Sequence[int]) -> Optional[LaneGenerators]:
-    """A view-free copy of *lanes* restricted to positions *keep*."""
-    keep_arr = np.asarray(keep, dtype=np.int64)
-    if not keep_arr.shape[0]:
-        return None
-    return LaneGenerators(
-        state_hi=lanes.state_hi[keep_arr].copy(),
-        state_lo=lanes.state_lo[keep_arr].copy(),
-        inc_hi=lanes.inc_hi[keep_arr].copy(),
-        inc_lo=lanes.inc_lo[keep_arr].copy(),
-        has_uint32=lanes.has_uint32[keep_arr].copy(),
-        buffered=lanes.buffered[keep_arr].copy(),
-    )

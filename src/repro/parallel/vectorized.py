@@ -27,10 +27,9 @@ Bit-identity fine print, mirrored from the sequential code:
 Ops without a registered batch handler fall back to a per-lane loop
 using the real ``op_rng``/``draw_params``/``simulate`` path, so exotic
 pipelines stay correct (just less accelerated); so do batches whose RNG
-key components exceed 32 bits (``supports_batch`` tells callers in
-advance).  Batches whose raw metas mix payload kinds run the per-sample
-``Pipeline.simulate`` reference: the batch handlers take one kind per
-batch.  Every caller goes through ``simulate_batch``, so that rule holds
+key components exceed 32 bits.  Batches whose raw metas mix payload kinds
+run the per-sample ``Pipeline.simulate`` reference: the batch handlers
+take one kind per batch.  Every caller goes through ``simulate_batch``, so that rule holds
 for record building, the stage-one probe and epoch-work building alike.
 """
 
@@ -223,18 +222,6 @@ def _fallback_lanewise(
     return out, in_px, out_px
 
 
-def supports_batch(pipeline: Pipeline, *key_components: int) -> bool:
-    """Whether the fully-vectorized path covers this pipeline and key.
-
-    False means ``build_records_vectorized`` will still be *correct* but
-    may run per-lane fallbacks (unregistered ops) or delegate to the
-    sequential reference (oversized key components).
-    """
-    return components_supported(*key_components) and all(
-        type(op) in BATCH_HANDLERS for op in pipeline.ops
-    )
-
-
 def simulate_batch(
     pipeline: Pipeline,
     raw_metas: Union[BatchMeta, Sequence[StageMeta]],
@@ -319,5 +306,4 @@ __all__ = [
     "build_records_vectorized",
     "left_fold",
     "simulate_batch",
-    "supports_batch",
 ]

@@ -213,8 +213,8 @@ class ToTensor(Op):
 
     def apply(self, payload: Payload, params: Params) -> Payload:
         self._check_input(payload.kind)
-        tensor = (payload.data.astype(np.float32) / 255.0).transpose(2, 0, 1)
-        return Payload.tensor(np.ascontiguousarray(tensor))
+        tensor = np.ascontiguousarray(payload.data.transpose(2, 0, 1), dtype=np.float32)
+        return Payload.tensor(np.divide(tensor, 255.0, out=tensor))
 
     def simulate(self, meta: StageMeta, params: Params) -> StageMeta:
         return StageMeta.for_tensor(meta.height, meta.width, meta.channels)
@@ -245,7 +245,8 @@ class Normalize(Op):
                 f"tensor has {payload.data.shape[0]} channels, "
                 f"normalize configured for {self.mean.shape[0]}"
             )
-        return Payload.tensor((payload.data - self.mean) / self.std)
+        tensor = payload.data - self.mean  # a fresh array: the input is never mutated
+        return Payload.tensor(np.divide(tensor, self.std, out=tensor))
 
     def simulate(self, meta: StageMeta, params: Params) -> StageMeta:
         return StageMeta.for_tensor(meta.height, meta.width, meta.channels)

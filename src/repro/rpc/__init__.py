@@ -7,7 +7,7 @@ executes the requested pipeline prefix (Figure 2e), and every byte crossing
 the channel is counted.  Traffic numbers on the materialized path come from
 these actual message lengths.
 
-The transport is hardened for unreliable storage nodes: v2 response frames
+The transport is hardened for unreliable storage nodes: response frames
 carry a payload CRC32 (:class:`ChecksumError` is retryable), the
 :class:`RetryingClient` backs off exponentially with full jitter and
 honours per-fetch deadlines, and a :class:`CircuitBreaker` stops a dead
@@ -19,13 +19,11 @@ from repro.rpc.messages import (
     FRAME_TYPES,
     REQUEST_HEADER_SIZE,
     RESPONSE_HEADER_SIZE,
-    RESPONSE_HEADER_SIZE_V1,
     ChecksumError,
     FetchRequest,
     FetchResponse,
     ProtocolError,
     payload_checksum,
-    response_wire_size,
 )
 from repro.rpc.fetcher import SupportsFetch, SupportsScanFetch
 from repro.rpc.channel import ChannelStats, InMemoryChannel
@@ -61,7 +59,6 @@ __all__ = [
     "ProtocolError",
     "REQUEST_HEADER_SIZE",
     "RESPONSE_HEADER_SIZE",
-    "RESPONSE_HEADER_SIZE_V1",
     "RetryBudgetExhaustedError",
     "RetryStats",
     "RetryingClient",
@@ -70,5 +67,4 @@ __all__ = [
     "SupportsFetch",
     "SupportsScanFetch",
     "payload_checksum",
-    "response_wire_size",
 ]

@@ -2,21 +2,19 @@
 
 Binary layout (little endian):
 
-Request:     magic 'FQ01' | sample_id u32 | epoch u32 | split u8
-Response v2: magic 'FR02' | sample_id u32 | epoch u32 | split u8 | kind u8 |
-             height u32 | width u32 | channels u32 | payload_len u32 |
-             payload_crc32 u32 | payload
-Response v1: magic 'FR01' | same fields minus payload_crc32 | payload
+Request:  magic 'FQ01' | sample_id u32 | epoch u32 | split u8
+Response: magic 'FR02' | sample_id u32 | epoch u32 | split u8 | kind u8 |
+          height u32 | width u32 | channels u32 | payload_len u32 |
+          payload_crc32 u32 | payload
 
 ``kind`` is the :class:`~repro.preprocessing.payload.PayloadKind` of the
 payload: encoded bytes for split 0, uint8 pixels after crop/flip, float32
 tensors after ToTensor/Normalize.
 
-Responses are emitted as v2 (checksummed); v1 frames from older peers are
-still accepted.  A v2 frame whose payload fails its CRC32 raises
-:class:`ChecksumError`, which the retry layer treats as transient -- the
-payload was damaged in transit, not malformed by the sender -- so corrupted
-samples are re-fetched instead of silently trained on.
+A response whose payload fails its CRC32 raises :class:`ChecksumError`,
+which the retry layer treats as transient -- the payload was damaged in
+transit, not malformed by the sender -- so corrupted samples are re-fetched
+instead of silently trained on.  Any other magic is a :class:`ProtocolError`.
 """
 
 import dataclasses
@@ -28,19 +26,16 @@ import numpy as np
 from repro.preprocessing.payload import Payload, PayloadKind
 
 _REQUEST = struct.Struct("<4sIIB")
-_RESPONSE_V1 = struct.Struct("<4sIIBBIIII")
-_RESPONSE_V2 = struct.Struct("<4sIIBBIIIII")
+_RESPONSE = struct.Struct("<4sIIBBIIIII")
 _REQUEST_MAGIC = b"FQ01"
-_RESPONSE_MAGIC_V1 = b"FR01"
-_RESPONSE_MAGIC_V2 = b"FR02"
+_RESPONSE_MAGIC = b"FR02"
 
 REQUEST_HEADER_SIZE = _REQUEST.size
-RESPONSE_HEADER_SIZE = _RESPONSE_V2.size
-RESPONSE_HEADER_SIZE_V1 = _RESPONSE_V1.size
+RESPONSE_HEADER_SIZE = _RESPONSE.size
 
 
 def payload_checksum(payload: bytes) -> int:
-    """The CRC32 a v2 response carries for ``payload``."""
+    """The CRC32 a response carries for ``payload``."""
     return zlib.crc32(payload) & 0xFFFFFFFF
 
 _KIND_CODES = {
@@ -56,7 +51,7 @@ class ProtocolError(Exception):
 
 
 class ChecksumError(ProtocolError):
-    """A v2 response's payload does not match its CRC32.
+    """A response's payload does not match its CRC32.
 
     Unlike other protocol errors this one is *transient* (the bytes were
     damaged on the wire); the retry layer re-fetches on it.
@@ -109,10 +104,10 @@ class FetchResponse:
     payload: bytes
 
     def to_bytes(self) -> bytes:
-        """Serialize as a v2 (checksummed) frame."""
+        """Serialize as a checksummed FR02 frame."""
         return (
-            _RESPONSE_V2.pack(
-                _RESPONSE_MAGIC_V2,
+            _RESPONSE.pack(
+                _RESPONSE_MAGIC,
                 self.sample_id,
                 self.epoch,
                 self.split,
@@ -126,51 +121,22 @@ class FetchResponse:
             + self.payload
         )
 
-    def to_bytes_v1(self) -> bytes:
-        """Serialize as a legacy v1 frame (no checksum) -- compat emitters."""
-        return (
-            _RESPONSE_V1.pack(
-                _RESPONSE_MAGIC_V1,
-                self.sample_id,
-                self.epoch,
-                self.split,
-                _KIND_CODES[self.kind],
-                self.height,
-                self.width,
-                self.channels,
-                len(self.payload),
-            )
-            + self.payload
-        )
-
     @classmethod
     def from_bytes(cls, data: bytes) -> "FetchResponse":
-        if len(data) < 4:
+        if len(data) < _RESPONSE.size:
             raise ProtocolError(f"response truncated at {len(data)} bytes")
-        magic = bytes(data[:4])
-        if magic == _RESPONSE_MAGIC_V2:
-            header, checksum = _RESPONSE_V2, None
-        elif magic == _RESPONSE_MAGIC_V1:
-            header, checksum = _RESPONSE_V1, None
-        else:
+        (magic, sample_id, epoch, split, kind_code, height, width, channels,
+         payload_len, checksum) = _RESPONSE.unpack_from(data)
+        if magic != _RESPONSE_MAGIC:
             raise ProtocolError(f"bad response magic {magic!r}")
-        if len(data) < header.size:
-            raise ProtocolError(f"response truncated at {len(data)} bytes")
-        fields = header.unpack_from(data)
-        if header is _RESPONSE_V2:
-            (_, sample_id, epoch, split, kind_code, height, width, channels,
-             payload_len, checksum) = fields
-        else:
-            (_, sample_id, epoch, split, kind_code, height, width, channels,
-             payload_len) = fields
         if kind_code not in _CODE_KINDS:
             raise ProtocolError(f"unknown payload kind code {kind_code}")
-        payload = data[header.size :]
+        payload = data[_RESPONSE.size :]
         if len(payload) != payload_len:
             raise ProtocolError(
                 f"payload length mismatch: header says {payload_len}, got {len(payload)}"
             )
-        if checksum is not None and payload_checksum(payload) != checksum:
+        if payload_checksum(payload) != checksum:
             raise ChecksumError(
                 f"payload CRC32 {payload_checksum(payload):#010x} does not "
                 f"match frame checksum {checksum:#010x}"
@@ -240,17 +206,5 @@ class FetchResponse:
 #: codec class to appear here, so generic tooling can decode any frame).
 FRAME_TYPES = {
     _REQUEST_MAGIC: FetchRequest,
-    _RESPONSE_MAGIC_V1: FetchResponse,
-    _RESPONSE_MAGIC_V2: FetchResponse,
+    _RESPONSE_MAGIC: FetchResponse,
 }
-
-
-def response_wire_size(payload_nbytes: int) -> int:
-    """Total response size on the wire for a payload of ``payload_nbytes``.
-
-    This is the exact formula the event simulator mirrors via
-    ``ClusterSpec.response_overhead_bytes``.
-    """
-    if payload_nbytes < 0:
-        raise ValueError(f"payload_nbytes must be >= 0, got {payload_nbytes}")
-    return RESPONSE_HEADER_SIZE + payload_nbytes

@@ -36,7 +36,6 @@ from repro.telemetry.audit import (
 from repro.telemetry.clock import Clock, LogicalClock, ManualClock
 from repro.telemetry.exporters import (
     ReplayedTelemetry,
-    parse_prometheus,
     read_jsonl,
     render_prometheus,
     replay_jsonl_lines,
@@ -125,7 +124,6 @@ __all__ = [
     "encode_trace_header",
     "get_default_registry",
     "latency_objective",
-    "parse_prometheus",
     "parse_trace_header",
     "parse_trace_id",
     "percentile",

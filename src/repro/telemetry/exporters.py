@@ -1,8 +1,9 @@
 """Exporters: Prometheus text exposition and the JSONL event log.
 
 Both formats are *round-trippable* by design: the Prometheus text parses
-back into an equal :class:`~repro.telemetry.registry.MetricsSnapshot`, and
-a JSONL log replays into a registry/tracer/audit-log triple whose state
+back into an equal :class:`~repro.telemetry.registry.MetricsSnapshot` (the
+parser is a test oracle, ``tests/telemetry/prometheus.py``), and a JSONL
+log replays into a registry/tracer/audit-log triple whose state
 matches what was exported.  Round-tripping is what the determinism gate
 leans on -- identical seeds must produce byte-identical JSONL files, and
 byte-identical files must replay to equal state.
@@ -14,7 +15,6 @@ rows and the trace-file writers are in :mod:`repro.metrics.chrometrace`.
 
 import dataclasses
 import json
-import re
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.telemetry.audit import AuditLog
@@ -22,7 +22,6 @@ from repro.telemetry.registry import (
     HistogramValue,
     MetricsRegistry,
     MetricsSnapshot,
-    SeriesKey,
     SeriesValue,
 )
 from repro.telemetry.spans import SpanEvent, Tracer
@@ -35,12 +34,6 @@ JSONL_VERSION = 1
 
 def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _unescape_label(value: str) -> str:
-    return (
-        value.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
-    )
 
 
 def _format_labels(labels: Sequence[Tuple[str, str]]) -> str:
@@ -91,106 +84,6 @@ def render_prometheus(source: Union[MetricsRegistry, MetricsSnapshot]) -> str:
                     f"{name}{_format_labels(labels)} {_format_value(value)}"
                 )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[A-Za-z_:][A-Za-z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?\s+(?P<value>\S+)$"
-)
-_LABEL_RE = re.compile(r'(?P<name>[A-Za-z_][A-Za-z0-9_]*)="(?P<value>(?:\\.|[^"\\])*)"')
-
-
-def _parse_value(text: str) -> float:
-    if text == "+Inf":
-        return float("inf")
-    if text == "-Inf":
-        return float("-inf")
-    return float(text)
-
-
-def _parse_labels(text: Optional[str]) -> Tuple[Tuple[str, str], ...]:
-    if not text:
-        return ()
-    return tuple(
-        (m.group("name"), _unescape_label(m.group("value")))
-        for m in _LABEL_RE.finditer(text)
-    )
-
-
-@dataclasses.dataclass
-class _HistogramAccumulator:
-    buckets: List[Tuple[float, int]] = dataclasses.field(default_factory=list)
-    inf_count: int = 0
-    sum: float = 0.0
-    count: int = 0
-
-    def finish(self) -> HistogramValue:
-        ordered = sorted(self.buckets)
-        bounds = tuple(b for b, _ in ordered)
-        per_bucket: List[int] = []
-        previous = 0
-        for _, cumulative in ordered:
-            per_bucket.append(cumulative - previous)
-            previous = cumulative
-        per_bucket.append(self.inf_count - previous)  # the +Inf overflow
-        return HistogramValue(
-            buckets=bounds,
-            bucket_counts=tuple(per_bucket),
-            sum=self.sum,
-            count=self.count,
-        )
-
-
-def parse_prometheus(text: str) -> MetricsSnapshot:
-    """Parse exposition text back into a snapshot (the round-trip twin)."""
-    kinds: Dict[str, str] = {}
-    scalars: Dict[SeriesKey, float] = {}
-    histograms: Dict[SeriesKey, _HistogramAccumulator] = {}
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split()
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                kinds[parts[2]] = parts[3]
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            raise ValueError(f"unparseable exposition line: {raw_line!r}")
-        name = match.group("name")
-        labels = _parse_labels(match.group("labels"))
-        value = _parse_value(match.group("value"))
-        base = None
-        for suffix in ("_bucket", "_sum", "_count"):
-            candidate = name[: -len(suffix)] if name.endswith(suffix) else None
-            if candidate and kinds.get(candidate) == "histogram":
-                base = (candidate, suffix)
-                break
-        if base is not None:
-            hist_name, suffix = base
-            bare_labels = tuple(
-                (k, v) for k, v in labels if not (suffix == "_bucket" and k == "le")
-            )
-            acc = histograms.setdefault(
-                (hist_name, bare_labels), _HistogramAccumulator()
-            )
-            if suffix == "_bucket":
-                le = dict(labels)["le"]
-                if le == "+Inf":
-                    acc.inf_count = int(value)
-                else:
-                    acc.buckets.append((_parse_value(le), int(value)))
-            elif suffix == "_sum":
-                acc.sum = value
-            else:
-                acc.count = int(value)
-        else:
-            scalars[(name, labels)] = value
-    series: Dict[SeriesKey, SeriesValue] = dict(scalars)
-    for key, acc in histograms.items():
-        series[key] = acc.finish()
-    return MetricsSnapshot(series=series, kinds=kinds)
 
 
 # -- JSONL event log --------------------------------------------------------

@@ -1,10 +1,10 @@
-"""ByteCache and eviction policy tests."""
+"""ByteCache tests."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.core import ByteCache, FifoPolicy, LfuPolicy, LruPolicy
+from repro.cache.core import ByteCache
 
 
 class TestByteCache:
@@ -83,29 +83,10 @@ class TestByteCache:
 
 
 class TestEvictionPolicies:
-    def fill(self, policy, capacity=30):
-        cache = ByteCache(capacity, policy)
+    def test_lru_evicts_least_recent(self):
+        cache = ByteCache(30)
         for key in ("a", "b", "c"):
             cache.put(key, key, 10)
-        return cache
-
-    def test_lru_evicts_least_recent(self):
-        cache = self.fill(LruPolicy())
         cache.get("a")  # refresh a
         cache.put("d", "d", 10)  # evicts b
         assert "a" in cache and "b" not in cache
-
-    def test_fifo_ignores_access(self):
-        cache = self.fill(FifoPolicy())
-        cache.get("a")
-        cache.put("d", "d", 10)  # evicts a regardless
-        assert "a" not in cache
-
-    def test_lfu_evicts_least_frequent(self):
-        cache = self.fill(LfuPolicy())
-        cache.get("a")
-        cache.get("a")
-        cache.get("c")
-        cache.put("d", "d", 10)  # evicts b (1 use)
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache

@@ -1,34 +1,9 @@
-"""Compression codec and model tests."""
+"""Compression model tests."""
 
-import numpy as np
 import pytest
 
-from repro.compression.codecs import CompressionModel, DeflatePayloadCodec, KindProfile
+from repro.compression.codecs import CompressionModel, KindProfile
 from repro.preprocessing.payload import PayloadKind
-
-
-class TestDeflateCodec:
-    def test_round_trip(self):
-        codec = DeflatePayloadCodec()
-        data = b"hello world " * 100
-        assert codec.decompress(codec.compress(data)) == data
-
-    def test_repetitive_data_shrinks(self):
-        codec = DeflatePayloadCodec()
-        data = b"\x00" * 10_000
-        assert len(codec.compress(data)) < 100
-
-    def test_validates_level(self):
-        with pytest.raises(ValueError):
-            DeflatePayloadCodec(level=0)
-
-    def test_actually_compresses_pixel_payloads(self, rng):
-        from repro.data.synthetic import generate_image
-
-        pixels = generate_image(rng, 128, 128, texture=0.3).tobytes()
-        codec = DeflatePayloadCodec()
-        ratio = len(codec.compress(pixels)) / len(pixels)
-        assert ratio < 0.95  # pixels are compressible, as the model assumes
 
 
 class TestCompressionModel:

@@ -148,6 +148,12 @@ class TestOrderingConfig:
         with pytest.raises(ValueError, match="order"):
             DecisionConfig(order="best-first")
 
+    @pytest.mark.parametrize("epsilon_s", [float("nan"), float("inf"), -1.0])
+    def test_epsilon_must_be_finite_and_non_negative(self, epsilon_s):
+        # NaN or inf silently switched off never_worsen; -1 offloaded nothing.
+        with pytest.raises(ValueError, match="epsilon_s"):
+            DecisionConfig(epsilon_s=epsilon_s)
+
     def test_orders_converge_with_ample_cores(self, openimages_small, pipeline):
         records = StageTwoProfiler().profile(openimages_small, pipeline)
         spec = standard_cluster(storage_cores=48)

@@ -266,23 +266,6 @@ class TestFlapping:
                 assert demotion.at_s <= outage.recovered_at_s
 
 
-class TestSophonFacade:
-    def test_degraded_fetcher_factory(self, rpc_client, pipeline, materialized_tiny):
-        from repro.core.sophon import Sophon
-
-        breaker = CircuitBreaker(failure_threshold=7)
-        fetcher = Sophon().degraded_fetcher(
-            rpc_client,
-            pipeline,
-            fallback=DirectFetcher(materialized_tiny),
-            breaker=breaker,
-            seed=4,
-        )
-        assert isinstance(fetcher, DegradedModeFetcher)
-        assert fetcher.breaker is breaker
-        assert fetcher.seed == 4
-
-
 class FakeScanFetcher:
     """SupportsScanFetch double: serves truncated progressive streams."""
 

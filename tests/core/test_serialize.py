@@ -1,77 +1,30 @@
-"""Plan/record JSON persistence tests."""
+"""Plan JSON tests: what ``plan --save`` writes, read back with ``json``."""
 
-import pytest
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan import OffloadPlan
-from repro.core.serialize import (
-    plan_from_json,
-    plan_to_json,
-    records_from_json,
-    records_to_json,
-)
-from repro.preprocessing.records import SampleRecord
+from repro.core.serialize import plan_to_json
 
 
 class TestPlanSerialization:
     def test_round_trip(self):
         plan = OffloadPlan(splits=[0, 2, 0, 5], reason="test plan")
-        restored = plan_from_json(plan_to_json(plan))
-        assert list(restored.splits) == [0, 2, 0, 5]
-        assert restored.reason == "test plan"
+        doc = json.loads(plan_to_json(plan))
+        assert doc == {
+            "version": 1,
+            "kind": "offload-plan",
+            "splits": [0, 2, 0, 5],
+            "reason": "test plan",
+        }
 
     def test_empty_plan(self):
-        restored = plan_from_json(plan_to_json(OffloadPlan(splits=[])))
-        assert len(restored) == 0
+        assert json.loads(plan_to_json(OffloadPlan(splits=[])))["splits"] == []
 
     @given(splits=st.lists(st.integers(0, 5), max_size=50))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_property(self, splits):
         plan = OffloadPlan(splits=splits)
-        assert list(plan_from_json(plan_to_json(plan)).splits) == splits
-
-    def test_rejects_wrong_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            plan_from_json('{"kind": "something-else", "version": 1}')
-
-    def test_rejects_wrong_version(self):
-        with pytest.raises(ValueError, match="version"):
-            plan_from_json('{"kind": "offload-plan", "version": 99, "splits": []}')
-
-
-class TestRecordSerialization:
-    def make_records(self):
-        return [
-            SampleRecord(0, (100, 400, 50, 50, 200, 200), (0.1, 0.2, 0.01, 0.02, 0.03)),
-            SampleRecord(1, (80, 300, 50, 50, 200, 200), (0.2, 0.1, 0.01, 0.02, 0.03)),
-        ]
-
-    def test_round_trip(self):
-        records = self.make_records()
-        restored = records_from_json(records_to_json(records))
-        assert restored == records
-
-    def test_derived_quantities_survive(self):
-        restored = records_from_json(records_to_json(self.make_records()))
-        assert restored[0].min_stage == 2
-        assert restored[0].offload_efficiency > 0
-
-    def test_empty(self):
-        assert records_from_json(records_to_json([])) == []
-
-    def test_rejects_wrong_kind(self):
-        with pytest.raises(ValueError):
-            records_from_json('{"kind": "offload-plan", "version": 1}')
-
-    def test_plans_from_restored_records_identical(self, openimages_small, pipeline):
-        from repro.cluster.spec import standard_cluster
-        from repro.core.decision import DecisionEngine
-        from repro.core.profiler import StageTwoProfiler
-
-        records = StageTwoProfiler().profile(openimages_small, pipeline)
-        restored = records_from_json(records_to_json(records))
-        spec = standard_cluster(storage_cores=8)
-        original = DecisionEngine().plan(records, spec, gpu_time_s=0.1)
-        replayed = DecisionEngine().plan(restored, spec, gpu_time_s=0.1)
-        assert list(original.splits) == list(replayed.splits)
+        assert json.loads(plan_to_json(plan))["splits"] == splits

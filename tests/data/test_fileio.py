@@ -1,64 +1,6 @@
-"""Trace dataset persistence tests."""
+"""Size-listing trace dataset tests."""
 
-import numpy as np
 import pytest
-
-from repro.data.fileio import load_trace_dataset, save_trace_dataset
-
-
-class TestTraceDatasetIO:
-    def test_round_trip(self, openimages_small, tmp_path):
-        path = str(tmp_path / "oi.npz")
-        save_trace_dataset(openimages_small, path)
-        restored = load_trace_dataset(path)
-        assert restored.name == openimages_small.name
-        assert len(restored) == len(openimages_small)
-        assert np.array_equal(restored.raw_sizes, openimages_small.raw_sizes)
-        for sid in (0, len(restored) - 1):
-            assert restored.raw_meta(sid) == openimages_small.raw_meta(sid)
-
-    def test_suffix_appended_transparently(self, openimages_small, tmp_path):
-        stem = str(tmp_path / "dataset")
-        save_trace_dataset(openimages_small, stem)  # numpy appends .npz
-        restored = load_trace_dataset(stem)
-        assert len(restored) == len(openimages_small)
-
-    def test_restored_dataset_plans_identically(
-        self, openimages_small, pipeline, tmp_path
-    ):
-        from repro.cluster.spec import standard_cluster
-        from repro.core.policy import PolicyContext
-        from repro.core.sophon import Sophon
-        from repro.workloads.models import get_model_profile
-
-        path = str(tmp_path / "oi.npz")
-        save_trace_dataset(openimages_small, path)
-        restored = load_trace_dataset(path)
-
-        def plan_for(dataset):
-            context = PolicyContext(
-                dataset=dataset,
-                pipeline=pipeline,
-                spec=standard_cluster(storage_cores=8),
-                model=get_model_profile("alexnet"),
-                batch_size=64,
-                seed=0,
-            )
-            return Sophon().plan(context)
-
-        assert list(plan_for(openimages_small).splits) == list(
-            plan_for(restored).splits
-        )
-
-    def test_rejects_foreign_archives(self, tmp_path):
-        path = str(tmp_path / "foreign.npz")
-        np.savez_compressed(path, data=np.arange(3))
-        with pytest.raises(ValueError):
-            load_trace_dataset(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_trace_dataset(str(tmp_path / "ghost.npz"))
 
 
 class TestSizeListing:

@@ -40,6 +40,27 @@ class TestWindows:
         with pytest.raises(ValueError):
             CpuDrift(0.0, 1.0, factor=0.5)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CpuDrift(0.0, 1.0, factor=math.inf),  # was an inf epoch
+            lambda: CpuDrift(0.0, 1.0, factor=math.nan),  # ran as no drift
+            lambda: Brownout(0.0, 1.0, extra_rtt_s=math.nan),  # ran as 0
+            lambda: Brownout(0.0, 1.0, extra_rtt_s=math.inf),
+            lambda: CrashWindow(math.nan, 0.01),  # kernels disagreed
+            lambda: CrashWindow(math.inf),
+            lambda: CrashWindow(0.0, math.nan),
+            lambda: FaultSchedule().with_crash(1.0, -math.inf),  # was permanent
+        ],
+        ids=[
+            "drift-inf", "drift-nan", "rtt-nan", "rtt-inf",
+            "crash-start-nan", "crash-start-inf", "crash-end-nan", "crash-minus-inf",
+        ],
+    )
+    def test_non_finite_fields_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
 
 class TestScheduleQueries:
     def test_empty_schedule(self):

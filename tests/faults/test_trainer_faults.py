@@ -1,11 +1,21 @@
 """Fault injection through the event-driven trainer (virtual-time axis)."""
 
+import dataclasses
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.spec import standard_cluster
 from repro.cluster.trainer import TrainerSim
 from repro.data.catalog import make_openimages
-from repro.faults import FaultSchedule
+from repro.data.trace import TraceDataset
+from repro.faults import Brownout, CpuDrift, CrashWindow, FaultSchedule
+from repro.preprocessing.pipeline import standard_pipeline
+from repro.workloads.models import get_model_profile
+
+from tests.cluster.test_spec import _finite_floats
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +136,56 @@ class TestCorruption:
         # Retransmissions are extra traffic on the same sample set.
         assert stats.traffic_bytes > baseline.traffic_bytes
         assert stats.num_samples == baseline.num_samples
+
+
+#: NaN, +-inf and negatives, mixed with values inside each field's range.
+BAD = st.sampled_from((math.nan, math.inf, -math.inf, -1.0))
+
+
+def _field(valid):
+    return st.one_of(BAD, valid)
+
+
+@st.composite
+def fault_windows(draw):
+    """A window class and its fields, each possibly NaN, +-inf or negative."""
+    cls = draw(st.sampled_from((CrashWindow, Brownout, CpuDrift)))
+    fields = {
+        "start": draw(_field(st.floats(0.0, 0.05))),
+        "end": draw(_field(st.floats(0.0, 0.1)) | st.just(math.inf)),
+    }
+    if cls is Brownout:
+        fields["bandwidth_factor"] = draw(_field(st.floats(0.05, 1.0)))
+        fields["extra_rtt_s"] = draw(_field(st.floats(0.0, 0.01)))
+    elif cls is CpuDrift:
+        fields["factor"] = draw(_field(st.floats(1.0, 8.0)))
+    return cls, fields
+
+
+SCHEDULE_FIELD = {CrashWindow: "crashes", Brownout: "brownouts", CpuDrift: "cpu_drifts"}
+
+
+class TestFiniteFaultWindows:
+    """A fault window either refuses a field value or simulates to finite stats."""
+
+    DATASET = TraceDataset([120_000] * 12, [500] * 12, [400] * 12, name="finite")
+
+    @given(window=fault_windows())
+    @example(window=(CrashWindow, {"start": 0.0, "end": math.inf}))  # permanent crash
+    @settings(max_examples=60, deadline=None)
+    def test_raises_or_simulates_finitely(self, window):
+        cls, fields = window
+        try:
+            faults = FaultSchedule(**{SCHEDULE_FIELD[cls]: (cls(**fields),)})
+        except ValueError:
+            return
+        spec = dataclasses.replace(standard_cluster(storage_cores=4), prefetch_batches=2)
+        trainer = TrainerSim(
+            self.DATASET, standard_pipeline(), get_model_profile("alexnet"), spec, batch_size=4
+        )
+        for kernel in ("fast", "reference"):
+            stats = trainer.run_epoch([2] * len(self.DATASET), kernel=kernel, faults=faults)
+            assert _finite_floats(stats), (faults, kernel, stats)
+            for share in (stats.gpu_utilization, stats.compute_cpu_utilization,
+                          stats.storage_cpu_utilization, stats.link_utilization):
+                assert 0.0 <= share <= 1.0 + 1e-9

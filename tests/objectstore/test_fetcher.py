@@ -59,9 +59,9 @@ class TestObjectLambdaFetcher:
         _, _, fetcher = stack
         before = fetcher.traffic_bytes
         payload = fetcher.fetch(0, 0, 2)
-        from repro.rpc import response_wire_size
+        from repro.rpc import RESPONSE_HEADER_SIZE
 
-        assert fetcher.traffic_bytes - before == response_wire_size(payload.nbytes)
+        assert fetcher.traffic_bytes - before == RESPONSE_HEADER_SIZE + payload.nbytes
 
     def test_lambda_invocations_counted(self, stack):
         _, registry, fetcher = stack

@@ -20,7 +20,6 @@ from repro.parallel.vectorized import (
     build_records_vectorized,
     left_fold,
     simulate_batch,
-    supports_batch,
 )
 from repro.preprocessing.cost_model import CostModel
 from repro.preprocessing.ops import RandomHorizontalFlip, RandomResizedCrop, ToTensor
@@ -109,12 +108,6 @@ def test_simulate_batch_totals_match_sequential_fold(openimages_small):
             pipeline, openimages_small.raw_meta(i), i, seed=5, epoch=0
         )
         assert total == record.total_cost
-
-
-def test_supports_batch_rejects_wide_components():
-    pipeline = standard_pipeline()
-    assert supports_batch(pipeline, 0, 0)
-    assert not supports_batch(pipeline, 2**32, 0)
 
 
 def test_nonuniform_dims_batch(openimages_small):

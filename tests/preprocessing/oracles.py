@@ -5,7 +5,9 @@ learned to decode only RandomResizedCrop's window: every op runs on its
 own, so Decode always decodes the whole image and the crop slices it.
 :func:`resize_bilinear_reference` is ``resize_bilinear`` as it was
 before it gathered rows on the input dtype: it widens the whole image to
-float64 first.
+float64 first.  :func:`to_tensor_reference` and :func:`normalize_reference`
+are ``ToTensor`` and ``Normalize`` as they were before they divided in
+place: one fresh array per arithmetic step.
 """
 
 from typing import List, Optional
@@ -76,3 +78,13 @@ def resize_bilinear_reference(image: np.ndarray, out_h: int, out_w: int) -> np.n
         info = np.iinfo(image.dtype)
         return np.clip(np.round(out), info.min, info.max).astype(image.dtype)
     return out.astype(image.dtype)
+
+
+def to_tensor_reference(image: np.ndarray) -> np.ndarray:
+    """uint8 HWC -> float32 CHW in [0, 1], through separate temporaries."""
+    return np.ascontiguousarray((image.astype(np.float32) / 255.0).transpose(2, 0, 1))
+
+
+def normalize_reference(tensor: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """Channel-wise ``(x - mean) / std`` with ``mean``/``std`` shaped (C, 1, 1)."""
+    return (tensor - mean) / std

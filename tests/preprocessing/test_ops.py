@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codec import ToyJpegCodec
 from repro.data.synthetic import generate_image
@@ -13,6 +15,8 @@ from repro.preprocessing.ops import (
     ToTensor,
 )
 from repro.preprocessing.payload import Payload, PayloadKind, StageMeta
+
+from tests.preprocessing.oracles import normalize_reference, to_tensor_reference
 
 
 @pytest.fixture
@@ -205,3 +209,35 @@ class TestNormalize:
         tensor = Payload.tensor(np.zeros((1, 4, 4), dtype=np.float32))
         with pytest.raises(ValueError):
             Normalize().apply(tensor, {})
+
+
+#: Views an op may be handed: the array itself, RandomHorizontalFlip's
+#: negative-stride view before its copy, and a strided sub-grid.
+VIEWS = {
+    "whole": lambda a: a,
+    "flipped": lambda a: a[:, ::-1],
+    "strided": lambda a: a[::2, 1::3],
+}
+
+
+class TestTensorOpsMatchReference:
+    @given(
+        height=st.integers(2, 40),
+        width=st.integers(3, 40),
+        seed=st.integers(0, 2**32 - 1),
+        view=st.sampled_from(sorted(VIEWS)),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_byte_identical_and_input_untouched(self, height, width, seed, view):
+        rng = np.random.default_rng(seed)
+        image = VIEWS[view](rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8))
+        tensor = ToTensor().apply(Payload.image(image), {}).data
+        assert tensor.tobytes() == to_tensor_reference(image).tobytes()
+        assert tensor.flags.c_contiguous
+
+        op = Normalize()
+        source = VIEWS[view](tensor.transpose(1, 2, 0)).transpose(2, 0, 1)
+        before = source.copy()
+        out = op.apply(Payload.tensor(source), {}).data
+        assert out.tobytes() == normalize_reference(source, op.mean, op.std).tobytes()
+        assert np.array_equal(source, before)

@@ -1,5 +1,7 @@
 """Wire message serialization tests."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,11 @@ from repro.preprocessing.payload import Payload, PayloadKind
 from repro.rpc.messages import (
     REQUEST_HEADER_SIZE,
     RESPONSE_HEADER_SIZE,
-    RESPONSE_HEADER_SIZE_V1,
     ChecksumError,
     FetchRequest,
     FetchResponse,
     ProtocolError,
     payload_checksum,
-    response_wire_size,
 )
 
 
@@ -85,7 +85,7 @@ class TestFetchResponse:
     def test_wire_size_formula(self, rng):
         array = rng.integers(0, 256, size=(10, 10, 3), dtype=np.uint8)
         resp = FetchResponse.from_payload(self.make_request(), Payload.image(array), 10, 10)
-        assert len(resp.to_bytes()) == response_wire_size(array.nbytes)
+        assert len(resp.to_bytes()) == RESPONSE_HEADER_SIZE + array.nbytes
 
     def test_truncated_response_rejected(self, rng):
         array = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
@@ -113,10 +113,6 @@ class TestFetchResponse:
         with pytest.raises(ProtocolError):
             bad.to_payload()
 
-    def test_response_wire_size_validates(self):
-        with pytest.raises(ValueError):
-            response_wire_size(-1)
-
 
 class TestChecksummedFrames:
     def make_response(self):
@@ -139,20 +135,12 @@ class TestChecksummedFrames:
     def test_checksum_error_is_a_protocol_error(self):
         assert issubclass(ChecksumError, ProtocolError)
 
-    def test_v1_frame_still_accepted(self):
+    def test_fr01_frame_rejected(self):
+        # The unchecksummed FR01 layout: FR02's header minus payload_crc32.
         resp = self.make_response()
-        wire = resp.to_bytes_v1()
-        assert wire[:4] == b"FR01"
-        assert len(wire) == RESPONSE_HEADER_SIZE_V1 + len(resp.payload)
-        assert FetchResponse.from_bytes(wire) == resp
-
-    def test_v1_frame_has_no_corruption_protection(self):
-        # Documents the compat hole the version bump exists to close: v1
-        # payload damage parses fine and only fails later (or never).
-        wire = bytearray(self.make_response().to_bytes_v1())
-        wire[-1] ^= 0xFF
-        parsed = FetchResponse.from_bytes(bytes(wire))
-        assert parsed.payload != self.make_response().payload
+        header = struct.pack("<4sIIBBIIII", b"FR01", 3, 1, 0, 0, 10, 12, 3, len(resp.payload))
+        with pytest.raises(ProtocolError, match="magic"):
+            FetchResponse.from_bytes(header + resp.payload)
 
     def test_payload_checksum_is_plain_crc32(self):
         import zlib

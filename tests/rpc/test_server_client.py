@@ -6,12 +6,12 @@ import pytest
 from repro.data.trace import TraceDataset
 from repro.preprocessing.payload import PayloadKind
 from repro.rpc import (
+    RESPONSE_HEADER_SIZE,
     FetchRequest,
     InMemoryChannel,
     ProtocolError,
     StorageClient,
     StorageServer,
-    response_wire_size,
 )
 
 
@@ -67,11 +67,11 @@ class TestServer:
 class TestClient:
     def test_fetch_counts_response_traffic(self, client, materialized_tiny):
         payload = client.fetch(0, 0, 0)
-        assert client.traffic_bytes == response_wire_size(payload.nbytes)
+        assert client.traffic_bytes == RESPONSE_HEADER_SIZE + payload.nbytes
 
     def test_fetch_split_two_traffic_is_crop_size(self, client):
         client.fetch(0, 0, 2)
-        assert client.traffic_bytes == response_wire_size(224 * 224 * 3)
+        assert client.traffic_bytes == RESPONSE_HEADER_SIZE + 224 * 224 * 3
 
     def test_fetched_prefix_continues_identically(
         self, client, server, materialized_tiny, pipeline

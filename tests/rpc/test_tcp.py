@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.loader import DataLoader
 from repro.rpc import StorageServer
-from repro.rpc.messages import ProtocolError, response_wire_size
+from repro.rpc.messages import RESPONSE_HEADER_SIZE, ProtocolError
 from repro.rpc.tcp import TcpStorageClient, TcpStorageServer
 
 
@@ -31,7 +31,7 @@ class TestTcpTransport:
         with TcpStorageServer(server.handle) as tcp:
             with TcpStorageClient(tcp.address) as client:
                 payload = client.fetch(0, 0, 2)
-                assert client.traffic_bytes == response_wire_size(payload.nbytes)
+                assert client.traffic_bytes == RESPONSE_HEADER_SIZE + payload.nbytes
 
     def test_many_sequential_fetches_one_connection(self, server, materialized_tiny):
         import time
@@ -106,7 +106,7 @@ class TestCounterThreadSafety:
         fetches_per_thread = 25
         with TcpStorageServer(server.handle) as tcp:
             with TcpStorageClient(tcp.address) as client:
-                per_fetch = response_wire_size(client.fetch(0, 0, 0).nbytes)
+                per_fetch = RESPONSE_HEADER_SIZE + client.fetch(0, 0, 0).nbytes
 
                 def worker():
                     for _ in range(fetches_per_thread):

@@ -2,8 +2,10 @@
 
 import math
 
-from repro.telemetry.exporters import parse_prometheus, render_prometheus
+from repro.telemetry.exporters import render_prometheus
 from repro.telemetry.registry import MetricsRegistry
+
+from tests.telemetry.prometheus import parse_prometheus
 
 
 class TestLabelEscaping:

@@ -5,7 +5,6 @@ import pytest
 from repro.telemetry.audit import AuditLog, CandidateSplit, DecisionRecord
 from repro.telemetry.clock import ManualClock
 from repro.telemetry.exporters import (
-    parse_prometheus,
     read_jsonl,
     render_prometheus,
     replay_jsonl_lines,
@@ -14,6 +13,8 @@ from repro.telemetry.exporters import (
 )
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import Tracer
+
+from tests.telemetry.prometheus import parse_prometheus
 
 
 def populated_registry():

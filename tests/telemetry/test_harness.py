@@ -7,12 +7,10 @@ import pytest
 from repro.data.catalog import make_openimages
 from repro.harness.chaos import run_chaos, write_chaos_telemetry
 from repro.harness.telemetry import emit_artifacts, record_epoch_stats
-from repro.telemetry.exporters import (
-    parse_prometheus,
-    read_jsonl,
-    telemetry_jsonl_lines,
-)
+from repro.telemetry.exporters import read_jsonl, telemetry_jsonl_lines
 from repro.telemetry.registry import MetricsRegistry
+
+from tests.telemetry.prometheus import parse_prometheus
 
 SAMPLES = 48
 SEED = 7

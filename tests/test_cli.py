@@ -1,5 +1,7 @@
 """CLI smoke tests (small sample counts keep them fast)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -98,11 +100,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "split histogram" in out
 
-        from repro.core.serialize import plan_from_json
-
-        plan = plan_from_json(path.read_text())
-        assert len(plan) == 150
-        assert plan.num_offloaded > 0
+        splits = json.loads(path.read_text())["splits"]
+        assert len(splits) == 150
+        assert any(splits)
 
     def test_stalls(self, capsys):
         assert main(["--samples", "150", "stalls"]) == 0
