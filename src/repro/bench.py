@@ -500,9 +500,12 @@ def render_summary(report: Dict[str, Any]) -> str:
         )
     smallest = report["scales"][0]
     for layer in ALLOCATION_LAYERS:
-        peaks = smallest["layers"][layer].get("peak_bytes")
-        if peaks is not None:
-            parts = ", ".join(f"{path} {peak / 1024:.0f} KiB" for path, peak in peaks.items())
+        row = smallest["layers"][layer]
+        if "peak_bytes" in row:
+            parts = ", ".join(
+                f"{path} {peak / 1024:.0f} KiB, {row['live_blocks'][path]} live blocks"
+                for path, peak in row["peak_bytes"].items()
+            )
             lines.append(f"peak allocation, {layer} at n={smallest['num_samples']}: {parts}")
     million = report.get("million")
     if million is not None:

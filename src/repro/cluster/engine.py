@@ -2,9 +2,13 @@
 
 :func:`launch_training_job` runs every ``run_epoch`` except
 ``kernel="reference"``, faults, spans and timeline included.  Each
-sample, batch and GPU consumer is a ``__slots__`` cursor whose bound
-``step`` method is the heap callback, dispatching on a state integer;
-each cursor is also the holder of every resource grant it waits on.
+sample, batch and GPU consumer is a ``__slots__`` cursor that holds its
+own resource grants (prefetch tokens are held by batch index).  Heap
+entries and grants call the cursor class's plain function with the
+cursor as argument, so no cursor keeps a bound method of itself and a
+drained epoch is freed by reference counting, with nothing left for the
+cycle collector.  Spans go straight into the tracer's columns through
+``Tracer.stamp`` at ``env.now``.
 
 **The mirror contract.**  The cursors replay the seed launcher
 (:func:`repro.cluster.refsim.launch_training_processes`) push for push:
@@ -20,17 +24,19 @@ the contract ``repro.bench`` and the identity tests gate.
 generator path                 cursor mirror
 =============================  ============================================
 ``env.process(...)``           start entry pushed at construction
-wait on ``timeout(d)``         ``env._call_at(env.now + d, step)``
+wait on ``timeout(d)``         ``env._call_at(env.now + d, step, cursor)``
 wait on a ``grant``            ``resource.request(cursor, step)``; the
-                               grant pushes ``step`` at the ``(time,
-                               sequence)`` of the seed's grant event
+                               grant pushes ``step(cursor)`` at the
+                               ``(time, sequence)`` of the seed's grant
+                               event
 process end event              batch-countdown entry (``_BatchRun.child_end``)
 all-of join fires              all-done entry (``_BatchRun.all_done``)
 ``batch_ready`` wait           same event; relay entry when already processed
 process end (unused)           dropped (the pop had no side effects)
 ``crash_watch`` process        ``_CrashWatch``: start entry, then window entry
 ``prefix_proc`` sub-process    ``_PrefixRun`` (faulted runs only): own start
-                               entry, end entry resumes the sample
+                               entry, end entry calls the sample's
+                               ``prefix_ended``
 ``proc.interrupt()``           mark the prefix thrown (its pending wake,
                                grant or timeout, fires as a no-op), push a
                                throw-in entry
@@ -41,7 +47,8 @@ demotion                       ``fallback_work``'s split-0 scalars
                                overwrite the sample's work
 brownout in ``transmit``       chunk time ``chunk / (bandwidth * factor)``
 corrupted payload              full re-send, capped at ``_MAX_PAYLOAD_SENDS``
-``tracer.*`` / ``timeline.*``  same call, same transition, same order
+``tracer.*`` / ``timeline.*``  same event, same transition, same order
+                               (spans via ``Tracer.stamp``)
 =============================  ============================================
 
 One deliberate departure: the seed launcher raises "event triggered
@@ -57,7 +64,7 @@ from repro.cluster.sim import Environment, Event, Resource
 from repro.cluster.spec import ClusterSpec
 from repro.faults.schedule import FaultReport, FaultSchedule
 from repro.metrics.timeline import Timeline
-from repro.telemetry.spans import Tracer, trace_id
+from repro.telemetry.spans import BEGIN, END, INSTANT, Tracer, trace_id
 from repro.workloads.models import ModelProfile
 
 if TYPE_CHECKING:  # pragma: no cover -- trainer imports this module
@@ -72,13 +79,14 @@ _MAX_PAYLOAD_SENDS = 25
 
 class _Job:
     """Shared per-job state every cursor reads (spec scalars and the work
-    columns pre-bound)."""
+    columns pre-bound).  ``stamp`` is the tracer's :meth:`Tracer.stamp`
+    (None when untraced) and ``labels`` the job-wide span labels."""
 
     __slots__ = (
         "env", "handles", "link", "compute_cpu", "splits", "wire_bytes", "prefix_cpu_s",
         "suffix_cpu_s", "batches", "model", "traffic", "batch_ready",
         "rtt", "rtt_half", "storage_cpu_factor", "compute_cpu_factor", "bandwidth",
-        "link_chunk", "overhead", "flow_key", "timeline", "tracer", "epoch",
+        "link_chunk", "overhead", "flow_key", "timeline", "stamp", "labels", "epoch",
         "faults", "report", "fallback_work", "active_offloads", "messages",
     )
 
@@ -110,7 +118,8 @@ class _Job:
         self.overhead = spec.response_overhead_bytes
         self.flow_key = handles.flow_key
         self.timeline = timeline
-        self.tracer = tracer
+        self.stamp = tracer.stamp if tracer is not None else None
+        self.labels = handles.span_attrs()
         self.epoch = epoch
         self.faults = faults
         self.report = report
@@ -125,13 +134,19 @@ class _Job:
             return self.rtt_half
         return (self.rtt + self.faults.extra_rtt_s(self.env.now)) / 2.0
 
+    def sample_labels(self, sample_id: int) -> Dict[str, object]:
+        """Span labels for one sample: the job's, plus its shard if sharded."""
+        if self.handles.shard_of is None:
+            return self.labels
+        return self.handles.span_attrs(sample_id)
+
 
 # _SampleRun states (the wait points of the seed's per-sample process):
 _S_START = 0         # process start entry fired
 _S_ARRIVED = 1       # half-RTT request latency elapsed
 _S_PREFIX_GRANT = 2  # storage core granted (inline prefix, fault-free)
 _S_PREFIX_DONE = 3   # offloaded prefix finished (inline prefix, fault-free)
-_S_PREFIX_ENDED = 4  # prefix sub-process ended (faulted runs)
+_S_PREFIX_RUN = 4    # prefix sub-process running (faulted runs)
 _S_CHUNK_GRANT = 5   # link granted for one chunk
 _S_CHUNK_DONE = 6    # chunk crossed the link
 _S_RESPONDED = 7     # trailing half-RTT elapsed
@@ -150,7 +165,7 @@ class _SampleRun:
     """
 
     __slots__ = ("job", "sample_id", "split", "wire_bytes", "prefix_cpu_s", "suffix_cpu_s",
-                 "batch", "step", "state", "pool", "remaining", "payload", "sends", "trace")
+                 "batch", "state", "pool", "remaining", "payload", "sends", "trace")
 
     def __init__(self, job: _Job, sample_id: int, batch: "_BatchRun") -> None:
         self.job = job
@@ -160,20 +175,19 @@ class _SampleRun:
         self.prefix_cpu_s = job.prefix_cpu_s[sample_id]
         self.suffix_cpu_s = job.suffix_cpu_s[sample_id]
         self.batch = batch
-        self.step = self._step  # one reusable bound method for every wait
         self.state = _S_START
         self.pool: Optional[Resource] = None
         self.remaining = 0
         self.payload = 0
         self.sends = 0
-        self.trace = trace_id(sample_id, job.epoch) if job.tracer is not None else ""
+        self.trace = trace_id(sample_id, job.epoch) if job.stamp is not None else ""
         env = job.env
-        env._call_at(env.now, self.step)
+        env._call_at(env.now, _SampleRun.step, self)
 
-    def _step(self, value: Any) -> None:
+    def step(self) -> None:
         job = self.job
         env = job.env
-        tracer = job.tracer
+        stamp = job.stamp
         state = self.state
         if state == _S_CHUNK_GRANT:  # hottest states first
             self.state = _S_CHUNK_DONE
@@ -182,12 +196,12 @@ class _SampleRun:
                 chunk = job.link_chunk
             faults = job.faults
             if faults is None:
-                env._call_at(env.now + chunk / job.bandwidth, self.step)
+                env._call_at(env.now + chunk / job.bandwidth, _SampleRun.step, self)
             else:
                 factor = faults.bandwidth_factor(env.now)
                 if factor < 1.0:
                     job.report.brownout_chunks += 1
-                env._call_at(env.now + chunk / (job.bandwidth * factor), self.step)
+                env._call_at(env.now + chunk / (job.bandwidth * factor), _SampleRun.step, self)
         elif state == _S_CHUNK_DONE:
             link = job.link
             link.release(self)
@@ -197,92 +211,98 @@ class _SampleRun:
             self.remaining -= chunk
             if self.remaining > 0:
                 self.state = _S_CHUNK_GRANT
-                link.request(self, self.step, job.flow_key, True)
+                link.request(self, _SampleRun.step, job.flow_key, True)
             else:
                 job.traffic["bytes"] += self.payload
                 if job.faults is not None and self._corrupted():
                     self._send()
                     return
-                if tracer is not None:
-                    tracer.end(self.trace, "link.transmit")
+                if stamp is not None:
+                    stamp(self.trace, "link.transmit", END, env.now)
                 self.state = _S_RESPONDED
-                env._call_at(env.now + job.half_rtt(), self.step)
+                env._call_at(env.now + job.half_rtt(), _SampleRun.step, self)
         elif state == _S_START:
-            if tracer is not None:
-                tracer.begin(
-                    self.trace, "sample.fetch", split=self.split, wire_bytes=self.wire_bytes,
-                    **job.handles.span_attrs(self.sample_id),
-                )
+            if stamp is not None:
+                stamp(self.trace, "sample.fetch", BEGIN, env.now, {
+                    "split": self.split, "wire_bytes": self.wire_bytes,
+                    **job.sample_labels(self.sample_id),
+                })
             self.state = _S_ARRIVED
-            env._call_at(env.now + job.half_rtt(), self.step)
+            env._call_at(env.now + job.half_rtt(), _SampleRun.step, self)
         elif state == _S_ARRIVED:
             if self.split == 0:
                 self._start_transmit()
             elif job.faults is not None and job.faults.storage_down(env.now):
                 # Fetch refused outright: the node is down right now.
                 job.report.note_failure(env.now)
-                if tracer is not None:
-                    tracer.instant(self.trace, "fault.storage_down")
+                if stamp is not None:
+                    stamp(self.trace, "fault.storage_down", INSTANT, env.now)
                 self._demote()
                 self._start_transmit()
             else:
-                if tracer is not None:
-                    tracer.begin(
-                        self.trace, "storage.prefix", split=self.split,
-                        **job.handles.span_attrs(self.sample_id),
-                    )
+                if stamp is not None:
+                    stamp(self.trace, "storage.prefix", BEGIN, env.now, {
+                        "split": self.split, **job.sample_labels(self.sample_id),
+                    })
                 if job.faults is not None:
                     # A crash window may interrupt it: run it as a sub-process.
                     job.report.offload_attempts += 1
                     job.active_offloads[_PrefixRun(self)] = self.sample_id
-                    self.state = _S_PREFIX_ENDED
+                    self.state = _S_PREFIX_RUN
                     return
                 pool = job.handles.storage_pool(self.sample_id)
                 assert pool is not None  # split > 0 implies an offload-capable spec
                 self.pool = pool
                 self.state = _S_PREFIX_GRANT
-                pool.request(self, self.step)
+                pool.request(self, _SampleRun.step)
         elif state == _S_PREFIX_GRANT:
             self.state = _S_PREFIX_DONE
-            env._call_at(env.now + self.prefix_cpu_s * job.storage_cpu_factor, self.step)
+            env._call_at(
+                env.now + self.prefix_cpu_s * job.storage_cpu_factor, _SampleRun.step, self
+            )
         elif state == _S_PREFIX_DONE:
             assert self.pool is not None
             self.pool.release(self)
-            if tracer is not None:
-                tracer.end(self.trace, "storage.prefix", cpu_s=self.prefix_cpu_s)
-            self._start_transmit()
-        elif state == _S_PREFIX_ENDED:
-            prefix = value
-            job.active_offloads.pop(prefix, None)
-            if tracer is not None:
-                outcome = "ok" if prefix.ok else "interrupted"
-                tracer.end(self.trace, "storage.prefix", outcome=outcome)
-            report = job.report
-            if prefix.ok:
-                recovering = report.first_failure_s is not None and report.recovered_at_s is None
-                report.note_success(env.now)
-                if recovering and job.timeline is not None:
-                    job.timeline.record_fault(env.now, "recovery", self.sample_id)
-            else:
-                report.note_failure(env.now)
-                self._demote()
+            if stamp is not None:
+                stamp(self.trace, "storage.prefix", END, env.now, {"cpu_s": self.prefix_cpu_s})
             self._start_transmit()
         elif state == _S_RESPONDED:
             if self.suffix_cpu_s > 0:
-                if tracer is not None:
-                    tracer.begin(self.trace, "compute.suffix")
+                if stamp is not None:
+                    stamp(self.trace, "compute.suffix", BEGIN, env.now)
                 self.state = _S_SUFFIX_GRANT
-                job.compute_cpu.request(self, self.step)
+                job.compute_cpu.request(self, _SampleRun.step)
             else:
                 self._finish()
         elif state == _S_SUFFIX_GRANT:
             self.state = _S_SUFFIX_DONE
-            env._call_at(env.now + self.suffix_cpu_s * job.compute_cpu_factor, self.step)
+            env._call_at(
+                env.now + self.suffix_cpu_s * job.compute_cpu_factor, _SampleRun.step, self
+            )
         else:  # _S_SUFFIX_DONE
             job.compute_cpu.release(self)
-            if tracer is not None:
-                tracer.end(self.trace, "compute.suffix", cpu_s=self.suffix_cpu_s)
+            if stamp is not None:
+                stamp(self.trace, "compute.suffix", END, env.now, {"cpu_s": self.suffix_cpu_s})
             self._finish()
+
+    def prefix_ended(self, prefix: "_PrefixRun") -> None:
+        """The prefix sub-process's end entry (faulted runs)."""
+        job = self.job
+        env = job.env
+        job.active_offloads.pop(prefix, None)
+        if job.stamp is not None:
+            outcome = "ok" if prefix.ok else "interrupted"
+            job.stamp(self.trace, "storage.prefix", END, env.now, {"outcome": outcome})
+        report = job.report
+        if prefix.ok:
+            recovering = report.first_failure_s is not None and report.recovered_at_s is None
+            report.note_success(env.now)
+            if recovering and job.timeline is not None:
+                job.timeline.record_fault(env.now, "recovery", self.sample_id)
+        else:
+            report.note_failure(env.now)
+            self._demote()
+        self._start_transmit()
 
     def _demote(self) -> None:
         """Degrade to No-Off: raw fetch + local preprocessing, never lost."""
@@ -290,8 +310,9 @@ class _SampleRun:
         job.report.demoted_samples += 1
         if job.timeline is not None:
             job.timeline.record_fault(job.env.now, "demotion", self.sample_id)
-        if job.tracer is not None:
-            job.tracer.instant(self.trace, "fault.demote", planned_split=self.split)
+        if job.stamp is not None:
+            attrs = {"planned_split": self.split}
+            job.stamp(self.trace, "fault.demote", INSTANT, job.env.now, attrs)
         assert job.fallback_work is not None
         fallback = job.fallback_work(self.sample_id)
         self.split = fallback.split
@@ -302,8 +323,9 @@ class _SampleRun:
     def _start_transmit(self) -> None:
         job = self.job
         self.payload = self.wire_bytes + job.overhead
-        if job.tracer is not None:
-            job.tracer.begin(self.trace, "link.transmit", payload_bytes=self.payload)
+        if job.stamp is not None:
+            attrs = {"payload_bytes": self.payload}
+            job.stamp(self.trace, "link.transmit", BEGIN, job.env.now, attrs)
         self._send()
 
     def _send(self) -> None:
@@ -311,7 +333,7 @@ class _SampleRun:
         job = self.job
         self.remaining = self.payload
         self.state = _S_CHUNK_GRANT
-        job.link.request(self, self.step, job.flow_key)
+        job.link.request(self, _SampleRun.step, job.flow_key)
 
     def _corrupted(self) -> bool:
         """Draw this send's corruption coin; True when the payload goes again.
@@ -330,15 +352,16 @@ class _SampleRun:
             job.report.corrupt_retries += 1
         if job.timeline is not None:
             job.timeline.record_fault(job.env.now, "corruption", self.sample_id)
-        if job.tracer is not None:
-            job.tracer.instant(self.trace, "fault.corruption", send=send)
+        if job.stamp is not None:
+            job.stamp(self.trace, "fault.corruption", INSTANT, job.env.now, {"send": send})
         return self.sends < _MAX_PAYLOAD_SENDS
 
     def _finish(self) -> None:
         job = self.job
-        if job.tracer is not None:
-            job.tracer.end(self.trace, "sample.fetch")
-        job.env._call_at(job.env.now, self.batch.child_end)
+        env = job.env
+        if job.stamp is not None:
+            job.stamp(self.trace, "sample.fetch", END, env.now)
+        env._call_at(env.now, _BatchRun.child_end, self.batch)
 
 
 # _PrefixRun states (the wait points of the seed's ``prefix_proc``):
@@ -352,23 +375,23 @@ class _PrefixRun:
     """An offloaded prefix under fault injection (the seed's ``prefix_proc``).
 
     A sub-process of its sample -- start entry at construction, end entry
-    resuming the sample with this cursor as the value -- so a crash window
-    can interrupt it wherever it waits.  ``ok`` is False if interrupted.
+    calling the sample's ``prefix_ended`` with this cursor -- so a crash
+    window can interrupt it wherever it waits.  ``ok`` is False if
+    interrupted.
     """
 
-    __slots__ = ("sample", "step", "state", "pool", "ok", "triggered")
+    __slots__ = ("sample", "state", "pool", "ok", "triggered")
 
     def __init__(self, sample: _SampleRun) -> None:
         self.sample = sample
-        self.step = self._step
         self.state = _P_START
         self.pool: Optional[Resource] = None
         self.ok = False
         self.triggered = False  # end entry pushed: crash watches skip it
         env = sample.job.env
-        env._call_at(env.now, self.step)
+        env._call_at(env.now, _PrefixRun.step, self)
 
-    def _step(self, _value: Any) -> None:
+    def step(self) -> None:
         sample = self.sample
         job = sample.job
         env = job.env
@@ -377,12 +400,14 @@ class _PrefixRun:
             self.pool = pool = job.handles.storage_pool(sample.sample_id)
             assert pool is not None  # split > 0 implies an offload-capable spec
             self.state = _P_GRANT
-            pool.request(self, self.step)
+            pool.request(self, _PrefixRun.step)
         elif state == _P_GRANT:
             assert job.faults is not None
             self.state = _P_RUN
             cpu_s = sample.prefix_cpu_s * job.storage_cpu_factor
-            env._call_at(env.now + cpu_s * job.faults.storage_cpu_factor(env.now), self.step)
+            env._call_at(
+                env.now + cpu_s * job.faults.storage_cpu_factor(env.now), _PrefixRun.step, self
+            )
         elif state == _P_RUN:
             assert self.pool is not None
             self.pool.release(self)
@@ -394,9 +419,9 @@ class _PrefixRun:
         """Abandon the pending wait and deliver the crash through the queue."""
         self.state = _P_THROWN
         env = self.sample.job.env
-        env._call_at(env.now, self._throw_in)
+        env._call_at(env.now, _PrefixRun.throw_in, self)
 
-    def _throw_in(self, _value: Any) -> None:
+    def throw_in(self) -> None:
         # Never started: nothing requested.  Otherwise the grant may have
         # landed since the interrupt, so check before choosing.
         pool = self.pool
@@ -410,7 +435,7 @@ class _PrefixRun:
     def _end(self) -> None:
         self.triggered = True
         env = self.sample.job.env
-        env._call_at(env.now, self.sample.step, self)
+        env._call_at(env.now, self.sample.prefix_ended, self)
 
 
 class _CrashWatch:
@@ -421,13 +446,13 @@ class _CrashWatch:
     def __init__(self, job: _Job, start: float) -> None:
         self.job = job
         self.start = start
-        job.env._call_at(job.env.now, self.arm)
+        job.env._call_at(job.env.now, _CrashWatch.arm, self)
 
-    def arm(self, _value: Any) -> None:
+    def arm(self) -> None:
         env = self.job.env
-        env._call_at(env.now + self.start, self.fire)
+        env._call_at(env.now + self.start, _CrashWatch.fire, self)
 
-    def fire(self, _value: Any) -> None:
+    def fire(self) -> None:
         job = self.job
         for prefix, sample_id in list(job.active_offloads.items()):
             if prefix.triggered or prefix.state == _P_THROWN:
@@ -435,16 +460,18 @@ class _CrashWatch:
             job.report.crash_interrupts += 1
             if job.timeline is not None:
                 job.timeline.record_fault(job.env.now, "crash-interrupt", sample_id)
-            if job.tracer is not None:
-                job.tracer.instant(trace_id(sample_id, job.epoch), "fault.crash_interrupt")
+            if job.stamp is not None:
+                job.stamp(
+                    trace_id(sample_id, job.epoch), "fault.crash_interrupt", INSTANT, job.env.now
+                )
             prefix.interrupt()
 
 
 class _BatchRun:
     """One batch's prefetch-token wait and child join (``batch_proc``).
 
-    The cursor holds its prefetch token; ``batch_ready`` carries it to the
-    GPU consumer, which releases it."""
+    The token's holder is the batch index, which the GPU consumer
+    releases, so ``batch_ready`` carries no cursor back to the job."""
 
     __slots__ = ("job", "index", "ids", "pending")
 
@@ -453,13 +480,13 @@ class _BatchRun:
         self.index = index
         self.ids = ids
         self.pending = 0
-        job.env._call_at(job.env.now, self.start)
+        job.env._call_at(job.env.now, _BatchRun.start, self)
 
-    def start(self, _value: Any) -> None:
+    def start(self) -> None:
         # First resume: claim a prefetch-window token, wait for it.
-        self.job.handles.prefetch.request(self, self.granted)
+        self.job.handles.prefetch.request(self.index, self.granted)
 
-    def granted(self, _value: Any) -> None:
+    def granted(self, _index: int) -> None:
         # Token granted: launch every sample, join them via countdown
         # (one child_end entry per sample plays the child's process-end
         # event; the final one stands in for the all-of join).
@@ -468,19 +495,19 @@ class _BatchRun:
         for sample_id in self.ids:
             _SampleRun(job, sample_id, self)
         if not self.ids:
-            job.env._call_at(job.env.now, self.all_done)
+            job.env._call_at(job.env.now, _BatchRun.all_done, self)
 
-    def child_end(self, _value: Any) -> None:
+    def child_end(self) -> None:
         self.pending -= 1
         if self.pending == 0:
             env = self.job.env
-            env._call_at(env.now, self.all_done)
+            env._call_at(env.now, _BatchRun.all_done, self)
 
-    def all_done(self, _value: Any) -> None:
+    def all_done(self) -> None:
         job = self.job
         if job.timeline is not None:
             job.timeline.trace(self.index).ready_at = job.env.now
-        job.batch_ready[self.index].trigger(self)
+        job.batch_ready[self.index].trigger()
 
 
 # _GpuRun states (the wait points of the seed's ``gpu_proc``):
@@ -493,15 +520,13 @@ _G_BATCH_DONE = 3  # batch compute time elapsed
 class _GpuRun:
     """The in-order GPU consumer (``gpu_proc``)."""
 
-    __slots__ = ("job", "index", "token", "step", "state")
+    __slots__ = ("job", "index", "state")
 
     def __init__(self, job: _Job) -> None:
         self.job = job
         self.index = 0
-        self.token: Optional[_BatchRun] = None  # the prefetch token's holder
         self.state = _G_START
-        self.step = self._step
-        job.env._call_at(job.env.now, self.step)
+        job.env._call_at(job.env.now, _GpuRun.step, self)
 
     def _wait_ready(self) -> None:
         job = self.job
@@ -510,36 +535,38 @@ class _GpuRun:
         if ready.processed:
             # Deliver through the queue, like a process waiting on an
             # already-fired event.
-            job.env._call_at(job.env.now, self.step, ready.value)
+            job.env._call_at(job.env.now, _GpuRun.step, self)
         else:
-            ready.callbacks.append(self.step)
+            ready.callbacks.append(self.step)  # dropped once the event fires
 
-    def _step(self, value: Any) -> None:
+    def step(self, _value: Any = None) -> None:
         job = self.job
         env = job.env
         state = self.state
         if state == _G_READY:
-            self.token = value
             self.state = _G_GRANT
-            job.handles.gpu.request(self, self.step)
+            job.handles.gpu.request(self, _GpuRun.step)
         elif state == _G_GRANT:
             self.state = _G_BATCH_DONE
             index = self.index
             if job.timeline is not None:
                 job.timeline.trace(index).gpu_start = env.now
-            if job.tracer is not None:
-                job.tracer.begin(
-                    f"b{index}-e{job.epoch}", "gpu.batch", batch=index, **job.handles.span_attrs()
+            if job.stamp is not None:
+                job.stamp(
+                    f"b{index}-e{job.epoch}", "gpu.batch", BEGIN, env.now,
+                    {"batch": index, **job.labels},
                 )
-            env._call_at(env.now + job.model.batch_time_s(len(job.batches[index])), self.step)
+            env._call_at(
+                env.now + job.model.batch_time_s(len(job.batches[index])), _GpuRun.step, self
+            )
         elif state == _G_BATCH_DONE:
             index = self.index
             if job.timeline is not None:
                 job.timeline.trace(index).gpu_end = env.now
-            if job.tracer is not None:
-                job.tracer.end(f"b{index}-e{job.epoch}", "gpu.batch")
+            if job.stamp is not None:
+                job.stamp(f"b{index}-e{job.epoch}", "gpu.batch", END, env.now)
             job.handles.gpu.release(self)
-            job.handles.prefetch.release(self.token)
+            job.handles.prefetch.release(index)
             self.index += 1
             if self.index < len(job.batches):
                 self._wait_ready()
@@ -583,8 +610,11 @@ def launch_training_job(
         ``fault_report``.  An empty/None schedule simulates exactly the
         fault-free epoch.
     tracer: optional per-sample span collector; ``epoch`` names the traces
-        (trace id = sample id + epoch).  Emission never touches the event
-        queue, so a run with a tracer simulates identically to one without.
+        (trace id = sample id + epoch).  Events are stamped with
+        ``env.now`` through :meth:`Tracer.stamp`, so the tracer must not
+        be written from another thread during the run.  Emission never
+        touches the event queue, so a run with a tracer simulates
+        identically to one without.
     timeline: optional per-batch timeline (plus fault events) to fill in.
     """
     if faults is not None and faults.is_empty:

@@ -13,10 +13,10 @@ have used, which keeps the two byte-identical on every
   :class:`Event` to wake a process, callers push a ``(time, sequence,
   fn, arg)`` heap entry via :meth:`Environment._call_at`; popping it
   calls ``fn(arg)``, with no object in between.
-- **Event-free grants.**  A resource grant pushes the waiter's own wake
-  callback at the position where the seed kernel pushed its grant
-  :class:`Event`; grants are keyed by the holding cursor, so no request
-  object exists at all.
+- **Event-free grants.**  A resource grant pushes the waiter's wake
+  callback, with the holder as its argument, at the position where the
+  seed kernel pushed its grant :class:`Event`; grants are keyed by the
+  holder, so no request object exists at all.
 - **O(1) queue discipline.**  Resource wait queues are deques.
 - **A tight drain loop.**  ``run()`` binds the heap and ``heappop``
   locally.
@@ -128,11 +128,13 @@ class Resource:
     """A FIFO resource with integer capacity (CPU pool, GPU, NIC).
 
     ``request(holder, wake)`` asks for a slot on behalf of ``holder`` (any
-    hashable object, in practice the cursor that waits); when the slot is
-    granted, ``wake(None)`` is pushed through :meth:`Environment._call_at`
-    at the grant instant -- immediately if a slot is free, else when a
-    ``release`` hands one over.  ``release``, ``cancel`` and ``holds`` take
-    the same holder, which has at most one request per resource at a time.
+    hashable object: a waiting cursor, or a batch index for prefetch
+    tokens); when the slot is granted, ``wake(holder)`` is pushed through
+    :meth:`Environment._call_at` at the grant instant -- immediately if a
+    slot is free, else when a ``release`` hands one over -- so a cursor
+    can pass its class's plain step function and keep no bound method.
+    ``release``, ``cancel`` and ``holds`` take the same holder, which has
+    at most one request per resource at a time.
     ``busy_time`` integrates slot-seconds of use for utilization
     reporting.  The wait queue is a deque of ``(holder, wake)`` pairs and
     grant timestamps live in a dict keyed by holder, so request, release
@@ -174,7 +176,7 @@ class Resource:
             self._in_use += 1
             env = self.env
             self._grant_times[holder] = env.now
-            env._call_at(env.now, wake)
+            env._call_at(env.now, wake, holder)
         elif front:
             self._waiting.appendleft((holder, wake))
         else:
@@ -208,7 +210,7 @@ class Resource:
             # Hand the slot straight over: in_use stays the same.
             waiter, wake = self._waiting.popleft()
             grant_times[waiter] = now
-            env._call_at(now, wake)
+            env._call_at(now, wake, waiter)
         else:
             self._in_use -= 1
 

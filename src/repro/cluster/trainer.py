@@ -30,6 +30,7 @@ through :meth:`TrainerSim._launch`; they differ only in the
 
 import dataclasses
 import functools
+import math
 import numbers
 from types import ModuleType
 from typing import (
@@ -51,6 +52,7 @@ from repro.metrics.timeline import Timeline
 from repro.preprocessing.pipeline import Pipeline
 from repro.preprocessing.records import split_folds
 from repro.telemetry.spans import Tracer
+from repro.utils.floats import checked
 from repro.workloads.models import ModelProfile
 
 #: run_epoch(kernel=...) choices: "fast" (default) runs the cursor engine;
@@ -153,12 +155,18 @@ class WorkAdjustment:
 
     Used by the selective-compression extension (paper section 6): shrink
     the wire payload and charge the compress/decompress CPU time to the
-    respective nodes.
+    respective nodes.  The byte delta is an integer of either sign; the
+    CPU seconds are finite and >= 0 (ValueError otherwise).
     """
 
     wire_bytes_delta: int = 0
     extra_storage_cpu_s: float = 0.0
     extra_compute_cpu_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        checked("wire_bytes_delta", self.wire_bytes_delta, -math.inf, integral=True)
+        checked("extra_storage_cpu_s", self.extra_storage_cpu_s, 0.0)
+        checked("extra_compute_cpu_s", self.extra_compute_cpu_s, 0.0)
 
     def apply(self, work: SampleWork) -> SampleWork:
         wire = work.wire_bytes + self.wire_bytes_delta
@@ -387,7 +395,7 @@ class TrainerSim:
             split_arr.tolist(), sizes[np.arange(n), split_arr].tolist(), prefix, suffix
         )
 
-        def checked(sample_id: int) -> SampleWork:
+        def checked_work(sample_id: int) -> SampleWork:
             item = work[sample_id]
             if adjustments is not None and sample_id in adjustments:
                 item = adjustments[sample_id].apply(item)
@@ -396,14 +404,14 @@ class TrainerSim:
 
         for sample_id in sorted(adjustments or ()):
             if 0 <= sample_id < first_rejected:
-                work.set_row(checked(sample_id))
+                work.set_row(checked_work(sample_id))
         if first_rejected < n:
             if not in_range[first_rejected]:
                 assert splits is not None
                 raise ValueError(
                     f"bad split {splits[first_rejected]} for {n_ops}-op pipeline"
                 )
-            checked(first_rejected)  # raises
+            checked_work(first_rejected)  # raises
         return work
 
     # -- simulation -----------------------------------------------------------

@@ -115,11 +115,16 @@ def calibrate(
     Returns a cost table in the same shape as :data:`DEFAULT_OP_COSTS`,
     attributing each op's measured time to its dominant per-pixel term.
     This exists so the virtual-clock constants can be re-grounded; the
-    shipped defaults were produced the same way and then rounded.  The
-    timer is injectable (:data:`~repro.telemetry.clock.Clock` protocol) so
-    tests calibrate against a deterministic clock.
+    shipped defaults were produced the same way and then rounded.  Flip,
+    ToTensor and Normalize are timed through their own ``apply`` on a
+    :class:`~repro.preprocessing.payload.Payload`, so the table describes
+    the kernels the pipeline runs.  The timer is injectable
+    (:data:`~repro.telemetry.clock.Clock` protocol) so tests calibrate
+    against a deterministic clock.
     """
     from repro.codec import CodecConfig, ToyJpegCodec
+    from repro.preprocessing.ops import Normalize, RandomHorizontalFlip, ToTensor
+    from repro.preprocessing.payload import Payload
     from repro.preprocessing.resize import resize_bilinear
 
     rng = np.random.default_rng(0)
@@ -130,18 +135,16 @@ def calibrate(
 
     decode_s = _measure(codec.decode, encoded, repeats=repeats, timer=timer)
     resize_s = _measure(resize_bilinear, image, 224, 224, repeats=repeats, timer=timer)
-    flip_s = _measure(lambda a: np.ascontiguousarray(a[:, ::-1]), image, repeats=repeats, timer=timer)
-    small = image[:224, :224]
-    to_tensor_s = _measure(
-        lambda a: (a.astype(np.float32) / 255.0).transpose(2, 0, 1),
-        small,
-        repeats=repeats,
-        timer=timer,
+    flip_s = _measure(
+        RandomHorizontalFlip().apply, Payload.image(image), {"flip": True},
+        repeats=repeats, timer=timer,
     )
-    tensor = (small.astype(np.float32) / 255.0).transpose(2, 0, 1)
-    mean = np.array([0.485, 0.456, 0.406], dtype=np.float32).reshape(3, 1, 1)
-    std = np.array([0.229, 0.224, 0.225], dtype=np.float32).reshape(3, 1, 1)
-    normalize_s = _measure(lambda t: (t - mean) / std, tensor, repeats=repeats, timer=timer)
+    small = Payload.image(image[:224, :224])
+    to_tensor = ToTensor()
+    to_tensor_s = _measure(to_tensor.apply, small, {}, repeats=repeats, timer=timer)
+    normalize_s = _measure(
+        Normalize().apply, to_tensor.apply(small, {}), {}, repeats=repeats, timer=timer
+    )
 
     out_pixels = 224 * 224
     return {

@@ -150,10 +150,12 @@ class Tracer:
     Events are stored as columns -- trace id, name, phase, timestamp, and
     attrs (``None`` when empty) -- so recording one costs five list
     appends rather than a :class:`SpanEvent` object.  :attr:`events`
-    materializes the rows on first read and caches them until the next
-    emit.  One lock per emit keeps each event's fields together when
+    materializes the rows on first read and caches them until the columns
+    grow.  One lock per emit keeps each event's fields together when
     several threads record at once; the lock is dropped and rebuilt
-    across pickling, so a tracer stays ``copy.deepcopy``-able.
+    across pickling, so a tracer stays ``copy.deepcopy``-able.  A single
+    writer that keeps its own clock (the DES engine) appends through
+    :meth:`stamp` instead, with no lock, clock call or kwargs dict.
     """
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
@@ -183,7 +185,6 @@ class Tracer:
             self._phases.append(phase)
             self._times.append(self.clock())
             self._attrs.append(attrs or None)
-            self._rows = None
 
     def record(self, event: SpanEvent) -> None:
         """Append an already-stamped event (replay, tees, merges)."""
@@ -193,7 +194,18 @@ class Tracer:
             self._phases.append(event.phase)
             self._times.append(event.t_s)
             self._attrs.append(event.attrs or None)
-            self._rows = None
+
+    def stamp(
+        self, trace: str, name: str, phase: str, t_s: float,
+        attrs: Optional[Mapping[str, object]] = None,
+    ) -> None:
+        """Append one event at ``t_s`` without lock or clock: for a single
+        writer only.  ``phase`` is a phase constant; ``attrs`` None or non-empty."""
+        self._traces.append(trace)
+        self._names.append(name)
+        self._phases.append(phase)
+        self._times.append(t_s)
+        self._attrs.append(attrs)
 
     def begin(self, trace: str, name: str, **attrs: object) -> None:
         """Open a phase on a trace (pair with :meth:`end`)."""
@@ -225,7 +237,9 @@ class Tracer:
     def events(self) -> Tuple[SpanEvent, ...]:
         """Every event in emission order: a read-only snapshot."""
         with self._lock:
-            if self._rows is None:
+            # The columns only grow between clears, so a snapshot of
+            # another length is stale.
+            if self._rows is None or len(self._rows) != len(self._traces):
                 self._rows = tuple(
                     map(_span_row, self._traces, self._names, self._phases, self._times, self._attrs)
                 )

@@ -232,6 +232,40 @@ class TestWorkAdjustment:
         with pytest.raises(ValueError):
             trainer.run_epoch(splits=None, epoch=0, adjustments=adj)
 
+    @pytest.mark.parametrize("kernel", KERNEL_CHOICES)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # Before validation NaN compute time ran silently and an
+            # infinite storage time gave an inf epoch with NaN utilizations.
+            ("extra_compute_cpu_s", float("nan")),
+            ("extra_compute_cpu_s", float("inf")),
+            ("extra_compute_cpu_s", -1e-3),
+            ("extra_storage_cpu_s", float("inf")),
+            ("extra_storage_cpu_s", float("nan")),
+            ("extra_storage_cpu_s", -1e-3),
+            ("wire_bytes_delta", -100.5),
+            ("wire_bytes_delta", float("nan")),
+            ("wire_bytes_delta", True),
+        ],
+    )
+    def test_non_finite_or_mistyped_adjustment_rejected(self, trainer, kernel, field, value):
+        splits = [2] + [0] * (len(trainer.dataset) - 1)
+        with pytest.raises(ValueError, match=field):
+            trainer.run_epoch(
+                splits=splits, epoch=0, kernel=kernel,
+                adjustments={0: WorkAdjustment(**{field: value})},
+            )
+
+    @pytest.mark.parametrize("kernel", KERNEL_CHOICES)
+    def test_integral_deltas_of_either_sign_accepted(self, trainer, kernel):
+        splits = [2] + [0] * (len(trainer.dataset) - 1)
+        base = trainer.run_epoch(splits=splits, epoch=0, kernel=kernel)
+        for delta in (-1000, 1000):
+            adj = {0: WorkAdjustment(wire_bytes_delta=delta, extra_compute_cpu_s=0.0)}
+            stats = trainer.run_epoch(splits=splits, epoch=0, kernel=kernel, adjustments=adj)
+            assert stats.traffic_bytes == base.traffic_bytes + delta
+
 
 class TestBandwidthScaling:
     def test_halving_bandwidth_roughly_doubles_io_bound_epoch(

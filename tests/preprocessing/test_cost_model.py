@@ -9,6 +9,8 @@ from repro.preprocessing.cost_model import (
     OpCost,
     calibrate,
 )
+from repro.preprocessing.ops import Normalize, RandomHorizontalFlip, ToTensor
+from repro.telemetry.clock import ManualClock
 
 
 class TestOpCost:
@@ -66,3 +68,27 @@ class TestCalibration:
     def test_calibrated_table_usable_in_model(self):
         model = CostModel(calibrate(image_side=64, repeats=1))
         assert model.op_seconds("Decode", 0, 64 * 64) > 0
+
+    def test_flip_to_tensor_and_normalize_time_their_own_apply(self, monkeypatch):
+        """The clock moves only inside the three ops' ``apply``, by a
+        known amount per call: each calibrated rate is exactly that
+        amount over the pixels, and every other op's rate is zero."""
+        clock = ManualClock()
+        charges = {RandomHorizontalFlip: 1e-3, ToTensor: 2e-3, Normalize: 3e-3}
+        for op, seconds in charges.items():
+
+            def timed(self, payload, params, _apply=op.apply, _seconds=seconds):
+                result = _apply(self, payload, params)
+                clock.advance(_seconds)
+                return result
+
+            monkeypatch.setattr(op, "apply", timed)
+        side = 256
+        table = calibrate(image_side=side, repeats=2, timer=clock)
+        crop = 224 * 224
+        assert table["RandomHorizontalFlip"].ns_per_output_pixel == pytest.approx(1e6 / side**2)
+        assert table["ToTensor"].ns_per_output_pixel == pytest.approx(2e6 / crop)
+        assert table["Normalize"].ns_per_output_pixel == pytest.approx(3e6 / crop)
+        for name in ("Decode", "RandomResizedCrop"):
+            cost = table[name]
+            assert cost.ns_per_input_pixel + cost.ns_per_output_pixel == 0, name

@@ -183,6 +183,21 @@ class TestColumnStore:
         assert [e.name for e in tracer.events] == ["a", "b"]
         assert [e.name for e in first] == ["a"]
 
+    def test_stamp_rows_match_the_locked_writers_and_refresh_the_snapshot(self):
+        clock = ManualClock(1.5)
+        locked = Tracer(clock=clock)
+        locked.begin("s0-e0", "fetch", split=2)
+        locked.instant("s0-e0", "demote")
+        stamped = Tracer()
+        stamped.stamp("s0-e0", "fetch", BEGIN, 1.5, {"split": 2})
+        first = stamped.events
+        stamped.stamp("s0-e0", "demote", INSTANT, 1.5)
+        assert [repr(e) for e in stamped.events] == [repr(e) for e in locked.events]
+        assert len(first) == 1
+        stamped.clear()
+        stamped.stamp("s1-e0", "fetch", END, 2.0)
+        assert [e.trace_id for e in stamped.events] == ["s1-e0"]
+
     def test_deepcopy_keeps_every_event(self):
         tracer = Tracer(clock=ManualClock(2.0))
         tracer.begin("s0-e0", "fetch", split=1)

@@ -84,6 +84,7 @@ def test_summary_names_every_layer(bench_report):
     summary = render_summary(bench_report)
     for layer in LAYERS:
         assert layer in summary
+    assert "live blocks" in summary
     assert "gates: all identical" in summary
 
 
