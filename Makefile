@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint bench figures examples chaos chaos-service all clean
+.PHONY: install test lint bench figures golden examples chaos chaos-service all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -38,6 +38,11 @@ bench:
 
 figures:
 	$(PYTHON) -m repro.cli --samples 2000 --seed 7 all
+
+# Regenerate the results lock (tests/golden/*.txt).  Only for a
+# deliberate change of results; say why in the change's notes.
+golden:
+	PYTHONPATH=src $(PYTHON) tests/golden/test_golden.py
 
 examples:
 	@for script in examples/*.py; do \
