@@ -13,7 +13,7 @@ from benchmarks.conftest import run_once
 from repro.baselines import NoOff
 from repro.cluster.spec import standard_cluster
 from repro.core.sophon import Sophon
-from repro.harness.training import TrainingRun
+from repro.harness.adaptive import AdaptiveTrainingRun
 from repro.utils.tables import render_table
 
 EPOCH_COUNTS = (2, 5, 10)
@@ -25,11 +25,11 @@ def test_ext_full_training_run(benchmark, openimages):
     def regenerate():
         outcome = {}
         for epochs in EPOCH_COUNTS:
-            sophon = TrainingRun(
-                openimages, Sophon(), spec, batch_size=256, seed=7
+            sophon = AdaptiveTrainingRun(
+                openimages, spec, policy=Sophon(), batch_size=256, seed=7
             ).run(epochs)
-            base = TrainingRun(
-                openimages, NoOff(), spec, batch_size=256, seed=7
+            base = AdaptiveTrainingRun(
+                openimages, spec, policy=NoOff(), batch_size=256, seed=7
             ).run(epochs)
             outcome[epochs] = (sophon, base)
         return outcome
@@ -57,7 +57,7 @@ def test_ext_full_training_run(benchmark, openimages):
         sophon, base = outcome[epochs]
         # Epoch 0 is a plain No-Off epoch: zero profiling overhead.
         assert sophon.profile_epoch_time_s == pytest.approx(
-            base.per_epoch[0].epoch_time_s
+            base.profile_epoch_time_s
         )
         speedup = sophon.speedup_over(base)
         steady = base.steady_epoch_time_s / sophon.steady_epoch_time_s

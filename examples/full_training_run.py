@@ -8,7 +8,7 @@ Run:  python examples/full_training_run.py
 """
 
 from repro import NoOff, Sophon, make_openimages, standard_cluster
-from repro.harness.training import TrainingRun
+from repro.harness.adaptive import AdaptiveTrainingRun
 from repro.utils.units import format_bytes, format_seconds
 
 
@@ -17,16 +17,21 @@ def main() -> None:
     spec = standard_cluster(storage_cores=48)
     epochs = 8
 
-    sophon = TrainingRun(dataset, Sophon(), spec, batch_size=256, seed=17).run(epochs)
-    baseline = TrainingRun(dataset, NoOff(), spec, batch_size=256, seed=17).run(epochs)
+    def run(policy):
+        return AdaptiveTrainingRun(
+            dataset, spec, policy=policy, batch_size=256, seed=17
+        ).run(epochs)
 
-    print(f"plan: {sophon.plan.reason}\n")
+    sophon = run(Sophon())
+    baseline = run(NoOff())
+
+    print(f"plan: {sophon.epochs[-1].plan.reason}\n")
     print("epoch  no-off      sophon      offloaded  traffic")
-    for i, (b, s) in enumerate(zip(baseline.per_epoch, sophon.per_epoch)):
+    for b, s in zip(baseline.epochs, sophon.epochs):
         print(
-            f"{i:>5}  {format_seconds(b.epoch_time_s):>9}  "
-            f"{format_seconds(s.epoch_time_s):>9}  {s.offloaded_samples:>9}  "
-            f"{format_bytes(s.traffic_bytes):>10}"
+            f"{s.epoch:>5}  {format_seconds(b.stats.epoch_time_s):>9}  "
+            f"{format_seconds(s.stats.epoch_time_s):>9}  "
+            f"{s.stats.offloaded_samples:>9}  {format_bytes(s.stats.traffic_bytes):>10}"
         )
 
     print(f"\njob total: {format_seconds(baseline.total_time_s)} -> "

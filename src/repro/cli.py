@@ -587,9 +587,9 @@ def cmd_adaptive(args: argparse.Namespace) -> None:
     print(render_table(("Epoch", "Time", "Traffic", "Replanned"), rows))
 
     if telemetry:
-        from repro.harness.telemetry import emit_combined_artifacts
+        from repro.harness.telemetry import emit_artifacts
 
-        paths = emit_combined_artifacts(
+        paths = emit_artifacts(
             args.telemetry_dir,
             args.job_name or "adaptive",
             result.instrumented_epochs(),

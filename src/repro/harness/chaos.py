@@ -43,6 +43,9 @@ CHAOS_BATCH_SIZE = 16
 #: left to interrupt.
 CHAOS_PREFETCH_BATCHES = 2
 
+#: Every run simulates the first planned epoch (epoch 0 profiles).
+_EPOCH = 1
+
 
 @dataclasses.dataclass(frozen=True)
 class ChaosScenario:
@@ -251,7 +254,7 @@ def run_chaos(
                 seed=seed,
             )
         baseline = trainer.run_epoch(
-            list(plan.splits), epoch=1,
+            list(plan.splits), epoch=_EPOCH,
             record_spans=telemetry, record_timeline=telemetry,
         )
         if telemetry:
@@ -262,7 +265,7 @@ def run_chaos(
         runs: List[ChaosRun] = []
         for scenario in scenarios:
             stats = trainer.run_epoch(
-                list(plan.splits), epoch=1, faults=scenario.schedule,
+                list(plan.splits), epoch=_EPOCH, faults=scenario.schedule,
                 record_spans=telemetry, record_timeline=telemetry,
             )
             if telemetry:
@@ -288,9 +291,9 @@ def write_chaos_telemetry(report: ChaosReport, out_dir: str) -> List[str]:
         raise ValueError(
             "report carries no telemetry; produce it with run_chaos(telemetry=True)"
         )
-    paths = emit_artifacts(out_dir, "baseline", stats=report.baseline)
+    paths = emit_artifacts(out_dir, "baseline", [(_EPOCH, report.baseline)])
     for run in report.runs:
-        paths.extend(emit_artifacts(out_dir, run.scenario.name, stats=run.stats))
+        paths.extend(emit_artifacts(out_dir, run.scenario.name, [(_EPOCH, run.stats)]))
     paths.extend(
         emit_artifacts(out_dir, "chaos", registry=report.registry, audit=report.audit)
     )

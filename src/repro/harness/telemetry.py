@@ -18,11 +18,7 @@ import os
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.trainer import EpochStats
-from repro.metrics.chrometrace import (
-    EpochTraceRecord,
-    write_chrome_trace,
-    write_combined_chrome_trace,
-)
+from repro.metrics.chrometrace import EpochTraceRecord, write_chrome_trace
 from repro.telemetry.audit import AuditLog
 from repro.telemetry.exporters import render_prometheus, write_jsonl
 from repro.telemetry.registry import (
@@ -67,89 +63,35 @@ def record_epoch_stats(
 def emit_artifacts(
     out_dir: str,
     name: str,
-    stats: Optional[EpochStats] = None,
+    per_epoch: Sequence[Tuple[int, EpochStats]] = (),
     registry: Optional[Union[MetricsRegistry, MetricsSnapshot]] = None,
     audit: Optional[AuditLog] = None,
 ) -> List[str]:
     """Write the artifact set for one named run; returns the paths written.
 
-    What gets written depends on what is passed:
+    ``per_epoch`` is the ``instrumented_epochs()`` shape of
+    :class:`~repro.harness.adaptive.AdaptiveRunResult`; a single epoch is
+    ``[(0, stats)]``.  Epochs that recorded neither spans nor a timeline
+    are skipped.  What gets written depends on what is passed:
 
-    * ``stats`` with spans and/or a timeline -> ``<name>.trace.json`` plus
-      the spans in ``<name>.telemetry.jsonl``.
-    * ``registry`` -> its snapshot in the JSONL log and
-      ``<name>.metrics.prom``.
-    * ``audit`` -> decision records in the JSONL log.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    paths: List[str] = []
-    tracer = stats.spans if stats is not None else None
-    timeline = stats.timeline if stats is not None else None
-
-    if tracer is not None or registry is not None or audit is not None:
-        jsonl_path = os.path.join(out_dir, f"{name}.telemetry.jsonl")
-        write_jsonl(jsonl_path, registry=registry, tracer=tracer, audit=audit)
-        paths.append(jsonl_path)
-    if timeline is not None or tracer is not None:
-        trace_path = os.path.join(out_dir, f"{name}.trace.json")
-        write_chrome_trace(
-            timeline,
-            trace_path,
-            job=name,
-            spans=tracer.events if tracer is not None else None,
-        )
-        paths.append(trace_path)
-    if registry is not None:
-        prom_path = os.path.join(out_dir, f"{name}.metrics.prom")
-        with open(prom_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(render_prometheus(registry))
-        paths.append(prom_path)
-    return paths
-
-
-def epoch_trace_records(
-    per_epoch: Sequence[Tuple[int, EpochStats]],
-) -> List[EpochTraceRecord]:
-    """Fold instrumented epochs into combined-trace records.
-
-    Accepts the ``instrumented_epochs()`` shape of
-    :class:`~repro.harness.adaptive.AdaptiveRunResult` and
-    :class:`~repro.harness.training.TrainingRunResult`; epochs that
-    recorded neither spans nor a timeline are skipped.
-    """
-    records: List[EpochTraceRecord] = []
-    for epoch, stats in per_epoch:
-        if stats.spans is None and stats.timeline is None:
-            continue
-        records.append(
-            EpochTraceRecord(
-                epoch=epoch,
-                spans=stats.spans.events if stats.spans is not None else (),
-                timeline=stats.timeline,
-            )
-        )
-    return records
-
-
-def emit_combined_artifacts(
-    out_dir: str,
-    name: str,
-    per_epoch: Sequence[Tuple[int, EpochStats]],
-    registry: Optional[Union[MetricsRegistry, MetricsSnapshot]] = None,
-    audit: Optional[AuditLog] = None,
-) -> List[str]:
-    """Write one artifact set spanning a whole multi-epoch run.
-
-    * ``<name>.trace.json`` -- the combined chrome trace: per-epoch rows
-      plus shard/tenant summary rows (see
-      :func:`repro.metrics.chrometrace.write_combined_chrome_trace`).
+    * ``<name>.trace.json`` -- the chrome trace: per-epoch rows plus
+      shard/tenant summary rows (see
+      :func:`repro.metrics.chrometrace.write_chrome_trace`).
     * ``<name>.telemetry.jsonl`` -- every epoch's spans in one replayable
       log (``trace_id(sample, epoch)`` keeps epochs apart), plus the
       optional metrics snapshot and decision audit.
     * ``<name>.metrics.prom`` -- when a registry is given.
     """
     os.makedirs(out_dir, exist_ok=True)
-    records = epoch_trace_records(per_epoch)
+    records = [
+        EpochTraceRecord(
+            epoch=epoch,
+            spans=stats.spans.events if stats.spans is not None else (),
+            timeline=stats.timeline,
+        )
+        for epoch, stats in per_epoch
+        if stats.spans is not None or stats.timeline is not None
+    ]
     merged = Tracer()
     for record in records:
         for event in record.spans:
@@ -167,7 +109,7 @@ def emit_combined_artifacts(
         paths.append(jsonl_path)
     if records:
         trace_path = os.path.join(out_dir, f"{name}.trace.json")
-        write_combined_chrome_trace(trace_path, records, job=name)
+        write_chrome_trace(trace_path, records, job=name)
         paths.append(trace_path)
     if registry is not None:
         prom_path = os.path.join(out_dir, f"{name}.metrics.prom")

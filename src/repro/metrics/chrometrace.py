@@ -14,7 +14,7 @@ instants (demotions, corruption, breaker transitions) become trace-event
 instants on the same row.  The conventions (integer microseconds, 0-based
 tids, truncated spans) are documented in :mod:`repro.telemetry.spans`.
 
-Multi-epoch cluster runs render through :func:`write_combined_chrome_trace`:
+Runs render through :func:`write_chrome_trace`, one record per epoch:
 each epoch's timeline and spans land in their own process rows, and two
 summary processes group the same spans by their ``shard`` and ``job``
 labels (:func:`repro.telemetry.spans.grouped_span_rows`) -- one row per
@@ -138,32 +138,13 @@ def combined_trace_events(
     return events
 
 
-def write_combined_chrome_trace(
+def write_chrome_trace(
     path: str, records: Sequence[EpochTraceRecord], job: str = "train"
 ) -> None:
-    """Write the combined multi-epoch trace; bytes deterministic per content."""
-    document = {"traceEvents": combined_trace_events(records, job=job)}
-    with open(path, "w") as handle:
-        json.dump(document, handle, sort_keys=True)
+    """Write a ``chrome://tracing``-loadable JSON file of *records*.
 
-
-def write_chrome_trace(
-    timeline: Optional[Timeline],
-    path: str,
-    job: str = "train",
-    spans: Optional[Sequence[SpanEvent]] = None,
-) -> None:
-    """Write a ``chrome://tracing``-loadable JSON file.
-
-    timeline: per-batch rows (may be None when only spans are wanted).
-    spans: optional telemetry span events, rendered as a second process
-        with one thread row per trace id.
+    A single epoch is one record.  Bytes are deterministic per content.
     """
-    events: List[Dict] = []
-    if timeline is not None:
-        events.extend(timeline_to_trace_events(timeline, job=job))
-    if spans is not None:
-        events.extend(spans_to_trace_events(spans))
-    document = {"traceEvents": events}
+    document = {"traceEvents": combined_trace_events(records, job=job)}
     with open(path, "w") as handle:
         json.dump(document, handle, sort_keys=True)

@@ -133,12 +133,12 @@ class TestShardedAdaptive:
     def test_combined_artifacts_written(self, openimages_small, tmp_path):
         import json
 
-        from repro.harness.telemetry import emit_combined_artifacts
+        from repro.harness.telemetry import emit_artifacts
 
         result = self.make_run(openimages_small, job_name="tenant-a").run(
             epochs=3, record_spans=True, record_timeline=True
         )
-        paths = emit_combined_artifacts(
+        paths = emit_artifacts(
             str(tmp_path), "run", result.instrumented_epochs()
         )
         assert {p.split("/")[-1] for p in paths} == {

@@ -1,39 +1,68 @@
-"""Multi-epoch training run tests."""
+"""Multi-epoch training run tests: profile on epoch 0, plan, train."""
 
 import pytest
 
 from repro.baselines import NoOff
 from repro.cluster.spec import standard_cluster
+from repro.cluster.trainer import TrainerSim
+from repro.core.decision import DecisionConfig, DecisionEngine
+from repro.core.policy import PolicyContext
 from repro.core.sophon import Sophon
-from repro.harness.training import TrainingRun
+from repro.harness.adaptive import AdaptiveTrainingRun
+from repro.preprocessing.pipeline import standard_pipeline
+from repro.workloads.models import get_model_profile
+
+
+def training_run(dataset, policy, spec, **kwargs):
+    return AdaptiveTrainingRun(dataset, spec, policy=policy, **kwargs)
 
 
 @pytest.fixture(scope="module")
 def runs(openimages_small):
     spec = standard_cluster(storage_cores=48)
-    sophon = TrainingRun(
+    sophon = training_run(
         openimages_small, Sophon(), spec, batch_size=64, seed=0
     ).run(epochs=5)
-    baseline = TrainingRun(
+    baseline = training_run(
         openimages_small, NoOff(), spec, batch_size=64, seed=0
     ).run(epochs=5)
     return sophon, baseline
 
 
+def reference_run(dataset, policy, spec, epochs, batch_size):
+    """The fixed-spec loop spelled out: a No-Off epoch, then the plan."""
+    model = get_model_profile("alexnet")
+    context = PolicyContext(
+        dataset=dataset, pipeline=standard_pipeline(), spec=spec, model=model,
+        batch_size=batch_size,
+    )
+    trainer = TrainerSim(
+        dataset=dataset, pipeline=context.pipeline, model=model, spec=spec,
+        batch_size=batch_size,
+    )
+    per_epoch = [trainer.run_epoch(splits=None, epoch=0)]
+    plan = policy.plan(context).clamped_for(spec)
+    for epoch in range(1, epochs):
+        per_epoch.append(trainer.run_epoch(list(plan.splits), epoch=epoch))
+    return plan, per_epoch
+
+
 class TestTrainingRun:
     def test_first_epoch_is_unoffloaded(self, runs):
         sophon, baseline = runs
-        assert sophon.per_epoch[0].offloaded_samples == 0
+        assert sophon.epochs[0].stats.offloaded_samples == 0
         # Profiling epoch costs exactly a No-Off epoch: no extra pass.
         assert sophon.profile_epoch_time_s == pytest.approx(
-            baseline.per_epoch[0].epoch_time_s
+            baseline.profile_epoch_time_s
         )
 
     def test_plan_applies_from_epoch_one(self, runs):
         sophon, _ = runs
-        for stats in sophon.per_epoch[1:]:
-            assert stats.offloaded_samples == sophon.plan.num_offloaded
-        assert sophon.plan.num_offloaded > 0
+        plan = sophon.epochs[1].plan
+        for entry in sophon.epochs[1:]:
+            assert entry.plan is plan
+            assert entry.stats.offloaded_samples == plan.num_offloaded
+        assert plan.num_offloaded > 0
 
     def test_steady_state_faster_than_profiling_epoch(self, runs):
         sophon, _ = runs
@@ -41,38 +70,66 @@ class TestTrainingRun:
 
     def test_job_level_speedup_grows_with_epochs(self, openimages_small):
         spec = standard_cluster(storage_cores=48)
-        short = TrainingRun(openimages_small, Sophon(), spec, batch_size=64).run(2)
-        long = TrainingRun(openimages_small, Sophon(), spec, batch_size=64).run(8)
-        short_base = TrainingRun(openimages_small, NoOff(), spec, batch_size=64).run(2)
-        long_base = TrainingRun(openimages_small, NoOff(), spec, batch_size=64).run(8)
+
+        def run(policy, epochs):
+            return training_run(openimages_small, policy, spec, batch_size=64).run(
+                epochs
+            )
+
+        short, long = run(Sophon(), 2), run(Sophon(), 8)
+        short_base, long_base = run(NoOff(), 2), run(NoOff(), 8)
         assert long.speedup_over(long_base) > short.speedup_over(short_base)
 
     def test_totals_are_sums(self, runs):
         sophon, _ = runs
-        assert sophon.total_time_s == pytest.approx(
-            sum(s.epoch_time_s for s in sophon.per_epoch)
-        )
-        assert sophon.total_traffic_bytes == sum(
-            s.traffic_bytes for s in sophon.per_epoch
-        )
+        assert sophon.total_time_s == pytest.approx(sum(sophon.epoch_times()))
+        assert sophon.epoch_times() == [e.stats.epoch_time_s for e in sophon.epochs]
 
     def test_speedup_requires_equal_epochs(self, runs, openimages_small):
         sophon, _ = runs
-        other = TrainingRun(
+        other = training_run(
             openimages_small, NoOff(), standard_cluster(), batch_size=64
         ).run(2)
         with pytest.raises(ValueError):
             sophon.speedup_over(other)
 
     def test_requires_two_epochs(self, openimages_small):
-        run = TrainingRun(openimages_small, Sophon(), standard_cluster())
+        run = training_run(openimages_small, Sophon(), standard_cluster())
         with pytest.raises(ValueError):
             run.run(epochs=1)
+
+    @pytest.mark.parametrize("storage_cores", [48, 0])
+    @pytest.mark.parametrize("policy_class", [Sophon, NoOff])
+    def test_fixed_spec_run_is_the_reference_loop(
+        self, openimages_small, policy_class, storage_cores
+    ):
+        spec = standard_cluster(storage_cores=storage_cores)
+        plan, per_epoch = reference_run(
+            openimages_small, policy_class(), spec, epochs=4, batch_size=64
+        )
+        result = training_run(
+            openimages_small, policy_class(), spec, batch_size=64
+        ).run(epochs=4)
+        assert [e.stats for e in result.epochs] == per_epoch
+        assert result.epochs[1].plan == plan
+        assert [e.replanned for e in result.epochs] == [False, True, False, False]
+
+    def test_default_policy_is_the_decision_engine(self, openimages_small):
+        spec = standard_cluster(storage_cores=4)
+        result = AdaptiveTrainingRun(openimages_small, spec, batch_size=64).run(2)
+        context = PolicyContext(
+            dataset=openimages_small, pipeline=standard_pipeline(), spec=spec,
+            model=get_model_profile("alexnet"), batch_size=64,
+        )
+        expected = DecisionEngine(DecisionConfig()).plan(
+            context.records(), spec, gpu_time_s=context.epoch_gpu_time_s
+        )
+        assert result.epochs[1].plan == expected
 
 
 class TestTrainingRunTelemetry:
     def test_every_epoch_instrumented(self, openimages_small):
-        result = TrainingRun(
+        result = training_run(
             openimages_small, Sophon(), standard_cluster(storage_cores=48),
             batch_size=64, seed=0,
         ).run(epochs=3, record_spans=True, record_timeline=True)
@@ -87,11 +144,11 @@ class TestTrainingRunTelemetry:
 
     def test_telemetry_is_byte_identical(self, runs, openimages_small):
         sophon, _ = runs
-        traced = TrainingRun(
+        traced = training_run(
             openimages_small, Sophon(), standard_cluster(storage_cores=48),
             batch_size=64, seed=0,
         ).run(epochs=5, record_spans=True, record_timeline=True)
-        assert [s.epoch_time_s for s in traced.per_epoch] == [
-            s.epoch_time_s for s in sophon.per_epoch
+        assert traced.epoch_times() == sophon.epoch_times()
+        assert [e.stats.traffic_bytes for e in traced.epochs] == [
+            e.stats.traffic_bytes for e in sophon.epochs
         ]
-        assert traced.total_traffic_bytes == sophon.total_traffic_bytes

@@ -2,7 +2,11 @@
 
 import json
 
-from repro.metrics.chrometrace import spans_to_trace_events, write_chrome_trace
+from repro.metrics.chrometrace import (
+    EpochTraceRecord,
+    spans_to_trace_events,
+    write_chrome_trace,
+)
 from repro.telemetry.clock import ManualClock
 from repro.telemetry.spans import Tracer
 
@@ -91,7 +95,9 @@ class TestSpansToTraceEvents:
 class TestWriteChromeTrace:
     def test_spans_only_document_loads(self, tmp_path):
         path = tmp_path / "trace.json"
-        write_chrome_trace(None, str(path), spans=traced_sample().events)
+        write_chrome_trace(
+            str(path), [EpochTraceRecord(epoch=1, spans=traced_sample().events)]
+        )
         document = json.loads(path.read_text())
         assert isinstance(document["traceEvents"], list)
         assert any(e["ph"] == "X" for e in document["traceEvents"])
@@ -99,5 +105,7 @@ class TestWriteChromeTrace:
     def test_identical_spans_write_identical_bytes(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
-            write_chrome_trace(None, str(path), spans=traced_sample().events)
+            write_chrome_trace(
+                str(path), [EpochTraceRecord(epoch=1, spans=traced_sample().events)]
+            )
         assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -10,7 +10,6 @@ from repro.metrics.chrometrace import (
     grouped_span_rows,
     timeline_to_trace_events,
     write_chrome_trace,
-    write_combined_chrome_trace,
 )
 from repro.metrics.timeline import BatchTrace, Timeline
 from repro.telemetry.spans import BEGIN, END, INSTANT, SpanEvent
@@ -50,7 +49,9 @@ class TestChromeTrace:
 
     def test_write_round_trip(self, timeline, tmp_path):
         path = tmp_path / "trace.json"
-        write_chrome_trace(timeline, str(path), job="demo")
+        write_chrome_trace(
+            str(path), [EpochTraceRecord(epoch=0, timeline=timeline)], job="demo"
+        )
         document = json.loads(path.read_text())
         assert "traceEvents" in document
         names = {e["name"] for e in document["traceEvents"]}
@@ -164,8 +165,8 @@ class TestCombinedTrace:
 
     def test_write_is_deterministic(self, timeline, labelled_spans, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_combined_chrome_trace(str(a), self.records(timeline, labelled_spans))
-        write_combined_chrome_trace(str(b), self.records(timeline, labelled_spans))
+        write_chrome_trace(str(a), self.records(timeline, labelled_spans))
+        write_chrome_trace(str(b), self.records(timeline, labelled_spans))
         assert a.read_bytes() == b.read_bytes()
         assert json.loads(a.read_text())["traceEvents"]
 
