@@ -295,10 +295,7 @@ class _SampleRun:
             job.stamp(self.trace, "storage.prefix", END, env.now, {"outcome": outcome})
         report = job.report
         if prefix.ok:
-            recovering = report.first_failure_s is not None and report.recovered_at_s is None
             report.note_success(env.now)
-            if recovering and job.timeline is not None:
-                job.timeline.record_fault(env.now, "recovery", self.sample_id)
         else:
             report.note_failure(env.now)
             self._demote()
@@ -308,8 +305,6 @@ class _SampleRun:
         """Degrade to No-Off: raw fetch + local preprocessing, never lost."""
         job = self.job
         job.report.demoted_samples += 1
-        if job.timeline is not None:
-            job.timeline.record_fault(job.env.now, "demotion", self.sample_id)
         if job.stamp is not None:
             attrs = {"planned_split": self.split}
             job.stamp(self.trace, "fault.demote", INSTANT, job.env.now, attrs)
@@ -350,8 +345,6 @@ class _SampleRun:
         job.report.corrupted_payloads += 1
         if self.sends < _MAX_PAYLOAD_SENDS:
             job.report.corrupt_retries += 1
-        if job.timeline is not None:
-            job.timeline.record_fault(job.env.now, "corruption", self.sample_id)
         if job.stamp is not None:
             job.stamp(self.trace, "fault.corruption", INSTANT, job.env.now, {"send": send})
         return self.sends < _MAX_PAYLOAD_SENDS
@@ -458,8 +451,6 @@ class _CrashWatch:
             if prefix.triggered or prefix.state == _P_THROWN:
                 continue
             job.report.crash_interrupts += 1
-            if job.timeline is not None:
-                job.timeline.record_fault(job.env.now, "crash-interrupt", sample_id)
             if job.stamp is not None:
                 job.stamp(
                     trace_id(sample_id, job.epoch), "fault.crash_interrupt", INSTANT, job.env.now
@@ -615,7 +606,7 @@ def launch_training_job(
         be written from another thread during the run.  Emission never
         touches the event queue, so a run with a tracer simulates
         identically to one without.
-    timeline: optional per-batch timeline (plus fault events) to fill in.
+    timeline: optional per-batch timeline to fill in.
     """
     if faults is not None and faults.is_empty:
         faults = None

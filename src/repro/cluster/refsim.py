@@ -8,6 +8,12 @@ cursor engine (:mod:`repro.cluster.engine`) learned it all.  Only
 the identity tests require byte-identical ``EpochStats``, fault reports,
 span streams and timelines from both paths.  Do not optimize or "fix"
 this file -- its value is that it never changes.
+
+One edit since the snapshot, with the timeline's per-fault record
+deleted from both paths: the launcher no longer writes
+``Timeline.fault_events`` at its four fault sites.  Those writes fed
+nothing the simulation reads, so its schedule, fault report, spans and
+batch timeline are unchanged.
 """
 
 # Postponed annotations: the launcher names trainer types that would be a
@@ -532,10 +538,6 @@ def launch_training_processes(
         victims = [p for p in list(active_offloads) if not p.triggered]
         for proc in victims:
             report.crash_interrupts += 1
-            if timeline is not None:
-                timeline.record_fault(
-                    env.now, "crash-interrupt", active_offloads.get(proc, -1)
-                )
             if tracer is not None:
                 tracer.instant(
                     trace_id(active_offloads.get(proc, -1), epoch),
@@ -615,21 +617,13 @@ def launch_training_processes(
                         outcome="ok" if offloaded else "interrupted",
                     )
                 if offloaded:
-                    recovering = (
-                        report.first_failure_s is not None
-                        and report.recovered_at_s is None
-                    )
                     report.note_success(env.now)
-                    if recovering and timeline is not None:
-                        timeline.record_fault(env.now, "recovery", item.sample_id)
                 else:
                     report.note_failure(env.now)
             if not offloaded:
                 # Degrade to No-Off: raw fetch + local preprocessing.  The
                 # sample is served either way -- never lost.
                 report.demoted_samples += 1
-                if timeline is not None:
-                    timeline.record_fault(env.now, "demotion", item.sample_id)
                 if tracer is not None:
                     tracer.instant(trace, "fault.demote", planned_split=item.split)
                 item = fallback_work(item.sample_id)
@@ -645,8 +639,6 @@ def launch_training_processes(
             report.corrupted_payloads += 1
             if send + 1 < _MAX_PAYLOAD_SENDS:
                 report.corrupt_retries += 1
-            if timeline is not None:
-                timeline.record_fault(env.now, "corruption", item.sample_id)
             if tracer is not None:
                 tracer.instant(trace, "fault.corruption", send=send)
         if tracer is not None:

@@ -9,7 +9,6 @@ data-stall time, which is how Figure 1d's utilization numbers are framed.
 
 from repro.metrics.timeline import (
     BatchTrace,
-    FaultEvent,
     StallBreakdown,
     Timeline,
     stall_breakdown,
@@ -17,7 +16,6 @@ from repro.metrics.timeline import (
 
 __all__ = [
     "BatchTrace",
-    "FaultEvent",
     "StallBreakdown",
     "Timeline",
     "stall_breakdown",

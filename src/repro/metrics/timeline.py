@@ -1,22 +1,7 @@
 """Per-batch timelines and stall accounting."""
 
 import dataclasses
-from typing import List, Optional
-
-
-@dataclasses.dataclass(frozen=True)
-class FaultEvent:
-    """One fault the input pipeline survived, stamped in virtual time.
-
-    kind: "demotion" (sample fell back to split 0), "corruption" (payload
-    failed its checksum and was re-fetched), "crash-interrupt" (an
-    offloaded prefix was killed in flight), "recovery" (first successful
-    offload after an outage).
-    """
-
-    at_s: float
-    kind: str
-    sample_id: int = -1
+from typing import List
 
 
 @dataclasses.dataclass
@@ -37,27 +22,18 @@ class BatchTrace:
 class Timeline:
     """All batch traces of one epoch, in batch order.
 
-    ``fault_events`` records every fault/recovery the epoch survived (empty
-    for fault-free runs), so stall analysis can correlate data stalls with
-    outages.
+    Faults are counted in the epoch's
+    :class:`~repro.faults.schedule.FaultReport` and, with spans on, stamped
+    as span instants; the timeline holds batches only.
     """
 
     batches: List[BatchTrace] = dataclasses.field(default_factory=list)
     epoch_end: float = 0.0
-    fault_events: List[FaultEvent] = dataclasses.field(default_factory=list)
 
     def trace(self, index: int) -> BatchTrace:
         while len(self.batches) <= index:
             self.batches.append(BatchTrace(index=len(self.batches)))
         return self.batches[index]
-
-    def record_fault(self, at_s: float, kind: str, sample_id: int = -1) -> None:
-        self.fault_events.append(FaultEvent(at_s=at_s, kind=kind, sample_id=sample_id))
-
-    def fault_count(self, kind: Optional[str] = None) -> int:
-        if kind is None:
-            return len(self.fault_events)
-        return sum(1 for event in self.fault_events if event.kind == kind)
 
     def validate(self) -> None:
         """Sanity-check monotonicity; raises on malformed recordings."""

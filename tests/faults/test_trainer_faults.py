@@ -87,17 +87,6 @@ class TestCrash:
         assert stats.faults.demoted_samples == len(dataset)
         assert stats.faults.recovery_latency_s is None
 
-    def test_timeline_records_fault_events(self, dataset, baseline):
-        trainer = make_trainer(dataset)
-        faults = FaultSchedule().with_crash(
-            0.3 * baseline.epoch_time_s, duration=0.3 * baseline.epoch_time_s
-        )
-        stats = trainer.run_epoch(
-            [2] * len(dataset), epoch=1, faults=faults, record_timeline=True
-        )
-        assert stats.timeline.fault_count("demotion") == stats.faults.demoted_samples
-        assert stats.timeline.fault_count() >= stats.timeline.fault_count("demotion")
-
 
 class TestBrownout:
     def test_epoch_slows_but_traffic_is_unchanged(self, dataset, baseline):
