@@ -9,8 +9,7 @@ the paper's section 3.3 warns about, so this fetcher refuses to cache it.
 from typing import Optional
 
 from repro.cache.core import ByteCache
-from repro.preprocessing.payload import Payload
-from repro.rpc.fetcher import SupportsFetch
+from repro.preprocessing.payload import Payload, SupportsFetch
 from repro.telemetry.registry import get_default_registry
 from repro.telemetry.spans import Tracer, trace_id
 

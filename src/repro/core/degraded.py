@@ -19,10 +19,9 @@ import dataclasses
 import time
 from typing import Callable, List, Optional
 
-from repro.preprocessing.payload import Payload
+from repro.preprocessing.payload import Payload, SupportsFetch, SupportsScanFetch
 from repro.preprocessing.pipeline import Pipeline
 from repro.rpc.breaker import CircuitBreaker
-from repro.rpc.fetcher import SupportsFetch, SupportsScanFetch
 from repro.rpc.messages import ChecksumError
 from repro.rpc.retry import FetchFailedError
 from repro.telemetry.registry import get_default_registry

@@ -8,22 +8,14 @@ large sweeps use the event simulator instead.
 """
 
 import dataclasses
-from typing import Iterator, List, Optional, Protocol, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.sampler import BatchSampler, Sampler, SequentialSampler
-from repro.preprocessing.payload import Payload, PayloadKind
+from repro.preprocessing.payload import Payload, PayloadKind, SupportsFetch
 from repro.preprocessing.pipeline import Pipeline
-
-
-class Fetcher(Protocol):
-    """Anything that can deliver a sample at a given pipeline split."""
-
-    def fetch(self, sample_id: int, epoch: int, split: int) -> Payload:
-        """Return the sample with ops 1..split already applied."""
-        ...
 
 
 class DirectFetcher:
@@ -64,7 +56,7 @@ class DataLoader:
         self,
         dataset: Dataset,
         pipeline: Pipeline,
-        fetcher: Fetcher,
+        fetcher: SupportsFetch,
         batch_size: int = 32,
         sampler: Optional[Sampler] = None,
         splits: Optional[Sequence[int]] = None,

@@ -6,11 +6,18 @@ payload -- just enough (kind, dimensions, byte size) to compute wire sizes
 and CPU costs without materializing pixels.  Ops implement both a real
 ``apply`` over payloads and a pure ``simulate`` over metas, and tests assert
 the two agree.
+
+:class:`SupportsFetch` is the contract of everything that serves payloads
+to the data loader -- a local dataset, the RPC and TCP clients, the
+retry/degraded-mode wrappers, cache fetchers: ``fetch(sample_id, epoch,
+split) -> Payload``.  It lives here, beside the payload it returns, so
+``repro.data`` and ``repro.rpc`` both annotate with it without importing
+each other.
 """
 
 import dataclasses
 import enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
 
@@ -161,3 +168,26 @@ class Payload:
             return StageMeta.for_image(h, w, c)
         c, h, w = self.data.shape
         return StageMeta.for_tensor(h, w, c)
+
+
+@runtime_checkable
+class SupportsFetch(Protocol):
+    """Anything that can serve a sample with ops ``1..split`` applied."""
+
+    def fetch(self, sample_id: int, epoch: int, split: int) -> Payload:
+        """Return sample *sample_id* for *epoch* with the prefix applied."""
+        ...
+
+
+@runtime_checkable
+class SupportsScanFetch(Protocol):
+    """A source that can serve a truncated scan prefix of a raw sample.
+
+    The fidelity axis's transport contract: samples stored as progressive
+    streams (:mod:`repro.codec.progressive`) can ship only their first
+    ``scan_count`` scans -- fewer bytes, reduced fidelity, still decodable.
+    """
+
+    def fetch_scans(self, sample_id: int, epoch: int, scan_count: int) -> Payload:
+        """Return the first ``scan_count`` scans of the raw encoded sample."""
+        ...

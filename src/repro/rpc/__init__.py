@@ -25,7 +25,7 @@ from repro.rpc.messages import (
     ProtocolError,
     payload_checksum,
 )
-from repro.rpc.fetcher import SupportsFetch, SupportsScanFetch
+from repro.preprocessing.payload import SupportsFetch, SupportsScanFetch
 from repro.rpc.channel import ChannelStats, InMemoryChannel
 from repro.rpc.server import StorageServer
 from repro.rpc.client import StorageClient

@@ -10,7 +10,7 @@ from repro.telemetry.spans import Tracer, trace_id
 
 
 class StorageClient:
-    """Fetch samples through a channel; satisfies the loader's Fetcher."""
+    """Fetch samples through a channel; satisfies ``SupportsFetch``."""
 
     def __init__(
         self, channel: InMemoryChannel, tracer: Optional[Tracer] = None

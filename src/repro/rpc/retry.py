@@ -18,8 +18,7 @@ import random
 import time
 from typing import Callable, Optional, Tuple, Type
 
-from repro.preprocessing.payload import Payload
-from repro.rpc.fetcher import SupportsFetch
+from repro.preprocessing.payload import Payload, SupportsFetch
 from repro.rpc.messages import ChecksumError
 from repro.telemetry.registry import get_default_registry
 from repro.telemetry.spans import Tracer, trace_id

@@ -198,7 +198,7 @@ class TcpStorageServer:
 
 
 class TcpStorageClient:
-    """Fetch samples over a TCP connection; satisfies the Fetcher protocol.
+    """Fetch samples over a TCP connection; satisfies ``SupportsFetch``.
 
     connect_timeout: seconds to wait for the TCP connection (was a
         hardcoded 10 s).
