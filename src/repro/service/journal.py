@@ -13,11 +13,13 @@ spaces), each carrying a ``crc`` field -- the CRC32 of the line with the
 pure function of the request sequence, which is what makes the
 uninterrupted-vs-resumed byte-identity gate possible.
 
-Torn tails are expected (that is what a crash mid-append looks like): a
-trailing line that fails to parse or checksum is dropped on replay and
-truncated away on the next open.  A corrupt line *before* the tail means
-the file was damaged some other way and raises
-:class:`JournalCorruptError` -- recovery must not silently skip grants.
+Torn tails are expected (that is what a crash mid-append looks like).
+An append writes its newline last and is fsynced before the grant is
+acknowledged, so only an unterminated last line can be torn: it is
+dropped on replay and truncated away on the next open.  A complete line
+that fails to parse or checksum -- the last one included -- means the
+file was damaged some other way and raises :class:`JournalCorruptError`:
+recovery must not silently skip an acknowledged grant.
 """
 
 import dataclasses
@@ -34,7 +36,7 @@ SCHEMA = "sophon-service-journal/v1"
 
 
 class JournalCorruptError(Exception):
-    """A non-tail journal line failed to parse or checksum."""
+    """A complete (newline-terminated) journal line failed to parse or checksum."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,7 +122,7 @@ class JournalState:
     committed: cores each journalled job still holds (grants minus
         releases; a re-grant for the same job replaces its old commit).
     next_seq: the sequence number the resumed server continues from.
-    truncated_tail: True when a torn trailing line was dropped.
+    truncated_tail: True when a torn (unterminated) last line was dropped.
     """
 
     grants: List[GrantRecord] = dataclasses.field(default_factory=list)
@@ -171,26 +173,24 @@ def replay(path: str) -> JournalState:
     """Rebuild the service state a journal at ``path`` encodes.
 
     A missing file replays to the empty state (fresh server).  A torn
-    trailing line is dropped (and flagged); corruption anywhere else
-    raises :class:`JournalCorruptError`.
+    (unterminated) last line is dropped and flagged; a damaged complete
+    line raises :class:`JournalCorruptError`.  The file is read as bytes,
+    so a non-UTF-8 byte is damage like any other and only ``\n`` ends a
+    line.
     """
     state = JournalState()
     if not os.path.exists(path):
         return state
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    with open(path, "rb") as handle:
+        lines = handle.read().split(b"\n")
+    state.truncated_tail = lines.pop() != b""
     parsed: List[Mapping[str, object]] = []
     for index, line in enumerate(lines):
         try:
-            parsed.append(decode_line(line))
+            parsed.append(decode_line(line.decode("utf-8")))
         except ValueError as exc:
-            if index == len(lines) - 1:
-                state.truncated_tail = True
-                break
             raise JournalCorruptError(
-                f"{path}:{index + 1}: {exc} (not the tail -- refusing to skip)"
+                f"{path}:{index + 1}: {exc} (a complete line -- refusing to skip)"
             ) from exc
     if parsed:
         header = parsed[0]
@@ -235,28 +235,22 @@ class PlanJournal:
         #: bytes on disk are identical with and without a recorder.
         self.recorder = recorder
         self.recovered = replay(path)
-        fresh = not os.path.exists(path)
         if self.recovered.truncated_tail:
             self._truncate_torn_tail()
         self._handle = open(path, "a", encoding="utf-8")
-        if fresh:
+        # Fresh, or nothing survived but a torn header.
+        if os.fstat(self._handle.fileno()).st_size == 0:
             self._write({"kind": "header", "schema": SCHEMA, "seq": 0})
 
     def _truncate_torn_tail(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        kept = []
-        for line in lines:
-            try:
-                decode_line(line)
-            except ValueError:
-                break
-            kept.append(line)
-        with open(self.path, "w", encoding="utf-8") as handle:
-            for line in kept:
-                handle.write(line + "\n")
+        """Cut the torn last line off in place, durably.
+
+        The complete lines are never rewritten, so a crash mid-repair
+        leaves the torn journal or the repaired one, never less.
+        """
+        with open(self.path, "r+b") as handle:
+            handle.truncate(handle.read().rfind(b"\n") + 1)
+            os.fsync(handle.fileno())
 
     def _write(self, record: Mapping[str, object]) -> None:
         if self._handle.closed:
