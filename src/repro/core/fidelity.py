@@ -34,6 +34,7 @@ from repro.preprocessing.records import ProgressiveSampleRecord, RecordTable, Sa
 from repro.telemetry.audit import FIDELITY_DEGRADED, AuditLog
 from repro.telemetry.registry import get_default_registry
 from repro.telemetry.spans import Tracer, trace_id
+from repro.utils.floats import checked
 
 logger = logging.getLogger(__name__)
 
@@ -43,12 +44,12 @@ class FidelityConfig:
     """Knobs for the fidelity-degradation pass.
 
     min_psnr_db: quality floor -- never ship a prefix whose PSNR against
-        the full decode is below this.
+        the full decode is below this (finite, >= 0).
     min_scans: never ship fewer than this many scans (scan 0 alone is the
         DC image; some workloads want at least one AC band).
     psnr_cap_db: stand-in for the full prefix's infinite PSNR when
         computing dB given up; also caps finite PSNRs so one near-perfect
-        prefix doesn't dominate the ranking.
+        prefix doesn't dominate the ranking (finite, > 0).
     """
 
     min_psnr_db: float = 30.0
@@ -56,10 +57,9 @@ class FidelityConfig:
     psnr_cap_db: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.min_scans < 1:
-            raise ValueError(f"min_scans must be >= 1, got {self.min_scans}")
-        if self.psnr_cap_db <= 0:
-            raise ValueError(f"psnr_cap_db must be > 0, got {self.psnr_cap_db}")
+        checked("min_psnr_db", self.min_psnr_db, 0.0)
+        checked("min_scans", self.min_scans, 1, integral=True)
+        checked("psnr_cap_db", self.psnr_cap_db, 0.0, open_low=True)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -9,6 +9,8 @@ by its config plus its journal.  Tests construct small configs directly;
 import dataclasses
 from typing import Optional
 
+from repro.utils.floats import checked
+
 #: The development default.  Real deployments pass their own token; the
 #: server refuses to start with an empty one.
 DEFAULT_TOKEN = "sophon-dev-token"
@@ -17,6 +19,9 @@ DEFAULT_TOKEN = "sophon-dev-token"
 @dataclasses.dataclass(frozen=True)
 class ServiceConfig:
     """Everything the decision service needs to run.
+
+    Every count is an integer and every duration a finite number, each
+    checked against its bound below (NaN and bools are refused).
 
     token: shared bearer token required on every ``/v1/*`` request.
     host/port: listen address; port 0 picks an ephemeral port (the bound
@@ -74,33 +79,12 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if not self.token:
             raise ValueError("token must be non-empty")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.queue_capacity < 1:
-            raise ValueError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        if self.total_storage_cores < 0:
-            raise ValueError(
-                f"total_storage_cores must be >= 0, got {self.total_storage_cores}"
-            )
-        if self.max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {self.max_samples}")
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise ValueError(
-                f"default_deadline_s must be > 0, got {self.default_deadline_s}"
-            )
-        if self.retry_after_s < 0:
-            raise ValueError(f"retry_after_s must be >= 0, got {self.retry_after_s}")
-        if self.drain_timeout_s <= 0:
-            raise ValueError(
-                f"drain_timeout_s must be > 0, got {self.drain_timeout_s}"
-            )
-        if self.plan_cache_size < 0:
-            raise ValueError(
-                f"plan_cache_size must be >= 0, got {self.plan_cache_size}"
-            )
-        if self.flight_capacity < 1:
-            raise ValueError(
-                f"flight_capacity must be >= 1, got {self.flight_capacity}"
-            )
+        for name, low in (
+            ("workers", 1), ("queue_capacity", 1), ("total_storage_cores", 0),
+            ("max_samples", 1), ("plan_cache_size", 0), ("flight_capacity", 1),
+        ):
+            checked(name, getattr(self, name), low, integral=True)
+        if self.default_deadline_s is not None:
+            checked("default_deadline_s", self.default_deadline_s, 0.0, open_low=True)
+        checked("retry_after_s", self.retry_after_s, 0.0)
+        checked("drain_timeout_s", self.drain_timeout_s, 0.0, open_low=True)

@@ -127,6 +127,22 @@ class TestFidelityPass:
             assert "was " in entry.reason
         assert "fidelity" in audit.explain(degraded_ids[0])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_psnr_db", float("nan")),
+            ("min_psnr_db", float("inf")),
+            ("min_psnr_db", -1.0),
+            ("psnr_cap_db", float("nan")),
+            ("psnr_cap_db", float("inf")),
+            ("min_scans", 1.5),
+            ("min_scans", True),
+        ],
+    )
+    def test_config_rejects_non_finite_or_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FidelityConfig(**{field: value})
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FidelityConfig(min_scans=0)
