@@ -293,7 +293,9 @@ def write_chaos_telemetry(report: ChaosReport, out_dir: str) -> List[str]:
         )
     paths = emit_artifacts(out_dir, "baseline", [(_EPOCH, report.baseline)])
     for run in report.runs:
-        paths.extend(emit_artifacts(out_dir, run.scenario.name, [(_EPOCH, run.stats)]))
+        paths.extend(
+            emit_artifacts(out_dir, run.scenario.name, [(_EPOCH, run.stats)])
+        )
     paths.extend(
         emit_artifacts(out_dir, "chaos", registry=report.registry, audit=report.audit)
     )

@@ -71,7 +71,7 @@ def emit_artifacts(
 
     ``per_epoch`` is the ``instrumented_epochs()`` shape of
     :class:`~repro.harness.adaptive.AdaptiveRunResult`; a single epoch is
-    ``[(0, stats)]``.  Epochs that recorded neither spans nor a timeline
+    ``[(epoch, stats)]``.  Epochs that recorded neither spans nor a timeline
     are skipped.  What gets written depends on what is passed:
 
     * ``<name>.trace.json`` -- the chrome trace: per-epoch rows plus
