@@ -5,8 +5,8 @@ cursor engine (:mod:`repro.cluster.engine`) drives it for every
 :class:`~repro.cluster.trainer.TrainerSim` epoch; generator processes
 survive only in the frozen seed kernel, :mod:`repro.cluster.refsim`.
 
-Every push lands at the (time, sequence) position the seed kernel would
-have used, which keeps the two byte-identical on every
+Every entry pops at the (time, sequence) position the seed kernel would
+have popped it, which keeps the two byte-identical on every
 :class:`~repro.cluster.trainer.EpochStats` field.  What makes it faster:
 
 - **Bare callback entries.**  Where the seed kernel allocated a relay
@@ -17,6 +17,11 @@ have used, which keeps the two byte-identical on every
   callback, with the holder as its argument, at the position where the
   seed kernel pushed its grant :class:`Event`; grants are keyed by the
   holder, so no request object exists at all.
+- **Same-instant wakes run inline.**  While ``run()`` drains, a wake at
+  ``now`` that its caller pushes as its very last action runs at once
+  when no heap entry is due at ``now`` (:meth:`Environment._tail_call`):
+  it would have been the very next pop, and skipping its sequence number
+  shifts every later one uniformly, so pop order is unchanged.
 - **O(1) queue discipline.**  Resource wait queues are deques.
 - **A tight drain loop.**  ``run()`` binds the heap and ``heappop``
   locally.
@@ -68,13 +73,18 @@ class Event:
             raise SimulationError("event triggered twice")
         self.triggered = True
         self.value = value
-        self.env._call_at(self.env.now, self._fire)
+        self.env._tail_call(self._fire)
         return self
 
     def _fire(self, _arg: Any) -> None:
         self.processed = True
         callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
+        env = self.env
+        draining = env._draining
+        last = len(callbacks) - 1
+        for index, callback in enumerate(callbacks):
+            # Only the last callback acts in tail position.
+            env._draining = draining and index == last
             callback(self.value)
 
 
@@ -84,18 +94,35 @@ class Environment:
     Heap entries are ``(time, sequence, fn, arg)`` tuples; popping one
     calls ``fn(arg)``.  ``_counter`` hands out the sequence numbers, so
     after a run its next value is the number of pushes the run made.
+    ``_draining`` is True only inside :meth:`run`.
     """
 
-    __slots__ = ("now", "_heap", "_counter")
+    __slots__ = ("now", "_heap", "_counter", "_draining")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Wake, Any]] = []
         self._counter = itertools.count()
+        self._draining = False
 
     def _call_at(self, at: float, fn: Wake, arg: Any = None) -> None:
         """Schedule ``fn(arg)`` at virtual time ``at``."""
         heappush(self._heap, (at, next(self._counter), fn, arg))
+
+    def _tail_call(self, fn: Wake, arg: Any = None) -> None:
+        """Schedule ``fn(arg)`` at ``now``, or call it if it is the next pop.
+
+        Only for a caller's very last action, with nothing left to do in
+        any frame up to the drain loop.  While :meth:`run` drains and no
+        entry is due at ``now``, the entry would pop next, so calling it
+        here is the same simulation minus one push.  Otherwise -- or
+        outside ``run()`` -- it is pushed.
+        """
+        heap = self._heap
+        if self._draining and (not heap or heap[0][0] > self.now):
+            fn(arg)
+        else:
+            heappush(heap, (self.now, next(self._counter), fn, arg))
 
     def event(self) -> Event:
         return Event(self)
@@ -109,10 +136,14 @@ class Environment:
         """
         heap = self._heap
         pop = heappop
-        while heap:
-            at, _, fn, arg = pop(heap)
-            self.now = at
-            fn(arg)
+        self._draining = True
+        try:
+            while heap:
+                at, _, fn, arg = pop(heap)
+                self.now = at
+                fn(arg)
+        finally:
+            self._draining = False
 
 
 def _drop(queue: Deque[Tuple[Hashable, Wake]], holder: Hashable) -> bool:
@@ -129,10 +160,13 @@ class Resource:
 
     ``request(holder, wake)`` asks for a slot on behalf of ``holder`` (any
     hashable object: a waiting cursor, or a batch index for prefetch
-    tokens); when the slot is granted, ``wake(holder)`` is pushed through
-    :meth:`Environment._call_at` at the grant instant -- immediately if a
-    slot is free, else when a ``release`` hands one over -- so a cursor
-    can pass its class's plain step function and keep no bound method.
+    tokens); when the slot is granted, ``wake(holder)`` is scheduled at
+    the grant instant -- immediately if a slot is free, else when a
+    ``release`` hands one over -- so a cursor can pass its class's plain
+    step function and keep no bound method.  An immediate grant goes
+    through :meth:`Environment._tail_call`, so call ``request`` as the
+    last action of a queued callback: its wake may run before
+    ``request`` returns.
     ``release``, ``cancel`` and ``holds`` take the same holder, which has
     at most one request per resource at a time.
     ``busy_time`` integrates slot-seconds of use for utilization
@@ -176,7 +210,7 @@ class Resource:
             self._in_use += 1
             env = self.env
             self._grant_times[holder] = env.now
-            env._call_at(env.now, wake, holder)
+            env._tail_call(wake, holder)
         elif front:
             self._waiting.appendleft((holder, wake))
         else:
@@ -211,6 +245,22 @@ class Resource:
             waiter, wake = self._waiting.popleft()
             grant_times[waiter] = now
             env._call_at(now, wake, waiter)
+        else:
+            self._in_use -= 1
+
+    def _release_tail(self, holder: Hashable) -> None:
+        """``release`` as the caller's very last action: a waiter handed
+        the slot wakes through :meth:`Environment._tail_call`."""
+        grant_times = self._grant_times
+        granted_at = grant_times.pop(holder, None)
+        if granted_at is None:
+            raise SimulationError("released a request that was never granted")
+        env = self.env
+        self.busy_time += env.now - granted_at
+        if self._waiting:
+            waiter, wake = self._waiting.popleft()
+            grant_times[waiter] = env.now
+            env._tail_call(wake, waiter)
         else:
             self._in_use -= 1
 
@@ -272,7 +322,15 @@ class FairResource(Resource):
             del self._flow_queues[key]
             if queue:
                 self._flow_queues[key] = queue
-            super().request(waiter, wake)
+            # Re-take the slot for it with a pushed wake: ``release`` is
+            # not a tail action, so ``request``'s inline grant must not run.
+            self._in_use += 1
+            env = self.env
+            self._grant_times[waiter] = env.now
+            env._call_at(env.now, wake, waiter)
+
+    #: The flow rotation hands over through a push, tail position or not.
+    _release_tail = release
 
     @property
     def queue_length(self) -> int:
