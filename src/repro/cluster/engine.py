@@ -58,6 +58,7 @@ treats a prefix already being interrupted as gone and simulates on.
 """
 
 import itertools
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.cluster.sim import Environment, Event, Resource
@@ -83,7 +84,7 @@ class _Job:
     (None when untraced) and ``labels`` the job-wide span labels."""
 
     __slots__ = (
-        "env", "handles", "link", "compute_cpu", "splits", "wire_bytes", "prefix_cpu_s",
+        "env", "heap", "counter", "handles", "link", "compute_cpu", "splits", "wire_bytes", "prefix_cpu_s",
         "suffix_cpu_s", "batches", "model", "traffic", "batch_ready",
         "rtt", "rtt_half", "storage_cpu_factor", "compute_cpu_factor", "bandwidth",
         "link_chunk", "overhead", "flow_key", "timeline", "stamp", "labels", "epoch",
@@ -98,6 +99,9 @@ class _Job:
         epoch: int,
     ) -> None:
         self.env = env
+        # Timed entries go straight onto the environment's heap.
+        self.heap = env._heap
+        self.counter = env._counter
         self.handles = handles
         self.link = handles.link
         self.compute_cpu = handles.compute_cpu
@@ -181,8 +185,6 @@ class _SampleRun:
         self.payload = 0
         self.sends = 0
         self.trace = trace_id(sample_id, job.epoch) if job.stamp is not None else ""
-        env = job.env
-        env._call_at(env.now, _SampleRun.step, self)
 
     def step(self) -> None:
         job = self.job
@@ -196,31 +198,41 @@ class _SampleRun:
                 chunk = job.link_chunk
             faults = job.faults
             if faults is None:
-                env._call_at(env.now + chunk / job.bandwidth, _SampleRun.step, self)
+                at = env.now + chunk / job.bandwidth
             else:
                 factor = faults.bandwidth_factor(env.now)
                 if factor < 1.0:
                     job.report.brownout_chunks += 1
-                env._call_at(env.now + chunk / (job.bandwidth * factor), _SampleRun.step, self)
+                at = env.now + chunk / (job.bandwidth * factor)
+            heappush(job.heap, (at, next(job.counter), _SampleRun.step, self))
         elif state == _S_CHUNK_DONE:
             link = job.link
-            link.release(self)
             chunk = self.remaining
             if chunk > job.link_chunk:
                 chunk = job.link_chunk
             self.remaining -= chunk
             if self.remaining > 0:
+                link.release(self)
                 self.state = _S_CHUNK_GRANT
                 link.request(self, _SampleRun.step, job.flow_key, True)
+                return
+            job.traffic["bytes"] += self.payload
+            if job.faults is not None and self._corrupted():
+                link.release(self)
+                self._send()
+                return
+            if stamp is not None:
+                stamp(self.trace, "link.transmit", END, env.now)
+            self.state = _S_RESPONDED
+            at = env.now + job.half_rtt()
+            if at > env.now:
+                # The response and the hand-over are due at different
+                # instants, so their push order is free: hand over last.
+                heappush(job.heap, (at, next(job.counter), _SampleRun.step, self))
+                link._release_tail(self)
             else:
-                job.traffic["bytes"] += self.payload
-                if job.faults is not None and self._corrupted():
-                    self._send()
-                    return
-                if stamp is not None:
-                    stamp(self.trace, "link.transmit", END, env.now)
-                self.state = _S_RESPONDED
-                env._call_at(env.now + job.half_rtt(), _SampleRun.step, self)
+                link.release(self)
+                heappush(job.heap, (at, next(job.counter), _SampleRun.step, self))
         elif state == _S_START:
             if stamp is not None:
                 stamp(self.trace, "sample.fetch", BEGIN, env.now, {
@@ -228,7 +240,8 @@ class _SampleRun:
                     **job.sample_labels(self.sample_id),
                 })
             self.state = _S_ARRIVED
-            env._call_at(env.now + job.half_rtt(), _SampleRun.step, self)
+            at = env.now + job.half_rtt()
+            heappush(job.heap, (at, next(job.counter), _SampleRun.step, self))
         elif state == _S_ARRIVED:
             if self.split == 0:
                 self._start_transmit()
@@ -257,9 +270,8 @@ class _SampleRun:
                 pool.request(self, _SampleRun.step)
         elif state == _S_PREFIX_GRANT:
             self.state = _S_PREFIX_DONE
-            env._call_at(
-                env.now + self.prefix_cpu_s * job.storage_cpu_factor, _SampleRun.step, self
-            )
+            at = env.now + self.prefix_cpu_s * job.storage_cpu_factor
+            heappush(job.heap, (at, next(job.counter), _SampleRun.step, self))
         elif state == _S_PREFIX_DONE:
             assert self.pool is not None
             self.pool.release(self)
@@ -276,9 +288,8 @@ class _SampleRun:
                 self._finish()
         elif state == _S_SUFFIX_GRANT:
             self.state = _S_SUFFIX_DONE
-            env._call_at(
-                env.now + self.suffix_cpu_s * job.compute_cpu_factor, _SampleRun.step, self
-            )
+            at = env.now + self.suffix_cpu_s * job.compute_cpu_factor
+            heappush(job.heap, (at, next(job.counter), _SampleRun.step, self))
         else:  # _S_SUFFIX_DONE
             job.compute_cpu.release(self)
             if stamp is not None:
@@ -354,7 +365,7 @@ class _SampleRun:
         env = job.env
         if job.stamp is not None:
             job.stamp(self.trace, "sample.fetch", END, env.now)
-        env._call_at(env.now, _BatchRun.child_end, self.batch)
+        env._tail_call(_BatchRun.child_end, self.batch)
 
 
 # _PrefixRun states (the wait points of the seed's ``prefix_proc``):
@@ -478,21 +489,25 @@ class _BatchRun:
         self.job.handles.prefetch.request(self.index, self.granted)
 
     def granted(self, _index: int) -> None:
-        # Token granted: launch every sample, join them via countdown
-        # (one child_end entry per sample plays the child's process-end
-        # event; the final one stands in for the all-of join).
+        # Token granted.  The samples' start entries would pop back to
+        # back from the first one's position, so one entry starts them all.
+        self.job.env._tail_call(_BatchRun.launch, self)
+
+    def launch(self) -> None:
+        # Start every sample, join them via countdown (one child_end per
+        # sample plays the child's process-end event; the final one stands
+        # in for the all-of join).
         job = self.job
         self.pending = len(self.ids)
         for sample_id in self.ids:
-            _SampleRun(job, sample_id, self)
+            _SampleRun.step(_SampleRun(job, sample_id, self))
         if not self.ids:
-            job.env._call_at(job.env.now, _BatchRun.all_done, self)
+            self.all_done()
 
     def child_end(self) -> None:
         self.pending -= 1
         if self.pending == 0:
-            env = self.job.env
-            env._call_at(env.now, _BatchRun.all_done, self)
+            self.job.env._tail_call(_BatchRun.all_done, self)
 
     def all_done(self) -> None:
         job = self.job
