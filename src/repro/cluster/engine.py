@@ -260,8 +260,10 @@ class _SampleRun:
                 if job.faults is not None:
                     # A crash window may interrupt it: run it as a sub-process.
                     job.report.offload_attempts += 1
-                    job.active_offloads[_PrefixRun(self)] = self.sample_id
+                    prefix = _PrefixRun(self)
+                    job.active_offloads[prefix] = self.sample_id
                     self.state = _S_PREFIX_RUN
+                    env._tail_call(_PrefixRun.step, prefix)
                     return
                 pool = job.handles.storage_pool(self.sample_id)
                 assert pool is not None  # split > 0 implies an offload-capable spec
@@ -378,10 +380,10 @@ _P_THROWN = 3  # interrupted; throw-in entry pending
 class _PrefixRun:
     """An offloaded prefix under fault injection (the seed's ``prefix_proc``).
 
-    A sub-process of its sample -- start entry at construction, end entry
-    calling the sample's ``prefix_ended`` with this cursor -- so a crash
-    window can interrupt it wherever it waits.  ``ok`` is False if
-    interrupted.
+    A sub-process of its sample -- a start entry its sample schedules,
+    an end entry calling the sample's ``prefix_ended`` with this cursor --
+    so a crash window can interrupt it wherever it waits.  ``ok`` is False
+    if interrupted.
     """
 
     __slots__ = ("sample", "state", "pool", "ok", "triggered")
@@ -392,8 +394,6 @@ class _PrefixRun:
         self.pool: Optional[Resource] = None
         self.ok = False
         self.triggered = False  # end entry pushed: crash watches skip it
-        env = sample.job.env
-        env._call_at(env.now, _PrefixRun.step, self)
 
     def step(self) -> None:
         sample = self.sample
@@ -438,8 +438,7 @@ class _PrefixRun:
 
     def _end(self) -> None:
         self.triggered = True
-        env = self.sample.job.env
-        env._call_at(env.now, self.sample.prefix_ended, self)
+        self.sample.job.env._tail_call(self.sample.prefix_ended, self)
 
 
 class _CrashWatch:
@@ -541,7 +540,7 @@ class _GpuRun:
         if ready.processed:
             # Deliver through the queue, like a process waiting on an
             # already-fired event.
-            job.env._call_at(job.env.now, _GpuRun.step, self)
+            job.env._tail_call(_GpuRun.step, self)
         else:
             ready.callbacks.append(self.step)  # dropped once the event fires
 
