@@ -145,31 +145,21 @@ class _Job:
         return self.handles.span_attrs(sample_id)
 
 
-# _SampleRun states (the wait points of the seed's per-sample process):
-_S_START = 0         # process start entry fired
-_S_ARRIVED = 1       # half-RTT request latency elapsed
-_S_PREFIX_GRANT = 2  # storage core granted (inline prefix, fault-free)
-_S_PREFIX_DONE = 3   # offloaded prefix finished (inline prefix, fault-free)
-_S_PREFIX_RUN = 4    # prefix sub-process running (faulted runs)
-_S_CHUNK_GRANT = 5   # link granted for one chunk
-_S_CHUNK_DONE = 6    # chunk crossed the link
-_S_RESPONDED = 7     # trailing half-RTT elapsed
-_S_SUFFIX_GRANT = 8  # compute core granted
-_S_SUFFIX_DONE = 9   # local suffix finished
-
-
 class _SampleRun:
     """One sample's fetch, mirroring the seed's per-sample process.
 
-    The sample's four work scalars are copied from the job's columns at
-    launch; a demotion overwrites them with the split-0 fallback.  The
-    cursor itself is the holder of every grant it waits on.  Without
-    faults the prefix runs inline (the seed's fault-free process has no
-    sub-process); with faults it runs as a :class:`_PrefixRun`.
+    Each wait point of the seed's process is a plain function taking the
+    cursor: a heap entry or grant calls the one for the wait it ends, so
+    no state field is dispatched on.  The sample's four work scalars are
+    copied from the job's columns at launch; a demotion overwrites them
+    with the split-0 fallback.  The cursor itself is the holder of every
+    grant it waits on.  Without faults the prefix runs inline (the seed's
+    fault-free process has no sub-process); with faults it runs as a
+    :class:`_PrefixRun`.
     """
 
     __slots__ = ("job", "sample_id", "split", "wire_bytes", "prefix_cpu_s", "suffix_cpu_s",
-                 "batch", "state", "pool", "remaining", "payload", "sends", "trace")
+                 "batch", "pool", "remaining", "payload", "sends", "trace")
 
     def __init__(self, job: _Job, sample_id: int, batch: "_BatchRun") -> None:
         self.job = job
@@ -179,124 +169,138 @@ class _SampleRun:
         self.prefix_cpu_s = job.prefix_cpu_s[sample_id]
         self.suffix_cpu_s = job.suffix_cpu_s[sample_id]
         self.batch = batch
-        self.state = _S_START
         self.pool: Optional[Resource] = None
         self.remaining = 0
         self.payload = 0
         self.sends = 0
         self.trace = trace_id(sample_id, job.epoch) if job.stamp is not None else ""
 
-    def step(self) -> None:
+    def start(self) -> None:
+        """The process start: the request leaves for the storage node."""
+        job = self.job
+        env = job.env
+        if job.stamp is not None:
+            job.stamp(self.trace, "sample.fetch", BEGIN, env.now, {
+                "split": self.split, "wire_bytes": self.wire_bytes,
+                **job.sample_labels(self.sample_id),
+            })
+        at = env.now + job.half_rtt()
+        heappush(job.heap, (at, next(job.counter), _SampleRun.arrived, self))
+
+    def arrived(self) -> None:
+        """Half an RTT later the request reaches the storage node."""
         job = self.job
         env = job.env
         stamp = job.stamp
-        state = self.state
-        if state == _S_CHUNK_GRANT:  # hottest states first
-            self.state = _S_CHUNK_DONE
-            chunk = self.remaining
-            if chunk > job.link_chunk:
-                chunk = job.link_chunk
-            faults = job.faults
-            if faults is None:
-                at = env.now + chunk / job.bandwidth
-            else:
-                factor = faults.bandwidth_factor(env.now)
-                if factor < 1.0:
-                    job.report.brownout_chunks += 1
-                at = env.now + chunk / (job.bandwidth * factor)
-            heappush(job.heap, (at, next(job.counter), _SampleRun.step, self))
-        elif state == _S_CHUNK_DONE:
-            link = job.link
-            chunk = self.remaining
-            if chunk > job.link_chunk:
-                chunk = job.link_chunk
-            self.remaining -= chunk
-            if self.remaining > 0:
-                link.release(self)
-                self.state = _S_CHUNK_GRANT
-                link.request(self, _SampleRun.step, job.flow_key, True)
-                return
-            job.traffic["bytes"] += self.payload
-            if job.faults is not None and self._corrupted():
-                link.release(self)
-                self._send()
-                return
-            if stamp is not None:
-                stamp(self.trace, "link.transmit", END, env.now)
-            self.state = _S_RESPONDED
-            at = env.now + job.half_rtt()
-            if at > env.now:
-                # The response and the hand-over are due at different
-                # instants, so their push order is free: hand over last.
-                heappush(job.heap, (at, next(job.counter), _SampleRun.step, self))
-                link._release_tail(self)
-            else:
-                link.release(self)
-                heappush(job.heap, (at, next(job.counter), _SampleRun.step, self))
-        elif state == _S_START:
-            if stamp is not None:
-                stamp(self.trace, "sample.fetch", BEGIN, env.now, {
-                    "split": self.split, "wire_bytes": self.wire_bytes,
-                    **job.sample_labels(self.sample_id),
-                })
-            self.state = _S_ARRIVED
-            at = env.now + job.half_rtt()
-            heappush(job.heap, (at, next(job.counter), _SampleRun.step, self))
-        elif state == _S_ARRIVED:
-            if self.split == 0:
-                self._start_transmit()
-            elif job.faults is not None and job.faults.storage_down(env.now):
-                # Fetch refused outright: the node is down right now.
-                job.report.note_failure(env.now)
-                if stamp is not None:
-                    stamp(self.trace, "fault.storage_down", INSTANT, env.now)
-                self._demote()
-                self._start_transmit()
-            else:
-                if stamp is not None:
-                    stamp(self.trace, "storage.prefix", BEGIN, env.now, {
-                        "split": self.split, **job.sample_labels(self.sample_id),
-                    })
-                if job.faults is not None:
-                    # A crash window may interrupt it: run it as a sub-process.
-                    job.report.offload_attempts += 1
-                    prefix = _PrefixRun(self)
-                    job.active_offloads[prefix] = self.sample_id
-                    self.state = _S_PREFIX_RUN
-                    env._tail_call(_PrefixRun.step, prefix)
-                    return
-                pool = job.handles.storage_pool(self.sample_id)
-                assert pool is not None  # split > 0 implies an offload-capable spec
-                self.pool = pool
-                self.state = _S_PREFIX_GRANT
-                pool.request(self, _SampleRun.step)
-        elif state == _S_PREFIX_GRANT:
-            self.state = _S_PREFIX_DONE
-            at = env.now + self.prefix_cpu_s * job.storage_cpu_factor
-            heappush(job.heap, (at, next(job.counter), _SampleRun.step, self))
-        elif state == _S_PREFIX_DONE:
-            assert self.pool is not None
-            self.pool.release(self)
-            if stamp is not None:
-                stamp(self.trace, "storage.prefix", END, env.now, {"cpu_s": self.prefix_cpu_s})
+        if self.split == 0:
             self._start_transmit()
-        elif state == _S_RESPONDED:
-            if self.suffix_cpu_s > 0:
-                if stamp is not None:
-                    stamp(self.trace, "compute.suffix", BEGIN, env.now)
-                self.state = _S_SUFFIX_GRANT
-                job.compute_cpu.request(self, _SampleRun.step)
-            else:
-                self._finish()
-        elif state == _S_SUFFIX_GRANT:
-            self.state = _S_SUFFIX_DONE
-            at = env.now + self.suffix_cpu_s * job.compute_cpu_factor
-            heappush(job.heap, (at, next(job.counter), _SampleRun.step, self))
-        else:  # _S_SUFFIX_DONE
-            job.compute_cpu.release(self)
+        elif job.faults is not None and job.faults.storage_down(env.now):
+            # Fetch refused outright: the node is down right now.
+            job.report.note_failure(env.now)
             if stamp is not None:
-                stamp(self.trace, "compute.suffix", END, env.now, {"cpu_s": self.suffix_cpu_s})
+                stamp(self.trace, "fault.storage_down", INSTANT, env.now)
+            self._demote()
+            self._start_transmit()
+        else:
+            if stamp is not None:
+                stamp(self.trace, "storage.prefix", BEGIN, env.now, {
+                    "split": self.split, **job.sample_labels(self.sample_id),
+                })
+            if job.faults is not None:
+                # A crash window may interrupt it: run it as a sub-process.
+                job.report.offload_attempts += 1
+                prefix = _PrefixRun(self)
+                job.active_offloads[prefix] = self.sample_id
+                env._tail_call(_PrefixRun.step, prefix)
+                return
+            pool = job.handles.storage_pool(self.sample_id)
+            assert pool is not None  # split > 0 implies an offload-capable spec
+            self.pool = pool
+            pool.request(self, _SampleRun.prefix_granted)
+
+    def prefix_granted(self) -> None:
+        """A storage core is held: run the prefix (inline, fault-free)."""
+        job = self.job
+        at = job.env.now + self.prefix_cpu_s * job.storage_cpu_factor
+        heappush(job.heap, (at, next(job.counter), _SampleRun.prefix_done, self))
+
+    def prefix_done(self) -> None:
+        job = self.job
+        assert self.pool is not None
+        self.pool.release(self)
+        if job.stamp is not None:
+            attrs = {"cpu_s": self.prefix_cpu_s}
+            job.stamp(self.trace, "storage.prefix", END, job.env.now, attrs)
+        self._start_transmit()
+
+    def chunk_granted(self) -> None:
+        """The link is held: one chunk crosses it."""
+        job = self.job
+        now = job.env.now
+        chunk = self.remaining
+        if chunk > job.link_chunk:
+            chunk = job.link_chunk
+        faults = job.faults
+        if faults is None:
+            at = now + chunk / job.bandwidth
+        else:
+            factor = faults.bandwidth_factor(now)
+            if factor < 1.0:
+                job.report.brownout_chunks += 1
+            at = now + chunk / (job.bandwidth * factor)
+        heappush(job.heap, (at, next(job.counter), _SampleRun.chunk_done, self))
+
+    def chunk_done(self) -> None:
+        job = self.job
+        link = job.link
+        chunk = self.remaining
+        if chunk > job.link_chunk:
+            chunk = job.link_chunk
+        self.remaining -= chunk
+        if self.remaining > 0:
+            link.release(self)
+            link.request(self, _SampleRun.chunk_granted, job.flow_key, True)
+            return
+        job.traffic["bytes"] += self.payload
+        if job.faults is not None and self._corrupted():
+            link.release(self)
+            self._send()
+            return
+        now = job.env.now
+        if job.stamp is not None:
+            job.stamp(self.trace, "link.transmit", END, now)
+        at = now + job.half_rtt()
+        if at > now:
+            # The response and the hand-over are due at different
+            # instants, so their push order is free: hand over last.
+            heappush(job.heap, (at, next(job.counter), _SampleRun.responded, self))
+            link._release_tail(self)
+        else:
+            link.release(self)
+            heappush(job.heap, (at, next(job.counter), _SampleRun.responded, self))
+
+    def responded(self) -> None:
+        """The trailing half-RTT elapsed: the payload is on the compute node."""
+        job = self.job
+        if self.suffix_cpu_s > 0:
+            if job.stamp is not None:
+                job.stamp(self.trace, "compute.suffix", BEGIN, job.env.now)
+            job.compute_cpu.request(self, _SampleRun.suffix_granted)
+        else:
             self._finish()
+
+    def suffix_granted(self) -> None:
+        job = self.job
+        at = job.env.now + self.suffix_cpu_s * job.compute_cpu_factor
+        heappush(job.heap, (at, next(job.counter), _SampleRun.suffix_done, self))
+
+    def suffix_done(self) -> None:
+        job = self.job
+        job.compute_cpu.release(self)
+        if job.stamp is not None:
+            attrs = {"cpu_s": self.suffix_cpu_s}
+            job.stamp(self.trace, "compute.suffix", END, job.env.now, attrs)
+        self._finish()
 
     def prefix_ended(self, prefix: "_PrefixRun") -> None:
         """The prefix sub-process's end entry (faulted runs)."""
@@ -340,8 +344,7 @@ class _SampleRun:
         """Queue the first chunk of one full send of the payload."""
         job = self.job
         self.remaining = self.payload
-        self.state = _S_CHUNK_GRANT
-        job.link.request(self, _SampleRun.step, job.flow_key)
+        job.link.request(self, _SampleRun.chunk_granted, job.flow_key)
 
     def _corrupted(self) -> bool:
         """Draw this send's corruption coin; True when the payload goes again.
@@ -499,7 +502,7 @@ class _BatchRun:
         job = self.job
         self.pending = len(self.ids)
         for sample_id in self.ids:
-            _SampleRun.step(_SampleRun(job, sample_id, self))
+            _SampleRun.start(_SampleRun(job, sample_id, self))
         if not self.ids:
             self.all_done()
 
