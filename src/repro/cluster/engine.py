@@ -11,32 +11,43 @@ cycle collector.  Spans go straight into the tracer's columns through
 ``Tracer.stamp`` at ``env.now``.
 
 **The mirror contract.**  The cursors replay the seed launcher
-(:func:`repro.cluster.refsim.launch_training_processes`) push for push:
-every heap entry lands at the same ``(time, sequence)`` position the
-generator code produced, and entries whose pops had no side effects
-(process-end events nobody waits on) are dropped.  Resource calls,
-fault accounting, span events and timeline entries happen at the same
-transitions in the same order, so ``EpochStats``, fault reports, span
-streams and timelines are byte-identical to ``kernel="reference"`` --
-the contract ``repro.bench`` and the identity tests gate.
+(:func:`repro.cluster.refsim.launch_training_processes`) pop for pop:
+every heap entry pops at the position the generator code's entry would
+have popped, in the same order.  An entry that would be the very next
+pop may run inline instead of being pushed
+(:meth:`~repro.cluster.sim.Environment._tail_call`), entries whose pops
+had no side effects (process-end events nobody waits on) are dropped,
+and a batch's start entries, which pop back to back, are one entry.
+Resource calls, fault accounting, span events and timeline entries
+happen at the same transitions in the same order, so ``EpochStats``,
+fault reports, span streams and timelines are byte-identical to
+``kernel="reference"`` -- the contract ``repro.bench`` and the identity
+tests gate.
 
 =============================  ============================================
 generator path                 cursor mirror
 =============================  ============================================
-``env.process(...)``           start entry pushed at construction
-wait on ``timeout(d)``         ``env._call_at(env.now + d, step, cursor)``
-wait on a ``grant``            ``resource.request(cursor, step)``; the
-                               grant pushes ``step(cursor)`` at the
-                               ``(time, sequence)`` of the seed's grant
-                               event
-process end event              batch-countdown entry (``_BatchRun.child_end``)
-all-of join fires              all-done entry (``_BatchRun.all_done``)
-``batch_ready`` wait           same event; relay entry when already processed
+``env.process(...)`` per       one launch entry per batch, tail-called by
+sample of a batch              its prefetch grant; it runs each sample's
+                               ``start`` in order
+wait on ``timeout(d)``         ``heappush`` of ``(now + d, seq, handler,
+                               cursor)`` on the job's pre-bound heap
+wait on a ``grant``            ``resource.request(cursor, handler)``; the
+                               grant schedules ``handler(cursor)`` where
+                               the seed pushed its grant event
+same-instant wake as a         ``Environment._tail_call``: inline if no
+handler's last action          entry is due at ``now``, else pushed
+last chunk's link hand-over    response pushed first, then
+                               ``Resource._release_tail`` (when the
+                               response is due later than ``now``)
+process end event              batch countdown (``_BatchRun.child_end``)
+all-of join fires              all-done (``_BatchRun.all_done``)
+``batch_ready`` wait           same event; relay when already processed
 process end (unused)           dropped (the pop had no side effects)
 ``crash_watch`` process        ``_CrashWatch``: start entry, then window entry
-``prefix_proc`` sub-process    ``_PrefixRun`` (faulted runs only): own start
-                               entry, end entry calls the sample's
-                               ``prefix_ended``
+``prefix_proc`` sub-process    ``_PrefixRun`` (faulted runs only): start
+                               tail-called by its sample, end calls the
+                               sample's ``prefix_ended``
 ``proc.interrupt()``           mark the prefix thrown (its pending wake,
                                grant or timeout, fires as a no-op), push a
                                throw-in entry

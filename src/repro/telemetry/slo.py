@@ -23,6 +23,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.clock import Clock, LogicalClock
+from repro.utils.floats import checked
 
 #: Schema tag stamped on every serialized report.
 SCHEMA = "sophon-slo/v1"
@@ -64,8 +65,7 @@ class Objective:
             raise ValueError("objective name must be non-empty")
         if self.kind not in (LATENCY, RATE):
             raise ValueError(f"bad objective kind {self.kind!r}")
-        if self.threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+        checked("threshold", self.threshold, 0.0)
         if self.kind == LATENCY and not 0.0 < self.quantile <= 1.0:
             raise ValueError(
                 f"latency objective needs quantile in (0, 1], got {self.quantile}"
@@ -178,8 +178,8 @@ class SloEvaluator:
     ) -> None:
         if not objectives:
             raise ValueError("need at least one objective")
-        if window_s is not None and window_s <= 0:
-            raise ValueError(f"window_s must be > 0, got {window_s}")
+        if window_s is not None:
+            checked("window_s", window_s, 0.0, open_low=True)
         names = [objective.name for objective in objectives]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate objective names in {names}")
@@ -190,8 +190,7 @@ class SloEvaluator:
 
     def record(self, latency_s: float, outcome: str = "ok") -> None:
         """One finished request: its latency and terminal outcome."""
-        if latency_s < 0:
-            raise ValueError(f"latency_s must be >= 0, got {latency_s}")
+        checked("latency_s", latency_s, 0.0)
         now = self.clock()
         self._observations.append(
             _Observation(at_s=now, latency_s=latency_s, outcome=outcome)

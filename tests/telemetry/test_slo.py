@@ -1,5 +1,7 @@
 """SLO engine: percentiles, objective validation, burn rates, windows."""
 
+import math
+
 import pytest
 
 from repro.telemetry.clock import ManualClock
@@ -48,6 +50,14 @@ class TestObjective:
         with pytest.raises(ValueError, match="threshold"):
             latency_objective("p99", 0.99, -1.0)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, True])
+    def test_threshold_must_be_a_finite_number(self, threshold):
+        # NaN used to pass the `< 0` check and render "p95 latency <= nans".
+        with pytest.raises(ValueError, match="threshold"):
+            latency_objective("p95", 0.95, threshold)
+        with pytest.raises(ValueError, match="threshold"):
+            rate_objective("shed", ["shed"], threshold)
+
     def test_shorthands(self):
         lat = latency_objective("p99", 0.99, 2.0)
         assert (lat.kind, lat.quantile, lat.threshold) == (LATENCY, 0.99, 2.0)
@@ -67,6 +77,13 @@ class TestSloEvaluator:
         evaluator = SloEvaluator([latency_objective("p50", 0.5, 1.0)])
         with pytest.raises(ValueError, match="latency_s"):
             evaluator.record(-0.1)
+
+    @pytest.mark.parametrize("latency_s", [math.nan, math.inf])
+    def test_non_finite_latency_rejected(self, latency_s):
+        evaluator = SloEvaluator([latency_objective("p50", 0.5, 1.0)])
+        with pytest.raises(ValueError, match="latency_s"):
+            evaluator.record(latency_s)
+        assert evaluator.samples == 0
 
     def test_batch_pass_fail_and_burn(self):
         evaluator = SloEvaluator(
@@ -127,6 +144,11 @@ class TestSloEvaluator:
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError, match="window_s"):
             SloEvaluator([latency_objective("p50", 0.5, 1.0)], window_s=0.0)
+
+    @pytest.mark.parametrize("window_s", [math.nan, math.inf])
+    def test_window_must_be_finite(self, window_s):
+        with pytest.raises(ValueError, match="window_s"):
+            SloEvaluator([latency_objective("p50", 0.5, 1.0)], window_s=window_s)
 
     def test_to_dict_schema(self):
         evaluator = SloEvaluator(
