@@ -95,8 +95,8 @@ class _Job:
     (None when untraced) and ``labels`` the job-wide span labels."""
 
     __slots__ = (
-        "env", "heap", "counter", "handles", "link", "compute_cpu", "splits", "wire_bytes", "prefix_cpu_s",
-        "suffix_cpu_s", "batches", "model", "traffic", "batch_ready",
+        "env", "heap", "counter", "handles", "link", "compute_cpu", "splits", "wire_bytes",
+        "prefix_cpu_s", "suffix_cpu_s", "batches", "model", "traffic", "batch_ready",
         "rtt", "rtt_half", "storage_cpu_factor", "compute_cpu_factor", "bandwidth",
         "link_chunk", "overhead", "flow_key", "timeline", "stamp", "labels", "epoch",
         "faults", "report", "fallback_work", "active_offloads", "messages",

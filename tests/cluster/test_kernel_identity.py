@@ -13,6 +13,7 @@ also assert that ``run_epoch`` never raises for valid input.
 
 import dataclasses
 import json
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -277,11 +278,16 @@ class TestMultiJobIdentity:
 # Generated cases
 # ---------------------------------------------------------------------------
 
-IDENTITY_SETTINGS = settings(
+settings.register_profile(
+    "identity",
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+#: Ten times the draws, for a dedicated CI step:
+#: ``SOPHON_IDENTITY_PROFILE=identity-deep pytest tests/cluster/test_kernel_identity.py``.
+settings.register_profile("identity-deep", settings.get_profile("identity"), max_examples=400)
+IDENTITY_SETTINGS = settings.get_profile(os.environ.get("SOPHON_IDENTITY_PROFILE", "identity"))
 
 
 @st.composite

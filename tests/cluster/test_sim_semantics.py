@@ -591,6 +591,77 @@ class TestSchedulingDiscipline:
         assert checked == [True]
 
 
+class TestInlineWakes:
+    """``sim`` runs a same-instant tail wake inline only when it would be
+    the very next pop; everywhere else it queues, exactly as the seed did."""
+
+    def test_request_outside_run_queues_its_wake(self):
+        env = optsim.Environment()
+        res = optsim.Resource(env, capacity=1)
+        log = []
+        res.request("holder", log.append)
+        assert log == [] and res.holds("holder")
+        env.run()
+        assert log == ["holder"]
+
+    def test_trigger_outside_run_queues_its_fire(self):
+        env = optsim.Environment()
+        event = env.event()
+        event.callbacks.append(lambda value: None)
+        event.trigger("early")
+        assert not event.processed
+        env.run()
+        assert event.processed
+
+    def test_request_with_an_entry_due_now_queues_its_wake(self, kernel):
+        env = kernel.Environment()
+        res = kernel.Resource(env, capacity=1)
+        log = []
+
+        def ask():
+            log.append("ask")
+            on_grant(env, res, lambda: log.append("granted"))
+
+        call_at(env, 1.0, ask)
+        call_at(env, 1.0, lambda: log.append("due now"))
+        env.run()
+        assert log == ["ask", "due now", "granted"]
+
+    def test_trigger_with_an_entry_due_now_queues_its_fire(self):
+        env = optsim.Environment()
+        event = env.event()
+        log = []
+        event.callbacks.append(lambda value: log.append(value))
+        call_at(env, 1.0, lambda: event.trigger("fired"))
+        call_at(env, 1.0, lambda: log.append("due now"))
+        env.run()
+        assert log == ["due now", "fired"]
+
+    def test_the_next_pop_runs_inline_in_the_same_order(self, kernel):
+        env = kernel.Environment()
+        res = kernel.Resource(env, capacity=1)
+        log = []
+        call_at(env, 1.0, lambda: on_grant(env, res, lambda: log.append(("granted", env.now))))
+        call_at(env, 2.0, lambda: log.append(("later", env.now)))
+        env.run()
+        assert log == [("granted", 1.0), ("later", 2.0)]
+        if kernel is optsim:  # the grant's wake was never pushed
+            assert next(env._counter) == 2
+
+    def test_only_the_last_event_callback_acts_in_tail_position(self):
+        # The first callback's grant must wait for the second callback,
+        # as the seed's queued grant did.
+        env = optsim.Environment()
+        res = optsim.Resource(env, capacity=1)
+        event = env.event()
+        log = []
+        event.callbacks.append(lambda value: res.request("holder", log.append))
+        event.callbacks.append(lambda value: log.append("second callback"))
+        call_at(env, 1.0, event.trigger)
+        env.run()
+        assert log == ["second callback", "holder"]
+
+
 # ---------------------------------------------------------------------------
 # FairResource rotation
 # ---------------------------------------------------------------------------
