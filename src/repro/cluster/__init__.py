@@ -3,7 +3,7 @@
 Contents:
 
 - :mod:`repro.cluster.sim` -- a small callback-driven discrete-event
-  simulation kernel (environment, events, FIFO / fair-queued resources),
+  simulation kernel (environment, FIFO / fair-queued resources),
   driven by the cursor engine in :mod:`repro.cluster.engine`.
 - :class:`ClusterSpec` -- the hardware description (cores, bandwidth, CPU
   speed factors) mirroring the paper's two-node testbed.

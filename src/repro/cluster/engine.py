@@ -38,11 +38,17 @@ wait on a ``grant``            ``resource.request(cursor, handler)``; the
 same-instant wake as a         ``Environment._tail_call``: inline if no
 handler's last action          entry is due at ``now``, else pushed
 last chunk's link hand-over    response pushed first, then
-                               ``Resource._release_tail`` (when the
-                               response is due later than ``now``)
+                               ``Resource._release(..., tail=True)``
+                               (when the response is due later than
+                               ``now``)
 process end event              batch countdown (``_BatchRun.child_end``)
 all-of join fires              all-done (``_BatchRun.all_done``)
-``batch_ready`` wait           same event; relay when already processed
+``batch_ready[i].trigger()``   deliver entry (``_BatchRun.deliver``),
+                               tail-called where ``trigger`` pushed the
+                               event's fire: marks batch ``i`` delivered,
+                               wakes the GPU if it waits on ``i``
+``yield batch_ready[i]``       GPU parked on the job until the deliver
+                               entry; relay entry if already delivered
 process end (unused)           dropped (the pop had no side effects)
 ``crash_watch`` process        ``_CrashWatch``: start entry, then window entry
 ``prefix_proc`` sub-process    ``_PrefixRun`` (faulted runs only): start
@@ -72,7 +78,7 @@ import itertools
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from repro.cluster.sim import Environment, Event, Resource
+from repro.cluster.sim import Environment, Resource
 from repro.cluster.spec import ClusterSpec
 from repro.faults.schedule import FaultReport, FaultSchedule
 from repro.metrics.timeline import Timeline
@@ -96,7 +102,7 @@ class _Job:
 
     __slots__ = (
         "env", "heap", "counter", "handles", "link", "compute_cpu", "splits", "wire_bytes",
-        "prefix_cpu_s", "suffix_cpu_s", "batches", "model", "traffic", "batch_ready",
+        "prefix_cpu_s", "suffix_cpu_s", "batches", "model", "traffic", "delivered", "waiting_gpu",
         "rtt", "rtt_half", "storage_cpu_factor", "compute_cpu_factor", "bandwidth",
         "link_chunk", "overhead", "flow_key", "timeline", "stamp", "labels", "epoch",
         "faults", "report", "fallback_work", "active_offloads", "messages",
@@ -123,7 +129,8 @@ class _Job:
         self.batches = batches
         self.model = model
         self.traffic: Dict[str, Any] = {"bytes": 0, "done": 0}
-        self.batch_ready: List[Event] = [env.event() for _ in batches]
+        self.delivered = [False] * len(batches)
+        self.waiting_gpu: Optional["_GpuRun"] = None
         self.rtt = spec.network_rtt_s
         self.rtt_half = spec.network_rtt_s / 2.0
         self.storage_cpu_factor = spec.storage_cpu_factor
@@ -222,7 +229,7 @@ class _SampleRun:
                 job.report.offload_attempts += 1
                 prefix = _PrefixRun(self)
                 job.active_offloads[prefix] = self.sample_id
-                env._tail_call(_PrefixRun.step, prefix)
+                env._tail_call(_PrefixRun.start, prefix)
                 return
             pool = job.handles.storage_pool(self.sample_id)
             assert pool is not None  # split > 0 implies an offload-capable spec
@@ -285,7 +292,7 @@ class _SampleRun:
             # The response and the hand-over are due at different
             # instants, so their push order is free: hand over last.
             heappush(job.heap, (at, next(job.counter), _SampleRun.responded, self))
-            link._release_tail(self)
+            link._release(self, tail=True)
         else:
             link.release(self)
             heappush(job.heap, (at, next(job.counter), _SampleRun.responded, self))
@@ -384,58 +391,59 @@ class _SampleRun:
         env._tail_call(_BatchRun.child_end, self.batch)
 
 
-# _PrefixRun states (the wait points of the seed's ``prefix_proc``):
-_P_START = 0   # start entry pending
-_P_GRANT = 1   # waiting for a storage core
-_P_RUN = 2     # holding the core for the prefix's CPU time
-_P_THROWN = 3  # interrupted; throw-in entry pending
-
-
 class _PrefixRun:
     """An offloaded prefix under fault injection (the seed's ``prefix_proc``).
 
     A sub-process of its sample -- a start entry its sample schedules,
     an end entry calling the sample's ``prefix_ended`` with this cursor --
-    so a crash window can interrupt it wherever it waits.  ``ok`` is False
-    if interrupted.
+    so a crash window can interrupt it wherever it waits.  Each wait point
+    is a handler, as in :class:`_SampleRun`.  ``over`` is set once it ends
+    or is interrupted: its pending wake (start, grant or timeout) then
+    fires as a no-op and crash watches skip it.  ``ok`` is False if
+    interrupted.
     """
 
-    __slots__ = ("sample", "state", "pool", "ok", "triggered")
+    __slots__ = ("sample", "pool", "ok", "over")
 
     def __init__(self, sample: _SampleRun) -> None:
         self.sample = sample
-        self.state = _P_START
         self.pool: Optional[Resource] = None
         self.ok = False
-        self.triggered = False  # end entry pushed: crash watches skip it
+        self.over = False
 
-    def step(self) -> None:
+    def start(self) -> None:
+        # A crash entry due at the same instant may have popped first.
+        if self.over:
+            return
+        sample = self.sample
+        self.pool = pool = sample.job.handles.storage_pool(sample.sample_id)
+        assert pool is not None  # split > 0 implies an offload-capable spec
+        pool.request(self, _PrefixRun.granted)
+
+    def granted(self) -> None:
+        """A storage core is held: run the prefix for its CPU time."""
+        if self.over:
+            return
         sample = self.sample
         job = sample.job
         env = job.env
-        state = self.state
-        if state == _P_START:
-            self.pool = pool = job.handles.storage_pool(sample.sample_id)
-            assert pool is not None  # split > 0 implies an offload-capable spec
-            self.state = _P_GRANT
-            pool.request(self, _PrefixRun.step)
-        elif state == _P_GRANT:
-            assert job.faults is not None
-            self.state = _P_RUN
-            cpu_s = sample.prefix_cpu_s * job.storage_cpu_factor
-            env._call_at(
-                env.now + cpu_s * job.faults.storage_cpu_factor(env.now), _PrefixRun.step, self
-            )
-        elif state == _P_RUN:
-            assert self.pool is not None
-            self.pool.release(self)
-            self.ok = True
-            self._end()
-        # _P_THROWN: the wake abandoned by the interrupt fires into the void.
+        assert job.faults is not None
+        cpu_s = sample.prefix_cpu_s * job.storage_cpu_factor
+        env._call_at(
+            env.now + cpu_s * job.faults.storage_cpu_factor(env.now), _PrefixRun.done, self
+        )
+
+    def done(self) -> None:
+        if self.over:
+            return
+        assert self.pool is not None
+        self.pool.release(self)
+        self.ok = True
+        self._end()
 
     def interrupt(self) -> None:
         """Abandon the pending wait and deliver the crash through the queue."""
-        self.state = _P_THROWN
+        self.over = True
         env = self.sample.job.env
         env._call_at(env.now, _PrefixRun.throw_in, self)
 
@@ -451,7 +459,7 @@ class _PrefixRun:
         self._end()
 
     def _end(self) -> None:
-        self.triggered = True
+        self.over = True
         self.sample.job.env._tail_call(self.sample.prefix_ended, self)
 
 
@@ -472,7 +480,7 @@ class _CrashWatch:
     def fire(self) -> None:
         job = self.job
         for prefix, sample_id in list(job.active_offloads.items()):
-            if prefix.triggered or prefix.state == _P_THROWN:
+            if prefix.over:
                 continue
             job.report.crash_interrupts += 1
             if job.stamp is not None:
@@ -486,7 +494,7 @@ class _BatchRun:
     """One batch's prefetch-token wait and child join (``batch_proc``).
 
     The token's holder is the batch index, which the GPU consumer
-    releases, so ``batch_ready`` carries no cursor back to the job."""
+    releases, so the GPU keeps no reference to this cursor."""
 
     __slots__ = ("job", "index", "ids", "pending")
 
@@ -526,82 +534,81 @@ class _BatchRun:
         job = self.job
         if job.timeline is not None:
             job.timeline.trace(self.index).ready_at = job.env.now
-        job.batch_ready[self.index].trigger()
+        job.env._tail_call(_BatchRun.deliver, self)
 
-
-# _GpuRun states (the wait points of the seed's ``gpu_proc``):
-_G_START = 0       # process start entry fired
-_G_READY = 1       # batch_ready[index] delivered
-_G_GRANT = 2       # GPU granted
-_G_BATCH_DONE = 3  # batch compute time elapsed
+    def deliver(self) -> None:
+        """The batch is ready: wake the GPU if it waits on this batch."""
+        job = self.job
+        job.delivered[self.index] = True
+        gpu = job.waiting_gpu
+        if gpu is not None and gpu.index == self.index:
+            job.waiting_gpu = None
+            gpu.ready()
 
 
 class _GpuRun:
-    """The in-order GPU consumer (``gpu_proc``)."""
+    """The in-order GPU consumer (``gpu_proc``), one handler per wait point.
 
-    __slots__ = ("job", "index", "state")
+    A batch the GPU asks for before it is delivered parks the cursor on
+    the job (``waiting_gpu``) until :meth:`_BatchRun.deliver` wakes it;
+    the job holds the cursor only while it waits, so a drained epoch
+    leaves no cycle."""
+
+    __slots__ = ("job", "index")
 
     def __init__(self, job: _Job) -> None:
         self.job = job
         self.index = 0
-        self.state = _G_START
-        job.env._call_at(job.env.now, _GpuRun.step, self)
+        job.env._call_at(job.env.now, _GpuRun.wait, self)
 
-    def _wait_ready(self) -> None:
-        job = self.job
-        ready = job.batch_ready[self.index]
-        self.state = _G_READY
-        if ready.processed:
-            # Deliver through the queue, like a process waiting on an
-            # already-fired event.
-            job.env._tail_call(_GpuRun.step, self)
-        else:
-            ready.callbacks.append(self.step)  # dropped once the event fires
-
-    def step(self, _value: Any = None) -> None:
+    def wait(self) -> None:
+        """Wait for batch ``index`` (from the start entry and after each
+        batch); past the last batch the epoch is over."""
         job = self.job
         env = job.env
-        state = self.state
-        if state == _G_READY:
-            self.state = _G_GRANT
-            job.handles.gpu.request(self, _GpuRun.step)
-        elif state == _G_GRANT:
-            self.state = _G_BATCH_DONE
-            index = self.index
-            if job.timeline is not None:
-                job.timeline.trace(index).gpu_start = env.now
-            if job.stamp is not None:
-                job.stamp(
-                    f"b{index}-e{job.epoch}", "gpu.batch", BEGIN, env.now,
-                    {"batch": index, **job.labels},
-                )
-            env._call_at(
-                env.now + job.model.batch_time_s(len(job.batches[index])), _GpuRun.step, self
-            )
-        elif state == _G_BATCH_DONE:
-            index = self.index
-            if job.timeline is not None:
-                job.timeline.trace(index).gpu_end = env.now
-            if job.stamp is not None:
-                job.stamp(f"b{index}-e{job.epoch}", "gpu.batch", END, env.now)
-            job.handles.gpu.release(self)
-            job.handles.prefetch.release(index)
-            self.index += 1
-            if self.index < len(job.batches):
-                self._wait_ready()
+        if self.index < len(job.batches):
+            if job.delivered[self.index]:
+                # Relay through the queue, like a process waiting on an
+                # already-fired event.
+                env._tail_call(_GpuRun.ready, self)
             else:
-                self._finish()
-        elif job.batches:  # _G_START
-            self._wait_ready()
-        else:
-            self._finish()
-
-    def _finish(self) -> None:
-        job = self.job
+                job.waiting_gpu = self
+            return
         job.traffic["done"] = 1
-        job.traffic["finished_at"] = job.env.now
+        job.traffic["finished_at"] = env.now
         if job.timeline is not None:
-            job.timeline.epoch_end = job.env.now
+            job.timeline.epoch_end = env.now
+
+    def ready(self) -> None:
+        self.job.handles.gpu.request(self, _GpuRun.granted)
+
+    def granted(self) -> None:
+        job = self.job
+        env = job.env
+        index = self.index
+        if job.timeline is not None:
+            job.timeline.trace(index).gpu_start = env.now
+        if job.stamp is not None:
+            job.stamp(
+                f"b{index}-e{job.epoch}", "gpu.batch", BEGIN, env.now,
+                {"batch": index, **job.labels},
+            )
+        env._call_at(
+            env.now + job.model.batch_time_s(len(job.batches[index])), _GpuRun.batch_done, self
+        )
+
+    def batch_done(self) -> None:
+        job = self.job
+        env = job.env
+        index = self.index
+        if job.timeline is not None:
+            job.timeline.trace(index).gpu_end = env.now
+        if job.stamp is not None:
+            job.stamp(f"b{index}-e{job.epoch}", "gpu.batch", END, env.now)
+        job.handles.gpu.release(self)
+        job.handles.prefetch.release(index)
+        self.index += 1
+        self.wait()
 
 
 def launch_training_job(

@@ -1,7 +1,7 @@
 """The frozen *seed* DES kernel and launcher: the byte-identity oracle.
 
 Byte-for-byte snapshots of the generator kernel (``Process`` + relay
-``Event``, ``AllOf``, ``Store``, interrupts) and of the seed launcher,
+``Event``, ``AllOf``, interrupts) and of the seed launcher,
 :func:`launch_training_processes`, that drove every epoch before the
 cursor engine (:mod:`repro.cluster.engine`) learned it all.  Only
 ``run_epoch(kernel="reference")`` runs them; ``repro.bench`` and
@@ -14,6 +14,10 @@ deleted from both paths: the launcher no longer writes
 ``Timeline.fault_events`` at its four fault sites.  Those writes fed
 nothing the simulation reads, so its schedule, fault report, spans and
 batch timeline are unchanged.
+
+A second edit deleted kernel API the launcher never reaches: the
+``Store`` queue, the ``hold`` process fragment and ``run``'s ``until``
+bound.  What remains is unchanged, so every epoch it simulates is too.
 """
 
 # Postponed annotations: the launcher names trainer types that would be a
@@ -23,7 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
 # The retransmission cap is shared with the live engine, and the
 # SimulationError type with the live kernel's resources.
@@ -47,9 +51,7 @@ __all__ = [
     "Process",
     "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
-    "hold",
     "launch_training_processes",
 ]
 
@@ -249,12 +251,9 @@ class Environment:
         self.now = at
         event._fire()
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Process events until the queue drains (or virtual ``until``)."""
+    def run(self) -> None:
+        """Process events until the queue drains."""
         while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                self.now = until
-                return
             self.step()
 
 
@@ -394,41 +393,6 @@ class FairResource(Resource):
     @property
     def queue_length(self) -> int:
         return sum(len(q) for q in self._flow_queues.values())
-
-
-class Store:
-    """An unbounded FIFO queue of items with blocking ``get``."""
-
-    def __init__(self, env: Environment, name: str = "store") -> None:
-        self.env = env
-        self.name = name
-        self._items: List[Any] = []
-        self._getters: List[Event] = []
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.pop(0).trigger(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        event = Event(self.env)
-        if self._items:
-            event.trigger(self._items.pop(0))
-        else:
-            self._getters.append(event)
-        return event
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-def hold(env: Environment, resource: Resource, duration: float) -> Iterator[Event]:
-    """Convenience process fragment: acquire, hold for ``duration``, release."""
-    request = resource.acquire()
-    yield request
-    yield env.timeout(duration)
-    resource.release(request)
 
 
 def launch_training_processes(

@@ -1,22 +1,25 @@
 """A minimal callback-driven discrete-event simulation kernel.
 
 Callbacks fire in ``(time, sequence)`` order off a binary heap.  The
-cursor engine (:mod:`repro.cluster.engine`) drives it for every
+kernel is the clock (:class:`Environment`) and FIFO and fair-queued
+resources; there are no event objects.  The cursor engine
+(:mod:`repro.cluster.engine`) drives it for every
 :class:`~repro.cluster.trainer.TrainerSim` epoch; generator processes
-survive only in the frozen seed kernel, :mod:`repro.cluster.refsim`.
+and events survive only in the frozen seed kernel,
+:mod:`repro.cluster.refsim`.
 
 Every entry pops at the (time, sequence) position the seed kernel would
 have popped it, which keeps the two byte-identical on every
 :class:`~repro.cluster.trainer.EpochStats` field.  What makes it faster:
 
 - **Bare callback entries.**  Where the seed kernel allocated a relay
-  :class:`Event` to wake a process, callers push a ``(time, sequence,
-  fn, arg)`` heap entry via :meth:`Environment._call_at`; popping it
-  calls ``fn(arg)``, with no object in between.
+  event to wake a process, callers push a ``(time, sequence, fn, arg)``
+  heap entry via :meth:`Environment._call_at`; popping it calls
+  ``fn(arg)``, with no object in between.
 - **Event-free grants.**  A resource grant pushes the waiter's wake
   callback, with the holder as its argument, at the position where the
-  seed kernel pushed its grant :class:`Event`; grants are keyed by the
-  holder, so no request object exists at all.
+  seed kernel pushed its grant event; grants are keyed by the holder, so
+  no request object exists at all.
 - **Same-instant wakes run inline.**  While ``run()`` drains, a wake at
   ``now`` that its caller pushes as its very last action runs at once
   when no heap entry is due at ``now`` (:meth:`Environment._tail_call`):
@@ -34,7 +37,6 @@ from typing import Any, Callable, Deque, Hashable, List, Tuple
 
 __all__ = [
     "Environment",
-    "Event",
     "FairResource",
     "Resource",
     "SimulationError",
@@ -42,50 +44,11 @@ __all__ = [
 
 
 class SimulationError(RuntimeError):
-    """A caller misused the kernel (e.g. triggered an event twice)."""
+    """A caller misused the kernel (e.g. released a slot it never held)."""
 
 
 #: A scheduled callback: called with the argument pushed alongside it.
 Wake = Callable[[Any], None]
-
-
-class Event:
-    """Something that will happen at a point in virtual time.
-
-    Lifecycle: *pending* -> ``trigger(value)`` puts it on the queue ->
-    *processed* once the scheduler calls every callback with ``value``.
-    An event fires at most once.  The engine uses one per batch
-    (``batch_ready``); every other wake-up is a bare heap entry.
-    """
-
-    __slots__ = ("env", "callbacks", "triggered", "processed", "value")
-
-    def __init__(self, env: "Environment") -> None:
-        self.env = env
-        self.callbacks: List[Wake] = []
-        self.triggered = False
-        self.processed = False
-        self.value: Any = None
-
-    def trigger(self, value: Any = None) -> "Event":
-        """Schedule this event to fire at the current virtual time."""
-        if self.triggered:
-            raise SimulationError("event triggered twice")
-        self.triggered = True
-        self.value = value
-        self.env._tail_call(self._fire)
-        return self
-
-    def _fire(self, _arg: Any) -> None:
-        self.processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        env = self.env
-        draining = env._draining
-        last = len(callbacks) - 1
-        for index, callback in enumerate(callbacks):
-            # Only the last callback acts in tail position.
-            env._draining = draining and index == last
-            callback(self.value)
 
 
 class Environment:
@@ -123,9 +86,6 @@ class Environment:
             fn(arg)
         else:
             heappush(heap, (self.now, next(self._counter), fn, arg))
-
-    def event(self) -> Event:
-        return Event(self)
 
     def run(self) -> None:
         """Process events until the queue drains.
@@ -233,6 +193,12 @@ class Resource:
 
     def release(self, holder: Hashable) -> None:
         """Return ``holder``'s slot; the next waiter, if any, is granted it."""
+        self._release(holder, False)
+
+    def _release(self, holder: Hashable, tail: bool) -> None:
+        """``release``'s body.  ``tail``: the release is the caller's very
+        last action, so a waiter handed the slot wakes through
+        :meth:`Environment._tail_call` instead of a pushed entry."""
         grant_times = self._grant_times
         granted_at = grant_times.pop(holder, None)
         if granted_at is None:
@@ -240,29 +206,16 @@ class Resource:
         env = self.env
         now = env.now
         self.busy_time += now - granted_at
-        if self._waiting:
-            # Hand the slot straight over: in_use stays the same.
-            waiter, wake = self._waiting.popleft()
-            grant_times[waiter] = now
-            env._call_at(now, wake, waiter)
-        else:
+        if not self._waiting:
             self._in_use -= 1
-
-    def _release_tail(self, holder: Hashable) -> None:
-        """``release`` as the caller's very last action: a waiter handed
-        the slot wakes through :meth:`Environment._tail_call`."""
-        grant_times = self._grant_times
-        granted_at = grant_times.pop(holder, None)
-        if granted_at is None:
-            raise SimulationError("released a request that was never granted")
-        env = self.env
-        self.busy_time += env.now - granted_at
-        if self._waiting:
-            waiter, wake = self._waiting.popleft()
-            grant_times[waiter] = env.now
+            return
+        # Hand the slot straight over: in_use stays the same.
+        waiter, wake = self._waiting.popleft()
+        grant_times[waiter] = now
+        if tail:
             env._tail_call(wake, waiter)
         else:
-            self._in_use -= 1
+            env._call_at(now, wake, waiter)
 
     def utilization(self, horizon: float) -> float:
         """Average busy fraction over ``horizon`` seconds of virtual time."""
@@ -312,8 +265,8 @@ class FairResource(Resource):
                     del self._flow_queues[key]
                 return
 
-    def release(self, holder: Hashable) -> None:
-        super().release(holder)  # the FIFO queue stays empty: frees the slot
+    def _release(self, holder: Hashable, tail: bool) -> None:
+        super()._release(holder, False)  # the FIFO queue stays empty: frees the slot
         if self._flow_queues:
             # Serve the flow at the front of the rotation, then move it to
             # the back (dropping it if its queue drained).
@@ -322,15 +275,12 @@ class FairResource(Resource):
             del self._flow_queues[key]
             if queue:
                 self._flow_queues[key] = queue
-            # Re-take the slot for it with a pushed wake: ``release`` is
-            # not a tail action, so ``request``'s inline grant must not run.
+            # Re-take the slot for it.  The flow rotation hands over
+            # through a pushed wake, in tail position or not.
             self._in_use += 1
             env = self.env
             self._grant_times[waiter] = env.now
             env._call_at(env.now, wake, waiter)
-
-    #: The flow rotation hands over through a push, tail position or not.
-    _release_tail = release
 
     @property
     def queue_length(self) -> int:

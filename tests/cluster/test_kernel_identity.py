@@ -157,6 +157,35 @@ class TestSingleNodeIdentity:
         assert fast.faults.corrupted_payloads > 0
         assert_identical(ref, fast)
 
+    @pytest.mark.parametrize("prefetch", [1, 8])
+    @pytest.mark.parametrize("images_per_second", [50.0, 1e6], ids=["slow-gpu", "fast-gpu"])
+    def test_gpu_takes_batches_delivered_before_and_after_it_asks(
+        self, world, images_per_second, prefetch
+    ):
+        # A batch delivered before the GPU asks for it reaches the GPU
+        # through a relay entry; one the GPU asks for first wakes the
+        # parked GPU.  A one-batch prefetch window sees only the second
+        # kind (the next token frees when the GPU ends a batch), a slow
+        # GPU behind a deep window only the first, a fast one both.
+        _, splits, spec, dataset = world
+        trainer = TrainerSim(
+            dataset, PIPELINE, dataclasses.replace(MODEL, images_per_second=images_per_second),
+            dataclasses.replace(spec, prefetch_batches=prefetch), batch_size=16, seed=3,
+        )
+        options = dict(record_spans=True, record_timeline=True)
+        ref = trainer.run_epoch(splits, epoch=1, kernel="reference", **options)
+        fast = trainer.run_epoch(splits, epoch=1, **options)
+        assert_identical(ref, fast)
+        pairs = list(zip(fast.timeline.batches, fast.timeline.batches[1:]))
+        early = sum(batch.ready_at < before.gpu_end for before, batch in pairs)
+        late = sum(batch.ready_at > before.gpu_end for before, batch in pairs)
+        if prefetch == 1:
+            assert (early, late) == (0, len(pairs))
+        elif images_per_second < MODEL.images_per_second:
+            assert (early, late) == (len(pairs), 0)
+        else:
+            assert early > 0 and late > 0
+
     def test_auto_kernel_rejected(self, world):
         trainer, splits, _, _ = world
         with pytest.raises(ValueError, match="kernel must be one of"):

@@ -1,9 +1,9 @@
 """Discrete-event simulation kernel tests.
 
-The live kernel (:mod:`repro.cluster.sim`) is callback-driven: events,
-bare ``_call_at`` heap entries and resources whose grants push the
-holder's wake callback.  Its cases below drive it the way the cursor
-engine does.  Generator processes, timeouts, all-of joins, stores and
+The live kernel (:mod:`repro.cluster.sim`) is callback-driven: bare
+``_call_at`` heap entries and resources whose grants push the holder's
+wake callback.  Its cases below drive it the way the cursor engine
+does.  Events, generator processes, timeouts, all-of joins and
 interrupts survive only in the frozen seed kernel
 (:mod:`repro.cluster.refsim`), so those cases run there.
 """
@@ -11,7 +11,7 @@ interrupts survive only in the frozen seed kernel
 import pytest
 
 from repro.cluster import refsim
-from repro.cluster.refsim import Interrupt, Store
+from repro.cluster.refsim import Interrupt
 from repro.cluster.sim import Environment, FairResource, Resource, SimulationError
 
 
@@ -65,16 +65,6 @@ class TestEnvironment:
         env.run()
         assert env.now == 4.0
 
-    def test_run_until_stops_early(self):
-        env = refsim.Environment()
-
-        def proc():
-            yield env.timeout(10.0)
-
-        env.process(proc())
-        env.run(until=3.0)
-        assert env.now == 3.0
-
     def test_events_fire_in_time_order(self):
         env = Environment()
         log = []
@@ -115,13 +105,6 @@ class TestEventsAndProcesses:
         env.process(firer())
         env.run()
         assert received == ["payload"]
-
-    def test_event_cannot_trigger_twice(self):
-        env = Environment()
-        evt = env.event()
-        evt.trigger()
-        with pytest.raises(SimulationError):
-            evt.trigger()
 
     def test_process_return_value_is_event_value(self):
         env = refsim.Environment()
@@ -255,7 +238,7 @@ class TestResource:
         env = Environment()
         cpu = Resource(env, capacity=1)
         with pytest.raises(SimulationError):
-            cpu.release(env.event())
+            cpu.release(object())
 
     def test_queue_length_visible(self):
         env = Environment()
@@ -336,7 +319,7 @@ class TestFairResource:
         env = Environment()
         link = FairResource(env, capacity=1)
         with pytest.raises(SimulationError):
-            link.release(env.event())
+            link.release(object())
 
     def test_front_acquisition_preserves_payload_order(self):
         # Many 3-chunk payloads of one flow, all queued at t=0.  With
@@ -377,62 +360,6 @@ class TestFairResource:
             )
         env.run()
         assert order == ["jumper", "normal"]
-
-
-class TestStore:
-    def test_put_then_get(self):
-        env = refsim.Environment()
-        store = Store(env)
-        store.put("x")
-        got = []
-
-        def getter():
-            item = yield store.get()
-            got.append(item)
-
-        env.process(getter())
-        env.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self):
-        env = refsim.Environment()
-        store = Store(env)
-        got = []
-
-        def getter():
-            item = yield store.get()
-            got.append((env.now, item))
-
-        def putter():
-            yield env.timeout(2.0)
-            store.put("late")
-
-        env.process(getter())
-        env.process(putter())
-        env.run()
-        assert got == [(2.0, "late")]
-
-    def test_fifo_order(self):
-        env = refsim.Environment()
-        store = Store(env)
-        for item in (1, 2, 3):
-            store.put(item)
-        got = []
-
-        def getter():
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        env.process(getter())
-        env.run()
-        assert got == [1, 2, 3]
-
-    def test_len(self):
-        env = refsim.Environment()
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
 
 
 class TestInterrupt:

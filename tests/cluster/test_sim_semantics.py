@@ -11,10 +11,11 @@ overhaul (see docs/performance.md) and encode its observable semantics.
   ``refsim`` copy can never drift apart silently.  The two grant APIs
   differ -- ``sim`` keys grants by a holder and pushes its wake callback,
   ``refsim`` returns a grant ``Event`` -- and :func:`on_grant` hides that.
-- **Generator processes** -- ``AllOf`` joins with already-fired children,
-  interrupt delivery windows (including interrupting a process that
-  already finished), ``Store`` FIFO, and queue-mediated resumption -- live
-  only in the seed kernel, so those cases run on ``refsim``.
+- **Events and generator processes** -- ``AllOf`` joins with
+  already-fired children, interrupt delivery windows (including
+  interrupting a process that already finished), and queue-mediated
+  resumption -- live only in the seed kernel, so those cases run on
+  ``refsim``.
 """
 
 import random
@@ -562,8 +563,8 @@ class TestSchedulingDiscipline:
         with pytest.raises(SimulationError):
             env.run()
 
-    def test_event_cannot_trigger_twice(self, kernel):
-        env = kernel.Environment()
+    def test_event_cannot_trigger_twice(self, seed_kernel):
+        env = seed_kernel.Environment()
         e = env.event()
         e.trigger()
         with pytest.raises(SimulationError):
@@ -573,7 +574,7 @@ class TestSchedulingDiscipline:
         env = kernel.Environment()
         res = kernel.Resource(env, capacity=1)
         with pytest.raises(SimulationError):
-            res.release(env.event())
+            res.release(object())
 
     def test_cancel_granted_request_raises(self, kernel):
         env = kernel.Environment()
@@ -604,15 +605,6 @@ class TestInlineWakes:
         env.run()
         assert log == ["holder"]
 
-    def test_trigger_outside_run_queues_its_fire(self):
-        env = optsim.Environment()
-        event = env.event()
-        event.callbacks.append(lambda value: None)
-        event.trigger("early")
-        assert not event.processed
-        env.run()
-        assert event.processed
-
     def test_request_with_an_entry_due_now_queues_its_wake(self, kernel):
         env = kernel.Environment()
         res = kernel.Resource(env, capacity=1)
@@ -627,16 +619,6 @@ class TestInlineWakes:
         env.run()
         assert log == ["ask", "due now", "granted"]
 
-    def test_trigger_with_an_entry_due_now_queues_its_fire(self):
-        env = optsim.Environment()
-        event = env.event()
-        log = []
-        event.callbacks.append(lambda value: log.append(value))
-        call_at(env, 1.0, lambda: event.trigger("fired"))
-        call_at(env, 1.0, lambda: log.append("due now"))
-        env.run()
-        assert log == ["due now", "fired"]
-
     def test_the_next_pop_runs_inline_in_the_same_order(self, kernel):
         env = kernel.Environment()
         res = kernel.Resource(env, capacity=1)
@@ -648,18 +630,19 @@ class TestInlineWakes:
         if kernel is optsim:  # the grant's wake was never pushed
             assert next(env._counter) == 2
 
-    def test_only_the_last_event_callback_acts_in_tail_position(self):
-        # The first callback's grant must wait for the second callback,
-        # as the seed's queued grant did.
+    @pytest.mark.parametrize("tail", [False, True])
+    def test_only_a_tail_release_hands_over_inline(self, tail):
+        # One release body: ``release`` pushes the hand-over's wake, the
+        # tail form runs it inline when it would be the next pop.
         env = optsim.Environment()
         res = optsim.Resource(env, capacity=1)
-        event = env.event()
         log = []
-        event.callbacks.append(lambda value: res.request("holder", log.append))
-        event.callbacks.append(lambda value: log.append("second callback"))
-        call_at(env, 1.0, event.trigger)
+        res.request("first", log.append)  # outside run(): pushed
+        res.request("second", log.append)  # queued behind it
+        call_at(env, 1.0, lambda: res._release("first", tail))
         env.run()
-        assert log == ["second callback", "holder"]
+        assert log == ["first", "second"] and res.holds("second")
+        assert next(env._counter) == (2 if tail else 3)
 
 
 # ---------------------------------------------------------------------------
@@ -718,46 +701,3 @@ class TestFairResourceSemantics:
         env.run()
         assert order == ["s"]
         assert res.queue_length == 0
-
-
-# ---------------------------------------------------------------------------
-# Store FIFO
-# ---------------------------------------------------------------------------
-
-
-class TestStoreSemantics:
-    def test_items_and_getters_are_fifo(self, seed_kernel):
-        env = seed_kernel.Environment()
-        store = seed_kernel.Store(env)
-        got = []
-
-        def consumer(name):
-            item = yield store.get()
-            got.append((name, item))
-
-        def producer():
-            yield env.timeout(1.0)
-            store.put("x")
-            store.put("y")
-
-        env.process(consumer("c1"))
-        env.process(consumer("c2"))
-        env.process(producer())
-        env.run()
-        assert got == [("c1", "x"), ("c2", "y")]
-
-    def test_put_before_get_buffers_in_order(self, seed_kernel):
-        env = seed_kernel.Environment()
-        store = seed_kernel.Store(env)
-        store.put(1)
-        store.put(2)
-        got = []
-
-        def consumer():
-            a = yield store.get()
-            b = yield store.get()
-            got.append((a, b))
-
-        env.process(consumer())
-        env.run()
-        assert got == [(1, 2)]

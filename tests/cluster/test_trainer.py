@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.cluster import sim
 from repro.cluster.sharded import ShardedTrainerSim, round_robin_placement
 from repro.cluster.spec import standard_cluster
 from repro.cluster.trainer import KERNEL_CHOICES, TrainerSim, WorkAdjustment
@@ -174,22 +173,6 @@ class TestRunEpoch:
         assert trainer.run_epoch(as_floats, epoch=0, kernel=kernel) == trainer.run_epoch(
             splits, epoch=0, kernel=kernel
         )
-
-    def test_fault_free_epoch_builds_one_event_per_batch(self, trainer, monkeypatch):
-        # Grants and wake-ups are bare heap entries; the only Event left is
-        # each batch's batch_ready.
-        built = []
-        init = sim.Event.__init__
-
-        def counting_init(event, env):
-            built.append(event)
-            init(event, env)
-
-        monkeypatch.setattr(sim.Event, "__init__", counting_init)
-        splits = [i % 6 for i in range(len(trainer.dataset))]
-        stats = trainer.run_epoch(splits=splits, epoch=0, kernel="fast")
-        assert stats.num_samples > stats.num_batches > 1
-        assert len(built) == stats.num_batches
 
     def test_deterministic(self, trainer):
         a = trainer.run_epoch(splits=None, epoch=1)
