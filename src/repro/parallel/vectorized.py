@@ -147,23 +147,11 @@ def _flip_batch(
     return out, np.zeros(n, dtype=np.int64), out_px
 
 
-def _to_tensor_batch(
+def _tensor_batch(
     op: Op, meta: BatchMeta, lanes: Optional[LaneGenerators]
 ) -> BatchResult:
-    pixels = meta.height * meta.width
-    out = BatchMeta(
-        kind=PayloadKind.TENSOR_F32,
-        nbytes=meta.height * meta.width * meta.channels * 4,
-        height=meta.height,
-        width=meta.width,
-        channels=meta.channels,
-    )
-    return out, pixels, pixels
-
-
-def _normalize_batch(
-    op: Op, meta: BatchMeta, lanes: Optional[LaneGenerators]
-) -> BatchResult:
+    """ToTensor and Normalize: the image's shape as float32; every pixel
+    in and out."""
     pixels = meta.height * meta.width
     out = BatchMeta(
         kind=PayloadKind.TENSOR_F32,
@@ -183,8 +171,8 @@ BATCH_HANDLERS: Dict[Type[Op], Tuple[BatchHandler, bool]] = {
     Decode: (_decode_batch, False),
     RandomResizedCrop: (_crop_batch, True),
     RandomHorizontalFlip: (_flip_batch, True),
-    ToTensor: (_to_tensor_batch, False),
-    Normalize: (_normalize_batch, False),
+    ToTensor: (_tensor_batch, False),
+    Normalize: (_tensor_batch, False),
 }
 
 
