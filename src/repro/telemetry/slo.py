@@ -66,10 +66,8 @@ class Objective:
         if self.kind not in (LATENCY, RATE):
             raise ValueError(f"bad objective kind {self.kind!r}")
         checked("threshold", self.threshold, 0.0)
-        if self.kind == LATENCY and not 0.0 < self.quantile <= 1.0:
-            raise ValueError(
-                f"latency objective needs quantile in (0, 1], got {self.quantile}"
-            )
+        if self.kind == LATENCY and checked("quantile", self.quantile, 0.0, open_low=True) > 1:
+            raise ValueError(f"latency objective needs quantile <= 1, got {self.quantile}")
         if self.kind == RATE and not self.bad_outcomes:
             raise ValueError("rate objective needs at least one bad outcome")
 

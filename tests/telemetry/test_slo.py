@@ -58,6 +58,12 @@ class TestObjective:
         with pytest.raises(ValueError, match="threshold"):
             rate_objective("shed", ["shed"], threshold)
 
+    @pytest.mark.parametrize("quantile", [True, math.nan, "0.5", 1.5, -0.1])
+    def test_quantile_must_be_a_number_in_range(self, quantile):
+        # True used to pass `0 < quantile <= 1` and build a quantile=True objective.
+        with pytest.raises(ValueError, match="quantile"):
+            latency_objective("p", quantile, 1.0)
+
     def test_shorthands(self):
         lat = latency_objective("p99", 0.99, 2.0)
         assert (lat.kind, lat.quantile, lat.threshold) == (LATENCY, 0.99, 2.0)
