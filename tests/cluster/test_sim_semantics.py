@@ -639,7 +639,10 @@ class TestInlineWakes:
         log = []
         res.request("first", log.append)  # outside run(): pushed
         res.request("second", log.append)  # queued behind it
-        call_at(env, 1.0, lambda: res._release("first", tail))
+        if tail:
+            call_at(env, 1.0, lambda: res._release("first", tail=True))
+        else:
+            call_at(env, 1.0, lambda: res.release("first"))
         env.run()
         assert log == ["first", "second"] and res.holds("second")
         assert next(env._counter) == (2 if tail else 3)
