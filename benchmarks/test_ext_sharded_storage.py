@@ -12,12 +12,8 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.cluster.sharded import (
-    ShardedTrainerSim,
-    round_robin_placement,
-)
 from repro.cluster.spec import standard_cluster
-from repro.cluster.trainer import TrainerSim
+from repro.cluster.trainer import TrainerSim, round_robin_placement
 from repro.core.profiler import StageTwoProfiler
 from repro.data.trace import TraceDataset
 from repro.utils.tables import render_table
@@ -51,7 +47,7 @@ def test_ext_sharded_storage(benchmark, openimages, pipeline):
         records = StageTwoProfiler().profile(openimages, pipeline, seed=7)
         splits = [r.min_stage for r in records]
 
-        spread = ShardedTrainerSim(
+        spread = TrainerSim(
             openimages, pipeline, model, spec,
             placement=round_robin_placement(len(openimages), SHARDS),
             batch_size=256, seed=7,
@@ -60,7 +56,7 @@ def test_ext_sharded_storage(benchmark, openimages, pipeline):
         skewed_ds, skew_placement = skewed_dataset_and_placement(openimages)
         skew_records = StageTwoProfiler().profile(skewed_ds, pipeline, seed=7)
         skew_splits = [r.min_stage for r in skew_records]
-        skewed = ShardedTrainerSim(
+        skewed = TrainerSim(
             skewed_ds, pipeline, model, spec,
             placement=skew_placement, batch_size=256, seed=7,
         ).run_epoch(skew_splits, epoch=0)

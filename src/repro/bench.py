@@ -46,9 +46,8 @@ import tracemalloc
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.multijob import SharedJob, SharedLinkSim
-from repro.cluster.sharded import ShardedTrainerSim, round_robin_placement
 from repro.cluster.spec import standard_cluster
-from repro.cluster.trainer import EpochStats, TrainerSim
+from repro.cluster.trainer import EpochStats, TrainerSim, round_robin_placement
 from repro.core.decision import DecisionConfig, DecisionEngine
 from repro.core.plan import OffloadPlan
 from repro.core.policy import PolicyContext
@@ -138,7 +137,7 @@ def heap_pushes(trainer: TrainerSim, splits: Sequence[int], kernel: str) -> int:
     return next(env._counter)
 
 
-def _make_trainer(dataset: Dataset, seed: int) -> Tuple[TrainerSim, List[int]]:
+def _trainer_and_splits(dataset: Dataset, seed: int) -> Tuple[TrainerSim, List[int]]:
     """A trainer over ``dataset`` plus splits of every depth (``i % 6``),
     so the engine's prefix/suffix, chunking and offload branches all see
     traffic."""
@@ -169,7 +168,7 @@ def bench_scale(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     dataset = make_openimages(num_samples=num_samples, seed=seed)
-    trainer, splits = _make_trainer(dataset, seed)
+    trainer, splits = _trainer_and_splits(dataset, seed)
     engine = DecisionEngine(DecisionConfig())
     gpu_time_s = trainer.model.epoch_gpu_time_s(num_samples)
 
@@ -275,7 +274,7 @@ def aux_gates(num_samples: int = 240, seed: int = 7) -> Dict[str, bool]:
     spans/timeline pin the engine's instrumented runs; sharded and
     multijob pin it under per-shard pools and fair-queued shared links.
     """
-    trainer, splits = _make_trainer(
+    trainer, splits = _trainer_and_splits(
         make_openimages(num_samples=num_samples, seed=seed), seed
     )
 
@@ -289,13 +288,13 @@ def aux_gates(num_samples: int = 240, seed: int = 7) -> Dict[str, bool]:
     fast_tl = trainer.run_epoch(splits, epoch=1, record_timeline=True)
     timeline_ok = stats_fingerprint(ref_tl) == stats_fingerprint(fast_tl)
 
-    sharded = ShardedTrainerSim(
+    sharded = TrainerSim(
         trainer.dataset,
         trainer.pipeline,
         trainer.model,
         trainer.spec,
-        placement=round_robin_placement(num_samples, 4),
         seed=seed,
+        placement=round_robin_placement(num_samples, 4),
     )
     sharded_ok = stats_fingerprint(
         sharded.run_epoch(splits, epoch=0, kernel="reference")

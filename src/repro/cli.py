@@ -26,6 +26,7 @@ import time
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.cluster.spec import standard_cluster
+from repro.cluster.trainer import round_robin_placement
 from repro.core.efficiency import efficiency_distribution
 from repro.core.profiler import StageTwoProfiler
 from repro.data.catalog import make_imagenet, make_openimages
@@ -55,6 +56,11 @@ def _dataset(name: str, samples: Optional[int], seed: int):
     if name == "imagenet":
         return make_imagenet(num_samples=samples, seed=seed)
     raise SystemExit(f"unknown dataset {name!r}; pick openimages or imagenet")
+
+
+def _placement(num_samples: int, shards: Optional[int]) -> Optional[List[int]]:
+    """``--shards``' round-robin sample -> shard map (None: one storage node)."""
+    return None if shards is None else round_robin_placement(num_samples, shards)
 
 
 @contextlib.contextmanager
@@ -297,7 +303,6 @@ def cmd_ext_llm(args: argparse.Namespace) -> None:
 
 def cmd_audit(args: argparse.Namespace) -> None:
     """Explain one sample end-to-end: decision record + simulated spans."""
-    from repro.cluster.sharded import ShardedTrainerSim, round_robin_placement
     from repro.cluster.trainer import TrainerSim
     from repro.core.decision import DecisionConfig, DecisionEngine
     from repro.core.policy import PolicyContext
@@ -322,17 +327,10 @@ def cmd_audit(args: argparse.Namespace) -> None:
     print(f"[{dataset.name}] {plan.reason}\n")
     print(audit.explain(args.sample_id))
 
-    trainer: TrainerSim
-    if args.shards is not None:
-        trainer = ShardedTrainerSim(
-            dataset, context.pipeline, model, spec,
-            placement=round_robin_placement(len(dataset), args.shards),
-            num_shards=args.shards, seed=args.seed,
-        )
-    else:
-        trainer = TrainerSim(
-            dataset, context.pipeline, model, spec, seed=args.seed
-        )
+    trainer = TrainerSim(
+        dataset, context.pipeline, model, spec, seed=args.seed,
+        placement=_placement(len(dataset), args.shards), num_shards=args.shards,
+    )
     stats = trainer.run_epoch(list(plan.splits), epoch=args.epoch, record_spans=True)
     events = stats.spans.for_sample(args.sample_id, args.epoch) if stats.spans else []
     print(f"\nsimulated spans for sample {args.sample_id} "
@@ -541,24 +539,18 @@ def cmd_slo(args: argparse.Namespace) -> None:
 
 def cmd_adaptive(args: argparse.Namespace) -> None:
     """Multi-epoch adaptive run, optionally sharded, with combined telemetry."""
-    from repro.cluster.sharded import round_robin_placement
     from repro.harness.adaptive import AdaptiveTrainingRun
 
     dataset = _dataset(args.dataset, args.samples, args.seed)
     spec = standard_cluster(storage_cores=args.storage_cores)
     telemetry = args.telemetry_dir is not None
-    placement = (
-        round_robin_placement(len(dataset), args.shards)
-        if args.shards is not None
-        else None
-    )
     with _scoped_registry(args) as registry:
         run = AdaptiveTrainingRun(
             dataset,
             spec,
             batch_size=args.batch_size,
             seed=args.seed,
-            placement=placement,
+            placement=_placement(len(dataset), args.shards),
             num_shards=args.shards,
             job_name=args.job_name,
         )

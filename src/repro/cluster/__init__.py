@@ -11,7 +11,9 @@ Contents:
   metrics (T_G, T_CC, T_CS, T_Net); used by decision logic.
 - :class:`TrainerSim` -- the event-driven trainer that actually runs an
   epoch: fetch -> offloaded prefix on storage CPUs -> bandwidth-capped link
-  -> local suffix on compute CPUs -> GPU, with bounded prefetching.
+  -> local suffix on compute CPUs -> GPU, with bounded prefetching.  Given
+  a sample -> shard ``placement``, the storage side is a sharded cluster
+  with one CPU pool per shard.
 """
 
 from repro.cluster.spec import ClusterSpec, standard_cluster

@@ -38,7 +38,7 @@ wait on a ``grant``            ``resource.request(cursor, handler)``; the
 same-instant wake as a         ``Environment._tail_call``: inline if no
 handler's last action          entry is due at ``now``, else pushed
 last chunk's link hand-over    response pushed first, then
-                               ``Resource._release(..., tail=True)``
+                               ``Resource.release(..., tail=True)``
                                (when the response is due later than
                                ``now``)
 process end event              batch countdown (``_BatchRun.child_end``)
@@ -292,7 +292,7 @@ class _SampleRun:
             # The response and the hand-over are due at different
             # instants, so their push order is free: hand over last.
             heappush(job.heap, (at, next(job.counter), _SampleRun.responded, self))
-            link._release(self, tail=True)
+            link.release(self, True)
         else:
             link.release(self)
             heappush(job.heap, (at, next(job.counter), _SampleRun.responded, self))

@@ -191,14 +191,13 @@ class Resource:
             raise SimulationError("cannot cancel a granted request; release it")
         _drop(self._waiting, holder)
 
-    def release(self, holder: Hashable) -> None:
-        """Return ``holder``'s slot; the next waiter, if any, is granted it."""
-        self._release(holder, False)
+    def release(self, holder: Hashable, tail: bool = False) -> None:
+        """Return ``holder``'s slot; the next waiter, if any, is granted it.
 
-    def _release(self, holder: Hashable, tail: bool) -> None:
-        """``release``'s body.  ``tail``: the release is the caller's very
-        last action, so a waiter handed the slot wakes through
-        :meth:`Environment._tail_call` instead of a pushed entry."""
+        tail: the release is the caller's very last action, so a waiter
+            handed the slot wakes through :meth:`Environment._tail_call`
+            instead of a pushed entry.
+        """
         grant_times = self._grant_times
         granted_at = grant_times.pop(holder, None)
         if granted_at is None:
@@ -265,8 +264,8 @@ class FairResource(Resource):
                     del self._flow_queues[key]
                 return
 
-    def _release(self, holder: Hashable, tail: bool) -> None:
-        super()._release(holder, False)  # the FIFO queue stays empty: frees the slot
+    def release(self, holder: Hashable, tail: bool = False) -> None:
+        super().release(holder)  # the FIFO queue stays empty: frees the slot
         if self._flow_queues:
             # Serve the flow at the front of the rotation, then move it to
             # the back (dropping it if its queue drained).

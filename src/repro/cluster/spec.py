@@ -21,8 +21,8 @@ class ClusterSpec:
         extension.
     prefetch_batches: how many batches the input pipeline works ahead of
         the GPU.
-    request_overhead_bytes / response_overhead_bytes: protocol framing per
-        fetch, counted as traffic.
+    response_overhead_bytes: protocol framing per fetch, counted as
+        traffic.
     link_chunk_bytes: transfer interleaving granularity.  Transmissions
         hold the link one chunk at a time, so concurrent flows share the
         bandwidth round-robin (TCP-fair-ish) instead of serializing whole
@@ -40,7 +40,6 @@ class ClusterSpec:
     compute_cpu_factor: float = 1.0
     storage_cpu_factor: float = 1.0
     prefetch_batches: int = 8
-    request_overhead_bytes: int = 64
     response_overhead_bytes: int = 32
     link_chunk_bytes: int = 262_144
 
@@ -49,7 +48,6 @@ class ClusterSpec:
             ("compute_cores", 1),
             ("storage_cores", 0),
             ("prefetch_batches", 1),
-            ("request_overhead_bytes", 0),
             ("response_overhead_bytes", 0),
             ("link_chunk_bytes", 4096),
         )

@@ -23,9 +23,10 @@ path.
 Every epoch runs on the cursor engine (:mod:`repro.cluster.engine`);
 ``kernel="reference"`` replays the frozen seed kernel and launcher
 (:mod:`repro.cluster.refsim`) instead, as the byte-identity oracle.
-Single-node, sharded and shared-link runs all register their epochs
-through :meth:`TrainerSim._launch`; they differ only in the
-:class:`JobHandles` resource set they hand it.
+A sharded storage cluster is a ``placement`` the one :class:`TrainerSim`
+takes, not another simulator.  Single-node, sharded and shared-link runs
+all register their epochs through :meth:`TrainerSim._launch`; they differ
+only in the :class:`JobHandles` resource set they hand it.
 """
 
 import dataclasses
@@ -46,7 +47,6 @@ from repro.cluster.epoch_model import EpochMetrics
 from repro.cluster.sim import Environment, Resource
 from repro.cluster.spec import ClusterSpec
 from repro.data.dataset import Dataset
-from repro.data.sampler import BatchSampler, Sampler, SequentialSampler
 from repro.faults.schedule import FaultReport, FaultSchedule
 from repro.metrics.timeline import Timeline
 from repro.preprocessing.pipeline import Pipeline
@@ -203,6 +203,9 @@ class EpochStats:
     #: Per-sample span tracer (virtual timestamps), populated when
     #: run_epoch(record_spans=True).
     spans: Optional[Tracer] = None
+    #: Busy fraction of each shard's storage CPU pool, in shard order, on
+    #: a sharded storage cluster; empty on a single node.
+    shard_utilization: List[float] = dataclasses.field(default_factory=list)
 
     def __str__(self) -> str:
         return (
@@ -220,8 +223,9 @@ class JobHandles:
     link and the storage pool are shared across jobs -- see
     :mod:`repro.cluster.multijob`.  ``storage_pools`` holds one pool on a
     single node or a shared link, one per shard on a sharded storage
-    cluster (:mod:`repro.cluster.sharded`), where ``shard_of`` picks the
-    pool of the shard holding each sample, and none without storage cores.
+    cluster (a :class:`TrainerSim` ``placement``), where ``shard_of`` picks
+    the pool of the shard holding each sample, and none without storage
+    cores.
     """
 
     compute_cpu: Resource
@@ -262,8 +266,39 @@ class JobHandles:
         return attrs
 
 
+def round_robin_placement(num_samples: int, num_shards: int) -> List[int]:
+    """sample_id -> shard, spreading consecutive ids across shards."""
+    return [i % num_shards for i in range(num_samples)]
+
+
 class TrainerSim:
-    """Simulate training epochs for a (dataset, pipeline, model) workload."""
+    """Simulate training epochs for a (dataset, pipeline, model) workload.
+
+    Batches take the samples in id order.  The storage side is one node,
+    or, given a ``placement``, a sharded storage cluster: the paper's
+    "remote storage clusters such as distributed file systems or object
+    stores" -- many nodes, each holding a shard of the dataset and
+    contributing CPU for near-storage preprocessing, all draining through
+    the one inter-cluster link.  Each shard gets its own pool of
+    ``spec.storage_cores`` cores (aggregate storage CPU is ``num_shards *
+    storage_cores``), a sample's offloaded prefix runs on the pool of the
+    shard holding it (the data is there), its spans gain a ``shard``
+    label, and the stats report each shard's busy fraction
+    (``EpochStats.shard_utilization``).
+
+    The interesting failure mode is placement skew: if the offload-heavy
+    samples cluster on one shard, that node becomes the bottleneck while
+    the others idle -- aggregate cores stop being the right capacity
+    measure.
+
+    placement: sample id -> shard id, one integer >= 0 per sample (e.g.
+        :func:`round_robin_placement`); None (default) is a single node.
+    num_shards: explicit shard count (needs a ``placement``); defaults to
+        ``max(placement) + 1``.  Pass it when trailing shards may receive
+        no samples (e.g. a contiguous placement of 4 samples over 8
+        shards), so the idle shards still show up in
+        ``shard_utilization`` instead of silently vanishing.
+    """
 
     def __init__(
         self,
@@ -272,9 +307,11 @@ class TrainerSim:
         model: ModelProfile,
         spec: ClusterSpec,
         batch_size: Optional[int] = None,
-        sampler: Optional[Sampler] = None,
         seed: int = 0,
         job_label: Optional[str] = None,
+        *,
+        placement: Optional[Sequence[int]] = None,
+        num_shards: Optional[int] = None,
     ) -> None:
         self.dataset = dataset
         self.pipeline = pipeline
@@ -283,10 +320,37 @@ class TrainerSim:
         self.batch_size = batch_size if batch_size is not None else model.batch_size
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        self.sampler = sampler if sampler is not None else SequentialSampler(len(dataset))
         self.seed = seed
         #: Tenant name stamped onto spans as a ``job`` label (None = no label).
         self.job_label = job_label
+        #: Shard of each sample and the shard count (both None: single node).
+        self.placement: Optional[List[int]] = None
+        self.num_shards: Optional[int] = None
+        if placement is None:
+            if num_shards is not None:
+                raise ValueError("num_shards needs a placement")
+            return
+        if len(placement) != len(dataset):
+            raise ValueError(
+                f"placement covers {len(placement)} samples, dataset has {len(dataset)}"
+            )
+        shards: List[int] = []
+        for shard in placement:
+            if isinstance(shard, bool) or not isinstance(shard, numbers.Integral) or shard < 0:
+                raise ValueError(f"shard ids must be integers >= 0, got {shard!r}")
+            shards.append(int(shard))
+        inferred = (max(shards) + 1) if shards else 1
+        if num_shards is None:
+            num_shards = inferred
+        else:
+            num_shards = int(checked("num_shards", num_shards, 1, integral=True))
+            if inferred > num_shards:
+                raise ValueError(
+                    f"placement references shard {inferred - 1} but num_shards is "
+                    f"{num_shards}"
+                )
+        self.placement = shards
+        self.num_shards = num_shards
 
     # -- work precomputation ------------------------------------------------
 
@@ -422,10 +486,18 @@ class TrainerSim:
         """The private resource set one epoch runs against.
 
         ``kernel`` supplies the Resource classes so reference-kernel runs
-        build refsim resources against a refsim environment.
+        build refsim resources against a refsim environment.  No storage
+        cores means no storage pools at all, on any number of shards: a
+        split > 0 plan is rejected by the work builder instead of silently
+        granting a phantom core.
         """
         spec = self.spec
-        pools, shard_of = self._storage_pools(env, kernel)
+        names: List[str] = []
+        if spec.can_offload:
+            shards = self.num_shards
+            names = ["storage-cpu"] if shards is None else [f"shard-{s}-cpu" for s in range(shards)]
+        pools = [kernel.Resource(env, spec.storage_cores, name) for name in names]
+        shard_of = None if self.placement is None else self.placement.__getitem__
         return JobHandles(
             compute_cpu=kernel.Resource(env, spec.compute_cores, "compute-cpu"),
             link=kernel.Resource(env, 1, "link"),
@@ -435,21 +507,6 @@ class TrainerSim:
             shard_of=shard_of,
             job_label=self.job_label,
         )
-
-    def _storage_pools(
-        self, env: Environment, kernel: ModuleType
-    ) -> Tuple[List[Resource], Optional[Callable[[int], int]]]:
-        """The storage CPU pools and the sample -> pool map (overridden by
-        sharded clusters: one pool per shard).  No storage cores, no pools."""
-        if not self.spec.can_offload:
-            return [], None
-        return [kernel.Resource(env, self.spec.storage_cores, "storage-cpu")], None
-
-    def _wrap_stats(
-        self, stats: EpochStats, handles: JobHandles, horizon: float
-    ) -> EpochStats:
-        """Subclass hook: decorate the epoch stats (e.g. per-shard columns)."""
-        return stats
 
     def run_epoch(
         self,
@@ -524,6 +581,11 @@ class TrainerSim:
             storage_cpu_s=sum([p for s, p in zip(split, columns.prefix_cpu_s) if s > 0]),
             traffic_bytes=sum([wire + overhead for wire in columns.wire_bytes]),
         )
+        shard_utilization: List[float] = []
+        if self.num_shards is not None:
+            shard_utilization = [
+                pool.utilization(horizon) for pool in handles.storage_pools
+            ] or [0.0] * self.num_shards
         stats = EpochStats(
             epoch_time_s=horizon,
             traffic_bytes=traffic["bytes"],
@@ -538,8 +600,9 @@ class TrainerSim:
             timeline=timeline,
             faults=fault_report,
             spans=tracer,
+            shard_utilization=shard_utilization,
         )
-        return self._wrap_stats(stats, handles, horizon), env
+        return stats, env
 
     def _launch(
         self,
@@ -560,7 +623,7 @@ class TrainerSim:
         Checks ``splits`` against the dataset, builds the epoch work with
         ``kernel``'s builder (on the fast kernel, the split-0 demotion
         fallback comes from the same ``simulate_batch`` call), batches the
-        sampler's order and calls ``kernel``'s launcher.  Returns the work
+        samples in id order and calls ``kernel``'s launcher.  Returns the work
         columns, the batches and the job's live traffic counter.
         """
         if splits is not None and len(splits) != len(self.dataset):
@@ -582,7 +645,8 @@ class TrainerSim:
             work = columns = self._fold_work(stages, splits, adjustments)
             if faults is not None:
                 fallback_work = self._fold_work(stages, None).__getitem__
-        batches = list(BatchSampler(self.sampler, self.batch_size).epoch_batches(epoch))
+        n, size = len(self.dataset), self.batch_size
+        batches = [list(range(start, min(start + size, n))) for start in range(0, n, size)]
         traffic = launch(
             env, self.spec, work, batches, self.model, handles,
             timeline=timeline, faults=faults, fault_report=fault_report,

@@ -20,7 +20,6 @@ reacts at the cost of a cheap analytic pass, with no re-profiling.
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.sharded import ShardedTrainerSim
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.trainer import EpochStats, TrainerSim
 from repro.core.degraded import OutageReport
@@ -92,10 +91,10 @@ class AdaptiveTrainingRun:
     adaptive: when False, the epoch-1 plan is kept (clamped if offloading
         becomes impossible) -- the static strawman the adaptive run is
         compared against.
-    placement: optional sample -> shard map; when given, epochs run on a
-        :class:`~repro.cluster.sharded.ShardedTrainerSim` (per-shard span
-        labels and all) through the exact same ``run_epoch`` calls as the
-        single-node path.
+    placement / num_shards: optional sample -> shard map and shard
+        count, handed to every epoch's :class:`TrainerSim`; with a
+        placement the epochs run on a sharded storage cluster (per-shard
+        span labels and all).
     job_name: tenant label stamped onto every span (the combined chrome
         trace's per-tenant row).
     """
@@ -169,34 +168,6 @@ class AdaptiveTrainingRun:
         context.spec = spec
         return self.policy.plan(context).clamped_for(spec)
 
-    def _make_trainer(self, spec: ClusterSpec, batch_size: Optional[int]) -> TrainerSim:
-        """The per-epoch sim: sharded when a placement was given.
-
-        Both shapes go through the identical ``run_epoch`` calls -- the
-        base-class signature is the contract.
-        """
-        if self.placement is not None:
-            return ShardedTrainerSim(
-                dataset=self.dataset,
-                pipeline=self.pipeline,
-                model=self.model,
-                spec=spec,
-                placement=self.placement,
-                batch_size=batch_size,
-                num_shards=self.num_shards,
-                seed=self.seed,
-                job_label=self.job_name,
-            )
-        return TrainerSim(
-            dataset=self.dataset,
-            pipeline=self.pipeline,
-            model=self.model,
-            spec=spec,
-            batch_size=batch_size,
-            seed=self.seed,
-            job_label=self.job_name,
-        )
-
     def run(
         self,
         epochs: int,
@@ -247,7 +218,17 @@ class AdaptiveTrainingRun:
             else:
                 epoch_plan = plan.clamped_for(current_spec)
 
-            trainer = self._make_trainer(current_spec, context.effective_batch_size)
+            trainer = TrainerSim(
+                dataset=self.dataset,
+                pipeline=self.pipeline,
+                model=self.model,
+                spec=current_spec,
+                batch_size=context.effective_batch_size,
+                seed=self.seed,
+                job_label=self.job_name,
+                placement=self.placement,
+                num_shards=self.num_shards,
+            )
             stats = trainer.run_epoch(
                 list(epoch_plan.splits),
                 epoch=epoch,

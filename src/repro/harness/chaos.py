@@ -17,9 +17,8 @@ import contextlib
 import dataclasses
 from typing import List, Optional
 
-from repro.cluster.sharded import ShardedTrainerSim, round_robin_placement
 from repro.cluster.spec import ClusterSpec, standard_cluster
-from repro.cluster.trainer import EpochStats, TrainerSim
+from repro.cluster.trainer import EpochStats, TrainerSim, round_robin_placement
 from repro.core.decision import DecisionConfig, DecisionEngine
 from repro.core.policy import PolicyContext
 from repro.data.catalog import make_openimages
@@ -197,10 +196,10 @@ def run_chaos(
     The same plan and epoch index are used for every run, so any delta vs
     the baseline is attributable to the injected faults alone.
 
-    With ``shards=N`` the epochs run on a
-    :class:`~repro.cluster.sharded.ShardedTrainerSim` (round-robin
-    placement, ``spec.storage_cores`` per shard) through the very same
-    ``run_epoch`` calls -- faults, spans and timelines included.
+    With ``shards=N`` the epochs run on a sharded storage cluster
+    (a round-robin ``placement``, ``spec.storage_cores`` per shard)
+    through the very same ``run_epoch`` calls -- faults, spans and
+    timelines included.
 
     With ``telemetry=True`` the run becomes fully observable: planning
     writes a decision audit log, every epoch records per-sample spans and
@@ -232,27 +231,18 @@ def run_chaos(
         plan = DecisionEngine(DecisionConfig()).plan(
             context.records(), spec, gpu_time_s=context.epoch_gpu_time_s, audit=audit
         )
-        trainer: TrainerSim
-        if shards is not None:
-            trainer = ShardedTrainerSim(
-                dataset=dataset,
-                pipeline=pipeline,
-                model=model,
-                spec=spec,
-                placement=round_robin_placement(len(dataset), shards),
-                batch_size=batch_size,
-                num_shards=shards,
-                seed=seed,
-            )
-        else:
-            trainer = TrainerSim(
-                dataset=dataset,
-                pipeline=pipeline,
-                model=model,
-                spec=spec,
-                batch_size=batch_size,
-                seed=seed,
-            )
+        trainer = TrainerSim(
+            dataset=dataset,
+            pipeline=pipeline,
+            model=model,
+            spec=spec,
+            batch_size=batch_size,
+            seed=seed,
+            placement=(
+                None if shards is None else round_robin_placement(len(dataset), shards)
+            ),
+            num_shards=shards,
+        )
         baseline = trainer.run_epoch(
             list(plan.splits), epoch=_EPOCH,
             record_spans=telemetry, record_timeline=telemetry,

@@ -14,9 +14,8 @@ import gc
 import pytest
 
 from repro.cluster.multijob import SharedJob, SharedLinkSim
-from repro.cluster.sharded import ShardedTrainerSim, round_robin_placement
 from repro.cluster.spec import standard_cluster
-from repro.cluster.trainer import TrainerSim
+from repro.cluster.trainer import TrainerSim, round_robin_placement
 from repro.data.catalog import make_openimages
 from repro.faults import FaultSchedule
 from repro.preprocessing.pipeline import standard_pipeline
@@ -70,9 +69,9 @@ def test_faulted_traced_epoch_with_timeline(trainer):
 
 
 def test_sharded_epoch(trainer):
-    sim = ShardedTrainerSim(
-        trainer.dataset, PIPELINE, MODEL, SPEC,
-        placement=round_robin_placement(NUM_SAMPLES, 4), batch_size=16, seed=2,
+    sim = TrainerSim(
+        trainer.dataset, PIPELINE, MODEL, SPEC, batch_size=16, seed=2,
+        placement=round_robin_placement(NUM_SAMPLES, 4),
     )
     assert garbage_after(lambda: sim.run_epoch(SPLITS, epoch=0, record_spans=True)) == 0
 

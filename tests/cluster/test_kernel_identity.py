@@ -20,9 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.multijob import SharedJob, SharedLinkSim
-from repro.cluster.sharded import ShardedTrainerSim, round_robin_placement
 from repro.cluster.spec import ClusterSpec, standard_cluster
-from repro.cluster.trainer import TrainerSim, WorkAdjustment
+from repro.cluster.trainer import TrainerSim, WorkAdjustment, round_robin_placement
 from repro.data.catalog import make_imagenet, make_openimages
 from repro.faults import FaultSchedule
 from repro.preprocessing.pipeline import standard_pipeline
@@ -232,14 +231,14 @@ class TestShardedIdentity:
     def test_fault_free(self, world):
         _, _, spec, dataset = world
         splits = [i % 6 for i in range(len(dataset))]
-        sim = ShardedTrainerSim(
+        sim = TrainerSim(
             dataset,
             PIPELINE,
             MODEL,
             spec,
-            placement=round_robin_placement(len(dataset), 4),
             batch_size=16,
             seed=2,
+            placement=round_robin_placement(len(dataset), 4),
         )
         ref = sim.run_epoch(splits, epoch=0, kernel="reference")
         fast = sim.run_epoch(splits, epoch=0, kernel="fast")
@@ -440,15 +439,11 @@ def epoch_cases(draw, coincident_crashes: bool = False):
 
 
 def make_sim(case) -> TrainerSim:
-    if case["placement"] is not None:
-        return ShardedTrainerSim(
-            case["dataset"], PIPELINE, MODEL, case["spec"],
-            placement=case["placement"], batch_size=case["batch_size"],
-            seed=3, job_label="gen",
-        )
+    sharded = case["placement"] is not None
     return TrainerSim(
         case["dataset"], PIPELINE, MODEL, case["spec"],
         batch_size=case["batch_size"], seed=3,
+        job_label="gen" if sharded else None, placement=case["placement"],
     )
 
 

@@ -1,10 +1,13 @@
-"""Sharded storage cluster tests."""
+"""Sharded storage cluster tests: ``TrainerSim`` given a placement."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
-from repro.cluster.sharded import ShardedTrainerSim, round_robin_placement
 from repro.cluster.spec import standard_cluster
-from repro.cluster.trainer import TrainerSim
+from repro.cluster.trainer import EpochStats, TrainerSim, round_robin_placement
 from repro.core.profiler import StageTwoProfiler
 from repro.workloads.models import get_model_profile
 
@@ -15,11 +18,11 @@ def splits(openimages_small, pipeline):
     return [r.min_stage for r in records]
 
 
-def make_sim(dataset, pipeline, placement, cores_per_shard=1):
-    return ShardedTrainerSim(
+def make_sim(dataset, pipeline, placement, cores_per_shard=1, **kwargs):
+    return TrainerSim(
         dataset, pipeline, get_model_profile("alexnet"),
         standard_cluster(storage_cores=cores_per_shard),
-        placement=placement, batch_size=64,
+        placement=placement, batch_size=64, **kwargs,
     )
 
 
@@ -32,17 +35,21 @@ class TestPlacements:
 
 class TestShardedSim:
     def test_single_shard_matches_plain_trainer(self, openimages_small, pipeline, splits):
+        # Both runs take the same code path, so every field is exactly equal.
         spec = standard_cluster(storage_cores=4)
-        sharded = ShardedTrainerSim(
+        sharded = TrainerSim(
             openimages_small, pipeline, get_model_profile("alexnet"), spec,
-            placement=[0] * len(openimages_small), batch_size=64,
+            batch_size=64, placement=[0] * len(openimages_small),
         ).run_epoch(splits, epoch=0)
         plain = TrainerSim(
             openimages_small, pipeline, get_model_profile("alexnet"), spec,
             batch_size=64,
         ).run_epoch(splits, epoch=0)
-        assert sharded.epoch_time_s == pytest.approx(plain.epoch_time_s, rel=1e-9)
-        assert sharded.traffic_bytes == plain.traffic_bytes
+        for field in dataclasses.fields(EpochStats):
+            if field.name != "shard_utilization":
+                assert getattr(sharded, field.name) == getattr(plain, field.name), field.name
+        assert sharded.shard_utilization == [plain.storage_cpu_utilization]
+        assert plain.shard_utilization == []
 
     def test_traffic_independent_of_placement(self, openimages_small, pipeline, splits):
         rr = make_sim(
@@ -75,10 +82,8 @@ class TestExplicitNumShards:
     def test_empty_shards_still_reported(self, openimages_small, pipeline, splits):
         """num_shards=8 with samples on 4 shards: 8 utilization entries."""
         placement = round_robin_placement(len(openimages_small), 4)
-        result = ShardedTrainerSim(
-            openimages_small, pipeline, get_model_profile("alexnet"),
-            standard_cluster(storage_cores=1),
-            placement=placement, batch_size=64, num_shards=8,
+        result = make_sim(
+            openimages_small, pipeline, placement, num_shards=8
         ).run_epoch(splits, epoch=0)
         assert len(result.shard_utilization) == 8
         assert all(u == 0.0 for u in result.shard_utilization[4:])
@@ -92,21 +97,50 @@ class TestExplicitNumShards:
 
     def test_num_shards_below_placement_rejected(self, openimages_small, pipeline):
         with pytest.raises(ValueError):
-            ShardedTrainerSim(
-                openimages_small, pipeline, get_model_profile("alexnet"),
-                standard_cluster(storage_cores=1),
-                placement=round_robin_placement(len(openimages_small), 4),
-                batch_size=64, num_shards=2,
+            make_sim(
+                openimages_small, pipeline,
+                round_robin_placement(len(openimages_small), 4), num_shards=2,
             )
 
     def test_nonpositive_num_shards_rejected(self, openimages_small, pipeline):
         with pytest.raises(ValueError):
-            ShardedTrainerSim(
-                openimages_small, pipeline, get_model_profile("alexnet"),
-                standard_cluster(storage_cores=1),
-                placement=[0] * len(openimages_small),
-                batch_size=64, num_shards=0,
+            make_sim(openimages_small, pipeline, [0] * len(openimages_small), num_shards=0)
+
+    @pytest.mark.parametrize("num_shards", [2.5, 2.0, True, math.nan])
+    def test_non_integer_num_shards_rejected(self, openimages_small, pipeline, num_shards):
+        # 2.5 used to raise TypeError and True ran as one shard.
+        with pytest.raises(ValueError, match="num_shards"):
+            make_sim(
+                openimages_small, pipeline, [0] * len(openimages_small),
+                num_shards=num_shards,
             )
+
+    def test_num_shards_without_placement_rejected(self, openimages_small, pipeline):
+        with pytest.raises(ValueError, match="num_shards needs a placement"):
+            TrainerSim(
+                openimages_small, pipeline, get_model_profile("alexnet"),
+                standard_cluster(storage_cores=1), num_shards=2,
+            )
+
+
+class TestPlacementEntries:
+    @pytest.mark.parametrize("shard", [0.0, math.nan, True, False, "0", None])
+    def test_non_integer_shard_rejected_at_construction(
+        self, openimages_small, pipeline, shard
+    ):
+        # Floats and NaN used to build fine and fail in run_epoch with a
+        # TypeError; bools were taken as shards 0 and 1.
+        placement = [0] * len(openimages_small)
+        placement[-1] = shard
+        with pytest.raises(ValueError, match="shard ids must be integers"):
+            make_sim(openimages_small, pipeline, placement)
+
+    def test_numpy_integers_become_ints(self, openimages_small, pipeline):
+        # Span shard labels come from the placement; they must stay JSON ints.
+        placement = round_robin_placement(len(openimages_small), 3)
+        sim = make_sim(openimages_small, pipeline, np.array(placement, dtype=np.int64))
+        assert sim.placement == placement
+        assert {type(shard) for shard in sim.placement} == {int}
 
 
 class TestOffloadValidation:

@@ -639,10 +639,7 @@ class TestInlineWakes:
         log = []
         res.request("first", log.append)  # outside run(): pushed
         res.request("second", log.append)  # queued behind it
-        if tail:
-            call_at(env, 1.0, lambda: res._release("first", tail=True))
-        else:
-            call_at(env, 1.0, lambda: res.release("first"))
+        call_at(env, 1.0, lambda: res.release("first", tail=tail))
         env.run()
         assert log == ["first", "second"] and res.holds("second")
         assert next(env._counter) == (2 if tail else 3)

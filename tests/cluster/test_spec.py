@@ -17,7 +17,6 @@ COUNT_FIELDS = (
     "compute_cores",
     "storage_cores",
     "prefetch_batches",
-    "request_overhead_bytes",
     "response_overhead_bytes",
     "link_chunk_bytes",
 )

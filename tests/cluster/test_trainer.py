@@ -4,9 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro.cluster.sharded import ShardedTrainerSim, round_robin_placement
 from repro.cluster.spec import standard_cluster
-from repro.cluster.trainer import KERNEL_CHOICES, TrainerSim, WorkAdjustment
+from repro.cluster.trainer import (
+    KERNEL_CHOICES, TrainerSim, WorkAdjustment, round_robin_placement,
+)
 from repro.faults import FaultSchedule
 from repro.parallel import vectorized
 from repro.preprocessing.pipeline import Pipeline
@@ -71,13 +72,10 @@ class TestDemotionFallback:
         # Demoted samples fall back to split-0 work folded from the epoch's
         # one simulate_batch call, never to the scalar Pipeline.simulate.
         spec = standard_cluster(storage_cores=8)
-        if sharded:
-            placement = round_robin_placement(len(openimages_small), 3)
-            trainer = ShardedTrainerSim(
-                openimages_small, pipeline, alexnet, spec, placement, batch_size=64
-            )
-        else:
-            trainer = TrainerSim(openimages_small, pipeline, alexnet, spec, batch_size=64)
+        placement = round_robin_placement(len(openimages_small), 3) if sharded else None
+        trainer = TrainerSim(
+            openimages_small, pipeline, alexnet, spec, batch_size=64, placement=placement
+        )
         splits = [i % 6 for i in range(len(openimages_small))]
         base = trainer.run_epoch(splits, epoch=1)
         faults = FaultSchedule().with_crash(

@@ -94,7 +94,7 @@ class TestShardedAdaptive:
     """The uniform run_epoch contract: sharded epochs through the same calls."""
 
     def make_run(self, openimages_small, **kwargs):
-        from repro.cluster.sharded import round_robin_placement
+        from repro.cluster.trainer import round_robin_placement
 
         return AdaptiveTrainingRun(
             openimages_small,
