@@ -26,7 +26,7 @@ import time
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.cluster.spec import standard_cluster
-from repro.cluster.trainer import round_robin_placement
+from repro.cluster.trainer import round_robin_placement, shard_count
 from repro.core.efficiency import efficiency_distribution
 from repro.core.profiler import StageTwoProfiler
 from repro.data.catalog import make_imagenet, make_openimages
@@ -734,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--storage-cores", type=int, default=48)
     p.add_argument("--epoch", type=int, default=1,
                    help="epoch to simulate for the span log (default 1)")
-    p.add_argument("--shards", type=int, default=None,
+    p.add_argument("--shards", type=shard_count, default=None,
                    help="simulate on a sharded storage tier with this many "
                    "shards (round-robin placement; spans gain shard labels)")
     p.set_defaults(func=cmd_audit)
@@ -747,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="epochs to simulate (>= 2; epoch 0 profiles)")
     p.add_argument("--storage-cores", type=int, default=48)
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--shards", type=int, default=None,
+    p.add_argument("--shards", type=shard_count, default=None,
                    help="shard the storage tier (round-robin placement)")
     p.add_argument("--job-name", default=None,
                    help="tenant label stamped onto every span")

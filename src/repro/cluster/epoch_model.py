@@ -16,6 +16,9 @@ queueing and pipeline fill).
 
 import dataclasses
 import enum
+from typing import Iterator, Optional, Tuple
+
+import numpy as np
 
 from repro.cluster.spec import ClusterSpec
 
@@ -124,12 +127,17 @@ class EpochBudget:
     estimate and ``network_bound``.  A planner walks its own candidate
     order, stops once ``network_bound`` is False, and hands each
     candidate's deltas to :meth:`offer`, which computes the T terms
-    exactly as :meth:`EpochModel.estimate` does.
+    exactly as :meth:`EpochModel.estimate` does.  A planner whose order is
+    fixed before the loop first hands the whole order to
+    :meth:`offer_run`, which accepts the run up to the first candidate
+    that needs a decision in one numpy step, and goes on from there with
+    :meth:`offer`.
     """
 
     __slots__ = (
         "t_g", "compute_cpu_s", "storage_cpu_s", "traffic_bytes", "epoch_time_s",
         "network_bound", "never_worsen", "epsilon_s", "refused_s", "_model", "_scales",
+        "_trail",
     )
 
     def __init__(
@@ -141,9 +149,10 @@ class EpochBudget:
     ) -> None:
         self._model = EpochModel(spec)
         self.t_g = metrics.gpu_time_s
-        self.compute_cpu_s = metrics.compute_cpu_s
-        self.storage_cpu_s = metrics.storage_cpu_s
-        self.traffic_bytes = metrics.traffic_bytes
+        # Float totals, so int inputs add up as float64 folds do.
+        self.compute_cpu_s = float(metrics.compute_cpu_s)
+        self.storage_cpu_s = float(metrics.storage_cpu_s)
+        self.traffic_bytes = float(metrics.traffic_bytes)
         estimate = self.estimate()
         self.epoch_time_s, self.network_bound = estimate.epoch_time_s, estimate.network_bound
         self.never_worsen, self.epsilon_s = never_worsen, epsilon_s
@@ -153,6 +162,7 @@ class EpochBudget:
             spec.compute_cpu_factor, spec.compute_cores,
             spec.storage_cpu_factor, spec.storage_cores, spec.bandwidth_bytes_per_s,
         )
+        self._trail: Optional[Tuple[np.ndarray, ...]] = None
 
     def estimate(self) -> EpochEstimate:
         return self._model.estimate(
@@ -187,3 +197,83 @@ class EpochBudget:
         self.compute_cpu_s, self.storage_cpu_s, self.traffic_bytes = compute, storage, traffic
         self.epoch_time_s, self.network_bound = post_s, t_net >= max(t_g, t_cc, t_cs)
         return True
+
+    def offer_run(self, d_compute: np.ndarray, d_storage: np.ndarray, d_traffic: np.ndarray) -> int:
+        """Offer candidates in order, as :meth:`offer` would one at a time,
+        and accept the longest run that needs no decision; return its length.
+
+        The run ends just before the first candidate that :meth:`offer`
+        would refuse, clamp or raise on, or that a planner would not offer
+        because ``network_bound`` is already False; the caller goes on from
+        there with :meth:`offer`.  The totals are ``np.cumsum`` folds from
+        the current ones, and a fold adds left to right as the scalar loop
+        does, so every total, T term and estimate is bit for bit the one
+        :meth:`offer` computes.  :meth:`trail` reads the run back.
+        """
+        count = len(d_compute)
+        if not count:
+            return 0
+        compute = _running(self.compute_cpu_s, d_compute)
+        storage = _running(self.storage_cpu_s, d_storage)
+        traffic = _running(self.traffic_bytes, d_traffic)
+        compute_scale, compute_cores, storage_scale, storage_cores, bandwidth = self._scales
+        with np.errstate(all="ignore"):  # a stop below covers each division by 0
+            t_cc = compute * compute_scale / compute_cores
+            t_cs = np.where(storage == 0, 0.0, storage * storage_scale / storage_cores)
+            t_net = traffic / bandwidth
+        # max() keeps the first of equal terms (0.0 against -0.0 too), so
+        # fold with a strict ">"; ``winner`` indexes _BOTTLENECKS.
+        post = np.full(count, float(self.t_g))
+        winner = np.zeros(count, dtype=np.int8)
+        for index, term in enumerate((t_cc, t_cs), 1):
+            higher = term > post
+            np.copyto(post, term, where=higher)
+            winner[higher] = index
+        bound = t_net >= post
+        higher = t_net > post
+        np.copyto(post, t_net, where=higher)
+        winner[higher] = 3
+
+        stop = ~(compute >= 0) | (storage < 0) | (traffic < 0)
+        if not storage_cores:
+            stop |= storage != 0
+        stop[0] |= not self.network_bound
+        stop[1:] |= ~bound[:-1]
+        if self.never_worsen:
+            before = np.empty(count)
+            before[0] = self.epoch_time_s
+            before[1:] = post[:-1]
+            stop |= post > before + self.epsilon_s
+        accepted = int(np.argmax(stop)) if stop.any() else count
+        if accepted:
+            last = accepted - 1
+            self.compute_cpu_s = float(compute[last])
+            self.storage_cpu_s = float(storage[last])
+            self.traffic_bytes = float(traffic[last])
+            self.epoch_time_s = self.t_g if winner[last] == 0 else float(post[last])
+            self.network_bound = bool(bound[last])
+        self._trail = (post[:accepted], winner[:accepted], bound[:accepted],
+                       storage[:accepted], traffic[:accepted])
+        return accepted
+
+    def trail(self) -> Iterator[Tuple[float, Bottleneck, bool, float, float]]:
+        """The budget after each offer the last :meth:`offer_run` accepted,
+        in order: ``(epoch_time_s, bottleneck, network_bound,
+        storage_cpu_s, traffic_bytes)``, as :meth:`estimate` would give it."""
+        if self._trail is None:
+            return
+        post, winner, bound, storage, traffic = (column.tolist() for column in self._trail)
+        for epoch, term, is_bound, storage_s, traffic_b in zip(post, winner, bound, storage, traffic):
+            yield self.t_g if term == 0 else epoch, _BOTTLENECKS[term], is_bound, storage_s, traffic_b
+
+
+#: Bottlenecks in :meth:`EpochEstimate.bottleneck`'s tie order.
+_BOTTLENECKS = (Bottleneck.GPU, Bottleneck.COMPUTE_CPU, Bottleneck.STORAGE_CPU, Bottleneck.NETWORK)
+
+
+def _running(start: float, deltas: np.ndarray) -> np.ndarray:
+    """``start + deltas[0]``, then each next delta added on, as float64."""
+    totals = np.empty(len(deltas) + 1)
+    totals[0] = start
+    totals[1:] = deltas
+    return np.cumsum(totals, out=totals)[1:]

@@ -28,8 +28,14 @@ have popped it, which keeps the two byte-identical on every
 - **O(1) queue discipline.**  Resource wait queues are deques.
 - **A tight drain loop.**  ``run()`` binds the heap and ``heappop``
   locally.
+- **No collector passes mid-drain.**  The engine builds no reference
+  cycles (``tests/cluster/test_engine_gc.py``), so ``run()`` pauses the
+  cycle collector while it drains and restores it on the way out; its
+  allocation-triggered passes would otherwise scan every live object
+  and find nothing.
 """
 
+import gc
 import itertools
 from collections import OrderedDict, deque
 from heapq import heappop, heappush
@@ -93,10 +99,14 @@ class Environment:
         A tight loop with local bindings and no per-event dispatch.  Heap
         order guarantees non-decreasing times (every push is at ``now`` or
         ``now + delay`` with ``delay >= 0``), so no monotonicity check.
+        The cycle collector is off while it drains and back on afterwards
+        if it was on before.
         """
         heap = self._heap
         pop = heappop
         self._draining = True
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             while heap:
                 at, _, fn, arg = pop(heap)
@@ -104,6 +114,8 @@ class Environment:
                 fn(arg)
         finally:
             self._draining = False
+            if collecting:
+                gc.enable()
 
 
 def _drop(queue: Deque[Tuple[Hashable, Wake]], holder: Hashable) -> bool:

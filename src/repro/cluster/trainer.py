@@ -268,7 +268,13 @@ class JobHandles:
 
 def round_robin_placement(num_samples: int, num_shards: int) -> List[int]:
     """sample_id -> shard, spreading consecutive ids across shards."""
+    checked("num_shards", num_shards, 1, integral=True)
     return [i % num_shards for i in range(num_samples)]
+
+
+def shard_count(text: str) -> int:
+    """argparse type of a ``--shards`` flag: an integer >= 1."""
+    return int(checked("shards", int(text), 1, integral=True))
 
 
 class TrainerSim:

@@ -48,7 +48,13 @@ class JointPlan:
 
 
 class JointPlanner:
-    """One greedy queue over offload and compression actions."""
+    """One greedy queue over offload and compression actions.
+
+    Each accepted offload pushes its follow-up compression into the queue,
+    so the offer order is not known before the loop and every action goes
+    through the scalar :meth:`EpochBudget.offer`, never the bulk
+    :meth:`EpochBudget.offer_run` the fixed-order planners start with.
+    """
 
     def __init__(self, model: Optional[CompressionModel] = None) -> None:
         self.model = model if model is not None else CompressionModel()

@@ -11,6 +11,8 @@ step (:class:`~repro.cluster.epoch_model.EpochBudget`).
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.cluster.epoch_model import EpochBudget, EpochEstimate
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.trainer import WorkAdjustment
@@ -133,9 +135,18 @@ class SelectiveCompressor:
                 candidates.append(decision)
         candidates.sort(key=lambda d: d.efficiency, reverse=True)
 
-        decisions: Dict[int, CompressionDecision] = {}
+        # The order is fixed, so the run up to the first refusal or stop is
+        # accepted in one step and only the rest is offered one by one.
+        head = budget.offer_run(
+            np.array([d.compute_cpu_s for d in candidates], dtype=np.float64),
+            np.array([d.storage_cpu_s for d in candidates], dtype=np.float64),
+            np.array([-d.saved_bytes for d in candidates], dtype=np.float64),
+        )
+        decisions: Dict[int, CompressionDecision] = {
+            decision.sample_id: decision for decision in candidates[:head]
+        }
         reason = "exhausted compressible candidates"
-        for decision in candidates:
+        for decision in candidates[head:]:
             if not budget.network_bound:
                 reason = (
                     f"network no longer predominant after {len(decisions)} samples"

@@ -16,8 +16,9 @@ benchmarks.
 """
 
 import dataclasses
+import itertools
 import logging
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -208,7 +209,6 @@ class DecisionEngine:
                     notes.note(row, 0, PLANNING_STOPPED, reason)
             return OffloadPlan.no_offload(num_samples, reason=reason)
 
-        splits = [0] * num_samples
         # Baseline: everything fetched raw, all preprocessing local.
         budget = EpochBudget(
             spec,
@@ -239,7 +239,7 @@ class DecisionEngine:
 
         if not len(candidates):
             return OffloadPlan(
-                splits=splits,
+                splits=[0] * num_samples,
                 reason="no samples with positive offloading efficiency",
                 expected=budget.estimate(),
             )
@@ -247,21 +247,47 @@ class DecisionEngine:
         accept_text = (
             f"best remaining candidate (order={self.config.order}) while network-bound"
         )
-        accepted = 0
+        chosen = table.min_stage[candidates]
+        moved = table.best_cost[candidates]
+        saved = table.best_savings[candidates]
+        audited = notes.audit is not None
+        first_state = _budget_state(0, budget) if audited else None
+        # The prefix work moves from the compute node to the storage node;
+        # the sample's remaining ops still run locally.  The run up to the
+        # first refusal, clamp or stop is accepted in one step.
+        accepted = budget.offer_run(-moved, moved, -saved)
+        splits = np.zeros(num_samples, dtype=np.int64)
+        splits[candidates[:accepted]] = chosen[:accepted]
         skipped = 0
         stopped_at = len(candidates)
         reason = "exhausted candidates with positive efficiency"
-        rows = candidates.tolist()
         offer = budget.offer
-        audited = notes.audit is not None
         try:
-            for index, (row, split, moved_cpu, saved) in enumerate(
+            if notes.detailed:
+                # A row's budget is the one before its offer: the baseline,
+                # then the budget after each earlier offer of the run.
+                states: Iterator[Optional[BudgetState]] = itertools.repeat(None)
+                if audited:
+                    states = itertools.chain(
+                        (first_state,),
+                        (
+                            BudgetState(count, epoch, bottleneck.value, bound, storage, traffic)
+                            for count, (epoch, bottleneck, bound, storage, traffic)
+                            in enumerate(budget.trail(), 1)
+                        ),
+                    )
+                for index, (row, split, state) in enumerate(
+                    zip(candidates[:accepted].tolist(), chosen[:accepted].tolist(), states)
+                ):
+                    notes.note(row, split, OFFLOADED, accept_text, budget=state, rank=index + 1)
+            for index, (row, split, moved_cpu, saved_bytes) in enumerate(
                 zip(
-                    rows,
-                    table.min_stage[candidates].tolist(),
-                    table.best_cost[candidates].tolist(),
-                    table.best_savings[candidates].tolist(),
-                )
+                    candidates[accepted:].tolist(),
+                    chosen[accepted:].tolist(),
+                    moved[accepted:].tolist(),
+                    saved[accepted:].tolist(),
+                ),
+                accepted,
             ):
                 if not budget.network_bound:
                     reason = (
@@ -271,9 +297,7 @@ class DecisionEngine:
                     stopped_at = index
                     break
                 state = _budget_state(accepted, budget) if audited else None
-                # The prefix work moves from the compute node to the storage
-                # node; the sample's remaining ops still run locally.
-                if not offer(-moved_cpu, moved_cpu, -saved):
+                if not offer(-moved_cpu, moved_cpu, -saved_bytes):
                     skipped += 1
                     if notes.detailed:
                         notes.note(
@@ -294,18 +318,11 @@ class DecisionEngine:
             notes.count(OFFLOADED, accepted)
             notes.count(SKIPPED_WOULD_WORSEN, skipped)
         final = budget.estimate()
-        notes.count(PLANNING_STOPPED, len(rows) - stopped_at)
-        if notes.detailed and stopped_at < len(rows):
+        notes.count(PLANNING_STOPPED, len(candidates) - stopped_at)
+        if notes.detailed and stopped_at < len(candidates):
             final_budget = _budget_state(accepted, budget)
-            for index in range(stopped_at, len(rows)):
-                notes.note(
-                    rows[index],
-                    0,
-                    PLANNING_STOPPED,
-                    reason,
-                    budget=final_budget,
-                    rank=index + 1,
-                )
+            for index, row in enumerate(candidates[stopped_at:].tolist(), stopped_at):
+                notes.note(row, 0, PLANNING_STOPPED, reason, budget=final_budget, rank=index + 1)
 
         note_text = f"offloaded {accepted}/{num_samples} samples"
         if skipped:
@@ -318,5 +335,5 @@ class DecisionEngine:
             final.bottleneck.value,
         )
         return OffloadPlan(
-            splits=splits, reason=f"{note_text}; {reason}", expected=final
+            splits=splits.tolist(), reason=f"{note_text}; {reason}", expected=final
         )

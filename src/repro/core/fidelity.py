@@ -26,6 +26,8 @@ import dataclasses
 import logging
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.cluster.epoch_model import EpochBudget
 from repro.cluster.spec import ClusterSpec
 from repro.core.decision import DecisionEngine
@@ -178,16 +180,23 @@ class FidelityPlanner:
         accepted = 0
         saved_total = 0
         reason = "exhausted degradable samples"
-        for rung in rungs:
-            if not budget.network_bound:
-                reason = (
-                    "network no longer predominant (bottleneck: "
-                    f"{budget.estimate().bottleneck.value}) after {accepted} degradations"
-                )
-                break
+        # The order is fixed, so the run up to the first stop is accepted in
+        # one step and only the rest is offered one by one.
+        zeros = np.zeros(len(rungs))
+        head = budget.offer_run(
+            zeros, zeros, np.array([-rung.saved_bytes for rung in rungs], dtype=np.float64)
+        )
+        for index, rung in enumerate(rungs):
+            if index >= head:
+                if not budget.network_bound:
+                    reason = (
+                        "network no longer predominant (bottleneck: "
+                        f"{budget.estimate().bottleneck.value}) after {accepted} degradations"
+                    )
+                    break
+                budget.offer(0.0, 0.0, -rung.saved_bytes)
             sample_id = rung.record.sample_id
             scan_counts[sample_id] = rung.scan_count
-            budget.offer(0.0, 0.0, -rung.saved_bytes)
             accepted += 1
             saved_total += rung.saved_bytes
             degraded.inc()

@@ -18,7 +18,7 @@ import dataclasses
 from typing import List, Optional
 
 from repro.cluster.spec import ClusterSpec, standard_cluster
-from repro.cluster.trainer import EpochStats, TrainerSim, round_robin_placement
+from repro.cluster.trainer import EpochStats, TrainerSim, round_robin_placement, shard_count
 from repro.core.decision import DecisionConfig, DecisionEngine
 from repro.core.policy import PolicyContext
 from repro.data.catalog import make_openimages
@@ -308,7 +308,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--shards",
-        type=int,
+        type=shard_count,
         default=None,
         help="run the epochs on a sharded storage tier with this many shards "
         "(round-robin placement)",

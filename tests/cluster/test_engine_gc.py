@@ -5,7 +5,8 @@ reference counting once the heap drains, so a traced, faulted epoch does
 not feed the cycle collector (whose full passes would otherwise land in
 the middle of later epochs).  Each case collects, runs one fast-kernel
 epoch while keeping its result referenced, and requires the next
-collection to find nothing.
+collection to find nothing.  That is what lets ``Environment.run`` pause
+the collector while it drains, which the last cases pin.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import gc
 import pytest
 
 from repro.cluster.multijob import SharedJob, SharedLinkSim
+from repro.cluster.sim import Environment
 from repro.cluster.spec import standard_cluster
 from repro.cluster.trainer import TrainerSim, round_robin_placement
 from repro.data.catalog import make_openimages
@@ -94,3 +96,61 @@ def test_shared_link_epoch():
         return sim.run_epoch(jobs, epoch=0, record_spans=True, record_timeline=True)
 
     assert garbage_after(run) == 0
+
+
+def churning_env(steps: int = 20) -> Environment:
+    """A drain whose callbacks each allocate far past gen-0's threshold."""
+    env = Environment()
+    kept = []
+
+    def churn(left):
+        kept.append([[i] for i in range(2_000)])
+        if left:
+            env._call_at(env.now + 1.0, churn, left - 1)
+
+    env._call_at(0.0, churn, steps)
+    return env
+
+
+def test_no_collection_during_a_drain():
+    env = churning_env()
+    collections = []
+
+    def hook(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        env.run()
+    finally:
+        gc.callbacks.remove(hook)
+    assert collections == []
+    assert gc.isenabled()
+
+
+def test_raising_callback_restores_the_collector():
+    env = Environment()
+
+    def boom(_):
+        raise RuntimeError("boom")
+
+    env._call_at(1.0, boom)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run()
+    assert gc.isenabled()
+    assert not env._draining
+
+
+def test_a_disabled_collector_stays_disabled():
+    env = churning_env(steps=2)
+    seen = []
+    env._call_at(0.5, lambda _: seen.append(gc.isenabled()))
+    gc.disable()
+    try:
+        env.run()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False]

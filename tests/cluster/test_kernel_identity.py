@@ -13,10 +13,9 @@ also assert that ``run_epoch`` never raises for valid input.
 
 import dataclasses
 import json
-import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster.multijob import SharedJob, SharedLinkSim
@@ -27,6 +26,7 @@ from repro.faults import FaultSchedule
 from repro.preprocessing.pipeline import standard_pipeline
 from repro.telemetry.spans import END
 from repro.workloads.models import get_model_profile
+from tests.identity_profile import IDENTITY_SETTINGS
 
 PIPELINE = standard_pipeline()
 MODEL = get_model_profile("alexnet")
@@ -303,19 +303,8 @@ class TestMultiJobIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Generated cases
+# Generated cases (40 draws each; 400 under ``SOPHON_IDENTITY_PROFILE=identity-deep``)
 # ---------------------------------------------------------------------------
-
-settings.register_profile(
-    "identity",
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-#: Ten times the draws, for a dedicated CI step:
-#: ``SOPHON_IDENTITY_PROFILE=identity-deep pytest tests/cluster/test_kernel_identity.py``.
-settings.register_profile("identity-deep", settings.get_profile("identity"), max_examples=400)
-IDENTITY_SETTINGS = settings.get_profile(os.environ.get("SOPHON_IDENTITY_PROFILE", "identity"))
 
 
 @st.composite

@@ -31,6 +31,11 @@ class TestPlacements:
         placement = round_robin_placement(10, 3)
         assert placement == [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
 
+    @pytest.mark.parametrize("num_shards", [0, -2, 1.5, True])
+    def test_round_robin_needs_a_positive_shard_count(self, num_shards):
+        with pytest.raises(ValueError, match="num_shards"):
+            round_robin_placement(10, num_shards)
+
 
 
 class TestShardedSim:

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster.spec import standard_cluster
@@ -25,6 +25,7 @@ from repro.telemetry.audit import AuditLog
 from repro.telemetry.registry import use_registry
 from repro.telemetry.spans import Tracer
 from tests.core.reference_decision import ReferenceDecisionEngine
+from tests.identity_profile import draws
 
 #: Few distinct sizes and costs, so equal efficiencies and savings are common.
 TIED_SIZES = (1_000, 50_000, 150_528, 600_000)
@@ -85,7 +86,7 @@ def planned(engine, records, spec, gpu_time_s):
 @pytest.mark.parametrize("never_worsen", [True, False])
 @pytest.mark.parametrize("order", DecisionConfig._ORDERS)
 @given(records=edge_records(), spec=clusters(), gpu_time_s=GPU_TIMES)
-@settings(max_examples=60, deadline=None)
+@draws(60)
 def test_table_engine_equals_scalar_oracle(order, never_worsen, records, spec, gpu_time_s):
     config = DecisionConfig(order=order, never_worsen=never_worsen)
     oracle = planned(ReferenceDecisionEngine(config), records, spec, gpu_time_s)

@@ -16,7 +16,7 @@ rather than ``total_cost - prefix_cost`` and may differ in the last ulp.
 import json
 import math
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster.spec import standard_cluster
@@ -38,6 +38,7 @@ from tests.core.test_planner_properties import (
     clusters,
     planner_records,
 )
+from tests.identity_profile import draws
 
 #: Relative tolerance on the fidelity pass's ``t_cc``: the suffix fold and
 #: ``total - prefix`` round the same costs differently (last-ulp drift).
@@ -84,7 +85,7 @@ def fidelity_run(planner, records, spec, gpu_time_s):
     config=FIDELITY,
     never_worsen=st.booleans(),
 )
-@settings(max_examples=120, deadline=None)
+@draws(120)
 def test_fidelity_planner_equals_its_reference(records, spec, gpu_time_s, config, never_worsen):
     engine = DecisionEngine(DecisionConfig(never_worsen=never_worsen))
     plan, emitted = fidelity_run(FidelityPlanner(engine, config), records, spec, gpu_time_s)
@@ -106,7 +107,7 @@ def test_fidelity_planner_equals_its_reference(records, spec, gpu_time_s, config
     gpu_time_s=GPU_TIMES,
     fidelity=st.one_of(st.none(), FIDELITY),
 )
-@settings(max_examples=120, deadline=None)
+@draws(120)
 def test_selective_compressor_equals_its_reference(records, spec, gpu_time_s, fidelity):
     # A fidelity plan's scan counts feed the post-offload traffic total.
     if fidelity is None:
@@ -119,7 +120,7 @@ def test_selective_compressor_equals_its_reference(records, spec, gpu_time_s, fi
 
 
 @given(records=planner_records(), spec=SPECS, gpu_time_s=GPU_TIMES)
-@settings(max_examples=120, deadline=None)
+@draws(120)
 def test_joint_planner_equals_its_reference(records, spec, gpu_time_s):
     plan = JointPlanner().plan(records, PIPELINE, spec, gpu_time_s)
     oracle = ReferenceJointPlanner().plan(records, PIPELINE, spec, gpu_time_s)

@@ -7,6 +7,7 @@ from repro.faults import FaultSchedule
 from repro.harness.chaos import (
     ChaosScenario,
     default_scenarios,
+    main,
     run_chaos,
 )
 
@@ -104,3 +105,11 @@ class TestEmptySchedule:
         assert run.traffic_delta_bytes == 0
         assert run.demoted_samples == 0
         assert run.corrupted_payloads == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5"])
+def test_shards_flag_must_be_a_positive_integer(capsys, value):
+    with pytest.raises(SystemExit) as exited:
+        main(["--samples", "20", "--shards", value])
+    assert exited.value.code == 2
+    assert "invalid shard_count value" in capsys.readouterr().err

@@ -140,6 +140,14 @@ class TestClusterTelemetryCli:
         assert "simulated spans for sample 5" in out
         assert "shard=" in out
 
+    @pytest.mark.parametrize("command", [["audit", "3"], ["adaptive"]])
+    @pytest.mark.parametrize("value", ["0", "-2", "1.5", "two"])
+    def test_shards_must_be_a_positive_integer(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exited:
+            main(["--samples", "50", *command, "--shards", value])
+        assert exited.value.code == 2
+        assert "invalid shard_count value" in capsys.readouterr().err
+
     def test_adaptive_plain(self, capsys):
         assert main(["--samples", "100", "adaptive", "--epochs", "3"]) == 0
         out = capsys.readouterr().out
