@@ -57,6 +57,7 @@ from repro.faults import FaultSchedule
 from repro.parallel import build_records
 from repro.preprocessing.pipeline import standard_pipeline
 from repro.preprocessing.records import RecordTable, SampleRecord
+from repro.utils.floats import flag_type
 from repro.workloads.models import get_model_profile
 
 Clock = Callable[[], float]
@@ -525,12 +526,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Gate and time profile -> plan -> simulate; write BENCH.json."
     )
     parser.add_argument(
-        "--scales", type=int, nargs="+", default=list(DEFAULT_SCALES),
+        "--scales", type=flag_type("scales", 1, integral=True), nargs="+",
+        default=list(DEFAULT_SCALES),
         help=f"dataset sizes to benchmark (default {list(DEFAULT_SCALES)})",
     )
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=flag_type("seed", 0, integral=True), default=7)
     parser.add_argument(
-        "--repeats", type=int, default=3,
+        "--repeats", type=flag_type("repeats", 1, integral=True), default=3,
         help="timed runs per measurement; best-of is reported (default 3)",
     )
     parser.add_argument(
@@ -538,7 +540,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also run the full 10^6-sample profile->plan->simulate pass",
     )
     parser.add_argument(
-        "--million-samples", type=int, default=1_000_000,
+        "--million-samples", type=flag_type("million_samples", 1, integral=True),
+        default=1_000_000,
         help="sample count for the --million entry (default 1000000)",
     )
     parser.add_argument(

@@ -23,7 +23,7 @@ import argparse
 import contextlib
 import sys
 import time
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.cluster.spec import standard_cluster
 from repro.cluster.trainer import round_robin_placement, shard_count
@@ -41,21 +41,34 @@ from repro.harness.fig3 import ample_cpu_comparison
 from repro.harness.fig4 import limited_cpu_sweep
 from repro.harness.table1 import render_capability_matrix
 from repro.preprocessing.pipeline import standard_pipeline
-from repro.utils.floats import checked
+from repro.service import loadgen
+from repro.service.config import ServiceConfig, add_service_arguments
+from repro.telemetry.slo import OK, VIOLATED, judge
+from repro.utils.floats import checked, flag_type
 from repro.utils.tables import render_table
+from repro.workloads.models import MODEL_REGISTRY, get_model_profile
+
+#: argparse type of a link bandwidth: a finite number of Mbps > 0.
+mbps = flag_type("mbps", 0.0, open_low=True)
+
+#: The largest ``--samples``.  A 10^6-sample pass peaks near 0.8 GB of
+#: RSS, so 10^7 is about what one workstation holds.
+MAX_SAMPLES = 10**7
+
+#: ``--dataset``'s choices: name -> catalog factory, in Figure 1b's order.
+DATASETS = {"openimages": make_openimages, "imagenet": make_imagenet}
 
 
-def mbps(text: str) -> float:
-    """argparse type of a link bandwidth: a finite number of Mbps > 0."""
-    return checked("bandwidth", float(text), 0.0, open_low=True)
+def objective_threshold(text: str) -> Tuple[str, float]:
+    """argparse type of ``slo --max``: ``NAME=THRESHOLD``, a finite threshold >= 0."""
+    name, sep, value = text.partition("=")
+    if not sep or not name:
+        raise ValueError(f"want NAME=THRESHOLD, got {text!r}")
+    return name, checked(name, float(value), 0.0)
 
 
-def _dataset(name: str, samples: Optional[int], seed: int):
-    if name == "openimages":
-        return make_openimages(num_samples=samples, seed=seed)
-    if name == "imagenet":
-        return make_imagenet(num_samples=samples, seed=seed)
-    raise SystemExit(f"unknown dataset {name!r}; pick openimages or imagenet")
+def _dataset(args: argparse.Namespace):
+    return DATASETS[args.dataset](num_samples=args.samples, seed=args.seed)
 
 
 def _placement(num_samples: int, shards: Optional[int]) -> Optional[List[int]]:
@@ -97,14 +110,14 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     from repro.harness.export import write_csv
     from repro.harness.sweeps import grid_sweep
 
-    dataset = _dataset(args.dataset, args.samples, args.seed)
+    dataset = _dataset(args)
     axes = {}
     if args.cores:
         axes["storage_cores"] = args.cores
     if args.bandwidths:
         axes["bandwidth_mbps"] = args.bandwidths
     if not axes:
-        raise SystemExit("give at least one axis (--cores / --bandwidths)")
+        args.usage_error("give at least one axis (--cores / --bandwidths)")
     table = grid_sweep(dataset, standard_cluster(), axes, seed=args.seed)
     print(table.render())
     if args.csv:
@@ -113,8 +126,11 @@ def cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def cmd_fig1a(args: argparse.Namespace) -> None:
-    dataset = _dataset(args.dataset, args.samples, args.seed)
-    sample_a, sample_b = representative_samples(dataset, seed=args.seed)
+    dataset = _dataset(args)
+    try:
+        sample_a, sample_b = representative_samples(dataset, seed=args.seed)
+    except ValueError as exc:  # too few samples to hold both populations
+        args.usage_error(f"{exc}; raise --samples")
     print(f"Sample A (shrinks mid-pipeline, id={sample_a}):")
     print(size_trace(dataset, sample_a, seed=args.seed).render())
     print(f"\nSample B (smallest raw, id={sample_b}):")
@@ -122,8 +138,8 @@ def cmd_fig1a(args: argparse.Namespace) -> None:
 
 
 def cmd_fig1b(args: argparse.Namespace) -> None:
-    for name in ("openimages", "imagenet"):
-        dataset = _dataset(name, args.samples, args.seed)
+    for make in DATASETS.values():
+        dataset = make(num_samples=args.samples, seed=args.seed)
         fractions = minstage_fractions(dataset, seed=args.seed)
         rows = [(stage, f"{frac:.1%}") for stage, frac in fractions.items()]
         print(f"[{dataset.name}] minimum-size stage fractions "
@@ -133,13 +149,13 @@ def cmd_fig1b(args: argparse.Namespace) -> None:
 
 
 def cmd_fig1c(args: argparse.Namespace) -> None:
-    dataset = _dataset(args.dataset, args.samples, args.seed)
+    dataset = _dataset(args)
     records = StageTwoProfiler().profile(dataset, standard_pipeline(), seed=args.seed)
     print(f"[{dataset.name}] {efficiency_distribution(records)}")
 
 
 def cmd_fig1d(args: argparse.Namespace) -> None:
-    dataset = _dataset(args.dataset, args.samples, args.seed)
+    dataset = _dataset(args)
     spec = standard_cluster().with_bandwidth(args.bandwidth)
     with _scoped_registry(args) as registry:
         utilizations = gpu_utilization_by_model(dataset, spec, seed=args.seed)
@@ -158,7 +174,7 @@ def cmd_fig1d(args: argparse.Namespace) -> None:
 
 
 def cmd_fig3(args: argparse.Namespace) -> None:
-    dataset = _dataset(args.dataset, args.samples, args.seed)
+    dataset = _dataset(args)
     cluster = standard_cluster(storage_cores=args.storage_cores)
     with _scoped_registry(args) as registry:
         comparison = ample_cpu_comparison(dataset, cluster, seed=args.seed)
@@ -177,7 +193,7 @@ def cmd_fig3(args: argparse.Namespace) -> None:
 
 
 def cmd_fig4(args: argparse.Namespace) -> None:
-    dataset = _dataset(args.dataset, args.samples, args.seed)
+    dataset = _dataset(args)
     with _scoped_registry(args) as registry:
         sweep = limited_cpu_sweep(dataset, cores=tuple(args.cores), seed=args.seed)
         if registry is not None:
@@ -212,11 +228,7 @@ def cmd_frontier(args: argparse.Namespace) -> None:
         content=ImageContentConfig(min_side=64, max_side=256),
         name=f"synthetic-{args.dataset}",
     )
-    floors = (
-        DEFAULT_FLOORS
-        if not args.floors
-        else (None,) + tuple(float(f) for f in args.floors)
-    )
+    floors = DEFAULT_FLOORS if not args.floors else (None, *args.floors)
     spec = standard_cluster().with_bandwidth(args.bandwidth)
     frontier = fidelity_frontier(
         dataset, spec=spec, floors=floors, seed=args.seed
@@ -234,9 +246,8 @@ def cmd_plan(args: argparse.Namespace) -> None:
     from repro.core.policy import PolicyContext
     from repro.core.serialize import plan_to_json
     from repro.core.sophon import Sophon
-    from repro.workloads.models import get_model_profile
 
-    dataset = _dataset(args.dataset, args.samples, args.seed)
+    dataset = _dataset(args)
     spec = standard_cluster(storage_cores=args.storage_cores)
     context = PolicyContext(
         dataset=dataset,
@@ -262,9 +273,8 @@ def cmd_stalls(args: argparse.Namespace) -> None:
     from repro.core.policy import PolicyContext
     from repro.core.sophon import Sophon
     from repro.metrics import stall_breakdown
-    from repro.workloads.models import get_model_profile
 
-    dataset = _dataset(args.dataset, args.samples, args.seed)
+    dataset = _dataset(args)
     spec = standard_cluster(storage_cores=args.storage_cores)
     model = get_model_profile(args.model)
     context = PolicyContext(
@@ -307,11 +317,10 @@ def cmd_audit(args: argparse.Namespace) -> None:
     from repro.core.decision import DecisionConfig, DecisionEngine
     from repro.core.policy import PolicyContext
     from repro.telemetry.audit import AuditLog
-    from repro.workloads.models import get_model_profile
 
-    dataset = _dataset(args.dataset, args.samples, args.seed)
-    if not 0 <= args.sample_id < len(dataset):
-        raise SystemExit(
+    dataset = _dataset(args)
+    if args.sample_id >= len(dataset):
+        args.usage_error(
             f"sample {args.sample_id} out of range; dataset has {len(dataset)} samples"
         )
     spec = standard_cluster(storage_cores=args.storage_cores)
@@ -484,20 +493,12 @@ def cmd_slo(args: argparse.Namespace) -> None:
             "re-run the loadgen to produce one)"
         )
 
-    overrides = {}
-    for spec in args.max or ():
-        name, sep, value = spec.partition("=")
-        if not sep:
-            raise SystemExit(f"bad --max {spec!r}; want NAME=THRESHOLD")
-        try:
-            overrides[name] = float(value)
-        except ValueError as exc:
-            raise SystemExit(f"bad --max threshold {value!r}: {exc}") from exc
+    overrides = dict(args.max or ())
     objectives = slo.get("objectives", ())
     unknown = sorted(set(overrides) - {o["name"] for o in objectives})
     if unknown:
         known = ", ".join(sorted(o["name"] for o in objectives))
-        raise SystemExit(
+        args.usage_error(
             f"--max names no recorded objective: {', '.join(unknown)} "
             f"(report has: {known})"
         )
@@ -507,17 +508,10 @@ def cmd_slo(args: argparse.Namespace) -> None:
         f"window {'all' if slo.get('window_s') is None else slo.get('window_s')}"
     )
     rows = []
-    all_passed = True
     for objective in objectives:
         threshold = overrides.get(objective["name"], objective["threshold"])
         observed = objective["observed"]
-        passed = True if observed is None else observed <= threshold
-        burn = (
-            None
-            if observed is None or threshold == 0
-            else observed / threshold
-        )
-        all_passed = all_passed and passed
+        verdict, burn = judge(observed, threshold)
         rows.append(
             (
                 objective["name"],
@@ -525,14 +519,15 @@ def cmd_slo(args: argparse.Namespace) -> None:
                 "n/a" if observed is None else f"{observed:.6g}",
                 f"{threshold:g}",
                 "-" if burn is None else f"{burn:.2f}",
-                "ok" if passed else "VIOLATED",
+                verdict,
             )
         )
     print(render_table(
         ("Objective", "Kind", "Observed", "Threshold", "Burn", "Verdict"), rows
     ))
-    if not all_passed:
-        print("FAIL: SLO violated")
+    verdicts = {row[-1] for row in rows}
+    if verdicts - {OK}:
+        print("FAIL: SLO violated" if VIOLATED in verdicts else "FAIL: no samples to judge")
         raise SystemExit(1)
     print("all objectives within budget")
 
@@ -541,7 +536,7 @@ def cmd_adaptive(args: argparse.Namespace) -> None:
     """Multi-epoch adaptive run, optionally sharded, with combined telemetry."""
     from repro.harness.adaptive import AdaptiveTrainingRun
 
-    dataset = _dataset(args.dataset, args.samples, args.seed)
+    dataset = _dataset(args)
     spec = standard_cluster(storage_cores=args.storage_cores)
     telemetry = args.telemetry_dir is not None
     with _scoped_registry(args) as registry:
@@ -607,17 +602,10 @@ def cmd_serve(args: argparse.Namespace) -> None:
     """Run the always-on decision service until interrupted, then drain."""
     import signal
 
-    from repro.service.config import ServiceConfig
     from repro.service.server import DecisionService
 
-    config = ServiceConfig(
-        token=args.token,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        total_storage_cores=args.cores,
-        journal_path=args.journal,
+    config = ServiceConfig.from_arguments(
+        args, host=args.host, port=args.port, journal_path=args.journal
     )
     service = DecisionService(config).start()
     host, port = service.address
@@ -640,25 +628,6 @@ def cmd_serve(args: argparse.Namespace) -> None:
     print(f"\ndrained in {drained:.3f}s")
 
 
-def cmd_loadgen(args: argparse.Namespace) -> None:
-    """Heavy-tailed trainer load against a service; writes BENCH_service.json."""
-    from repro.service import loadgen
-
-    argv = [
-        "--clients", str(args.clients),
-        "--requests", str(args.requests),
-        "--seed", str(args.seed),
-        "--cores", str(args.cores),
-        "--mean-think-s", str(args.mean_think_s),
-        "--deadline-s", str(args.deadline_s),
-        "--token", args.token,
-        "--out", args.out,
-    ]
-    if args.address:
-        argv.extend(["--address", args.address])
-    raise SystemExit(loadgen.main(argv))
-
-
 def cmd_all(args: argparse.Namespace) -> None:
     args.dataset = "openimages"
     print("== Table 1 ==")
@@ -672,7 +641,6 @@ def cmd_all(args: argparse.Namespace) -> None:
     print("\n== Figure 1d ==")
     cmd_fig1d(args)
     print("\n== Figure 3 (OpenImages) ==")
-    args.dataset = "openimages"
     cmd_fig3(args)
     print("\n== Figure 3 (ImageNet) ==")
     args.dataset = "imagenet"
@@ -682,190 +650,131 @@ def cmd_all(args: argparse.Namespace) -> None:
     cmd_fig4(args)
 
 
+def _flag(*names: str, **kwargs: Any) -> argparse.ArgumentParser:
+    """A parent parser declaring one flag that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sophon-repro",
         description="Regenerate the SOPHON paper's tables and figures.",
     )
-    parser.add_argument("--samples", type=int, default=1000,
-                        help="samples per synthesized dataset (default 1000)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--samples", type=flag_type("samples", 1, high=MAX_SAMPLES, integral=True),
+                        default=1000, help="samples per synthesized dataset (default 1000)")
+    parser.add_argument("--seed", type=flag_type("seed", 0, integral=True), default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table1", help="capability matrix").set_defaults(func=cmd_table1)
+    def command(
+        name: str, func: Any, summary: str, *parents: argparse.ArgumentParser
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=list(parents))
+        # usage_error: a check only the command can make still exits 2.
+        p.set_defaults(func=func, usage_error=p.error)
+        return p
 
-    p = sub.add_parser("fig1a", help="per-sample size trace")
-    p.add_argument("--dataset", default="openimages")
-    p.set_defaults(func=cmd_fig1a)
-
-    p = sub.add_parser("fig1b", help="minimum-size stage fractions")
-    p.set_defaults(func=cmd_fig1b)
-
-    p = sub.add_parser("fig1c", help="offloading-efficiency distribution")
-    p.add_argument("--dataset", default="openimages")
-    p.set_defaults(func=cmd_fig1c)
-
-    p = sub.add_parser("fig1d", help="GPU utilization by model")
-    p.add_argument("--dataset", default="openimages")
-    p.add_argument("--bandwidth", type=mbps, default=1000.0, help="Mbps")
-    p.add_argument("--telemetry-dir", help="write telemetry artifacts here")
-    p.set_defaults(func=cmd_fig1d)
-
-    p = sub.add_parser("fig3", help="policy comparison, ample storage CPUs")
-    p.add_argument("--dataset", default="openimages")
-    p.add_argument("--storage-cores", type=int, default=48)
-    p.add_argument("--csv", help="also write the data as CSV to this path")
-    p.add_argument("--telemetry-dir", help="write telemetry artifacts here")
-    p.set_defaults(func=cmd_fig3)
-
-    p = sub.add_parser("fig4", help="storage-core sweep")
-    p.add_argument("--dataset", default="openimages")
-    p.add_argument("--cores", type=int, nargs="+", default=[0, 1, 2, 3, 4, 5])
-    p.add_argument("--csv", help="also write the data as CSV to this path")
-    p.add_argument("--telemetry-dir", help="write telemetry artifacts here")
-    p.set_defaults(func=cmd_fig4)
-
-    p = sub.add_parser(
-        "audit", help="explain one sample's offload decision end-to-end"
-    )
-    p.add_argument("sample_id", type=int, help="sample to explain")
-    p.add_argument("--dataset", default="openimages")
-    p.add_argument("--model", default="alexnet")
-    p.add_argument("--storage-cores", type=int, default=48)
-    p.add_argument("--epoch", type=int, default=1,
-                   help="epoch to simulate for the span log (default 1)")
-    p.add_argument("--shards", type=shard_count, default=None,
+    dataset = _flag("--dataset", default="openimages", choices=DATASETS)
+    model = _flag("--model", default="alexnet",
+                  choices=sorted({name for name, _gpu in MODEL_REGISTRY}))
+    storage_cores = _flag("--storage-cores", default=48,
+                          type=flag_type("storage_cores", 0, integral=True))
+    telemetry = _flag("--telemetry-dir", help="write telemetry artifacts here")
+    csv = _flag("--csv", help="also write the data as CSV to this path")
+    shards = _flag("--shards", type=shard_count, default=None,
                    help="simulate on a sharded storage tier with this many "
                    "shards (round-robin placement; spans gain shard labels)")
-    p.set_defaults(func=cmd_audit)
+    bandwidth = _flag("--bandwidth", type=mbps, default=1000.0, help="Mbps")
+    core_sweep = _flag("--cores", type=flag_type("cores", 0, integral=True), nargs="+",
+                       default=[0, 1, 2, 3, 4, 5], help="storage-core counts to sweep")
 
-    p = sub.add_parser(
-        "adaptive", help="multi-epoch adaptive run with combined telemetry"
-    )
-    p.add_argument("--dataset", default="openimages")
-    p.add_argument("--epochs", type=int, default=3,
+    command("table1", cmd_table1, "capability matrix")
+    command("fig1a", cmd_fig1a, "per-sample size trace", dataset)
+    command("fig1b", cmd_fig1b, "minimum-size stage fractions")
+    command("fig1c", cmd_fig1c, "offloading-efficiency distribution", dataset)
+    command("fig1d", cmd_fig1d, "GPU utilization by model", dataset, bandwidth, telemetry)
+    command("fig3", cmd_fig3, "policy comparison, ample storage CPUs",
+            dataset, storage_cores, csv, telemetry)
+    command("fig4", cmd_fig4, "storage-core sweep", dataset, core_sweep, csv, telemetry)
+
+    p = command("audit", cmd_audit, "explain one sample's offload decision end-to-end",
+                dataset, model, storage_cores, shards)
+    p.add_argument("sample_id", type=flag_type("sample_id", 0, integral=True),
+                   help="sample to explain")
+    p.add_argument("--epoch", type=flag_type("epoch", 0, integral=True), default=1,
+                   help="epoch to simulate for the span log (default 1)")
+
+    p = command("adaptive", cmd_adaptive, "multi-epoch adaptive run with combined telemetry",
+                dataset, storage_cores, shards, telemetry)
+    p.add_argument("--epochs", type=flag_type("epochs", 2, integral=True), default=3,
                    help="epochs to simulate (>= 2; epoch 0 profiles)")
-    p.add_argument("--storage-cores", type=int, default=48)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--shards", type=shard_count, default=None,
-                   help="shard the storage tier (round-robin placement)")
+    p.add_argument("--batch-size", type=flag_type("batch_size", 1, integral=True),
+                   default=None)
     p.add_argument("--job-name", default=None,
                    help="tenant label stamped onto every span")
-    p.add_argument("--telemetry-dir",
-                   help="write the combined multi-epoch telemetry here")
-    p.set_defaults(func=cmd_adaptive)
 
-    p = sub.add_parser(
-        "frontier", help="traffic-vs-fidelity frontier (progressive records)"
-    )
-    p.add_argument("--dataset", default="openimages")
+    p = command("frontier", cmd_frontier,
+                "traffic-vs-fidelity frontier (progressive records)", dataset)
     p.add_argument("--bandwidth", type=mbps, default=50.0,
                    help="link bandwidth in Mbps (tight by default so the "
                    "fidelity pass has traffic to shed)")
-    p.add_argument("--floors", type=float, nargs="+", default=None,
+    p.add_argument("--floors", type=flag_type("psnr_db", 0.0), nargs="+", default=None,
                    help="PSNR floors in dB to sweep (a full-fidelity "
                    "baseline point is always included)")
     p.add_argument("--json", help="write the frontier JSON to this path "
                    "(default: print it after the table)")
-    p.set_defaults(func=cmd_frontier)
 
-    p = sub.add_parser("plan", help="compute (and optionally save) a SOPHON plan")
-    p.add_argument("--dataset", default="openimages")
-    p.add_argument("--model", default="alexnet")
-    p.add_argument("--storage-cores", type=int, default=48)
+    p = command("plan", cmd_plan, "compute (and optionally save) a SOPHON plan",
+                dataset, model, storage_cores)
     p.add_argument("--save", help="write the plan as JSON to this path")
-    p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("stalls", help="data-stall breakdown, no-off vs sophon")
-    p.add_argument("--dataset", default="openimages")
-    p.add_argument("--model", default="alexnet")
-    p.add_argument("--storage-cores", type=int, default=48)
-    p.set_defaults(func=cmd_stalls)
+    command("stalls", cmd_stalls, "data-stall breakdown, no-off vs sophon",
+            dataset, model, storage_cores)
+    command("ext-llm", cmd_ext_llm, "the section-5 LLM negative result")
 
-    p = sub.add_parser("ext-llm", help="the section-5 LLM negative result")
-    p.set_defaults(func=cmd_ext_llm)
-
-    p = sub.add_parser(
-        "replay", help="summarize an exported telemetry JSONL log"
-    )
+    p = command("replay", cmd_replay, "summarize an exported telemetry JSONL log")
     p.add_argument("log", help="path to a telemetry .jsonl export")
-    p.add_argument("--sample", type=int, default=None,
+    p.add_argument("--sample", type=flag_type("sample", 0, integral=True), default=None,
                    help="also explain this sample's audited decision")
-    p.add_argument("--spans", type=int, default=None,
+    p.add_argument("--spans", type=flag_type("spans", 0, integral=True), default=None,
                    help="cap the span listing at this many events (default: all)")
-    p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser(
-        "slo", help="re-check the SLO section of a BENCH_service.json"
-    )
+    p = command("slo", cmd_slo, "re-check the SLO section of a BENCH_service.json")
     p.add_argument("report", help="path to a BENCH_service.json report")
-    p.add_argument("--max", action="append", metavar="NAME=THRESHOLD",
+    p.add_argument("--max", type=objective_threshold, action="append",
+                   metavar="NAME=THRESHOLD",
                    help="override one objective's threshold (repeatable), "
                    "e.g. --max plan_p99=0.5")
-    p.set_defaults(func=cmd_slo)
 
-    p = sub.add_parser("report", help="full markdown results report")
+    p = command("report", cmd_report, "full markdown results report")
     p.add_argument("--out", help="write to this path instead of stdout")
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("sweep", help="grid sweep over cluster parameters")
-    p.add_argument("--dataset", default="openimages")
-    p.add_argument("--cores", type=int, nargs="+",
+    p = command("sweep", cmd_sweep, "grid sweep over cluster parameters", dataset, csv)
+    p.add_argument("--cores", type=flag_type("cores", 0, integral=True), nargs="+",
                    help="storage_cores axis values")
-    p.add_argument("--bandwidths", type=mbps, nargs="+",
-                   help="bandwidth_mbps axis values")
-    p.add_argument("--csv", help="also write the grid as CSV to this path")
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--bandwidths", type=mbps, nargs="+", help="bandwidth_mbps axis values")
 
-    p = sub.add_parser(
-        "serve",
-        help="run the always-on decision service (Ctrl-C drains gracefully)",
-    )
+    p = command("serve", cmd_serve,
+                "run the always-on decision service (Ctrl-C drains gracefully)")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
+    p.add_argument("--port", type=flag_type("port", 0, high=65535, integral=True), default=0,
                    help="0 picks a free port (printed at startup)")
-    p.add_argument("--token", default="sophon-dev-token",
-                   help="bearer token clients must present")
-    p.add_argument("--workers", type=int, default=2,
-                   help="planner worker threads")
-    p.add_argument("--queue-capacity", type=int, default=16,
-                   help="bounded work queue size (beyond it, requests shed)")
-    p.add_argument("--cores", type=int, default=48,
-                   help="storage-CPU budget admission control protects")
+    add_service_arguments(p)
     p.add_argument("--journal", default=None,
-                   help="append-only grant journal path (enables crash "
-                   "recovery)")
-    p.set_defaults(func=cmd_serve)
+                   help="append-only grant journal path (enables crash recovery)")
 
-    p = sub.add_parser(
-        "loadgen",
-        help="heavy-tailed trainer load -> BENCH_service.json",
+    # The top-level --seed is the loadgen's seed here, so it declares none.
+    loadgen.add_arguments(
+        command("loadgen", loadgen.run, "heavy-tailed trainer load -> BENCH_service.json")
     )
-    p.add_argument("--clients", type=int, default=4)
-    p.add_argument("--requests", type=int, default=25,
-                   help="plan requests per client")
-    p.add_argument("--cores", type=int, default=48)
-    p.add_argument("--mean-think-s", type=float, default=0.002)
-    p.add_argument("--deadline-s", type=float, default=5.0)
-    p.add_argument("--address", default=None,
-                   help="host:port of a running service (default: in-process)")
-    p.add_argument("--token", default="sophon-dev-token")
-    p.add_argument("--out", default="BENCH_service.json")
-    p.set_defaults(func=cmd_loadgen)
-
-    p = sub.add_parser("all", help="everything above")
-    p.add_argument("--bandwidth", type=mbps, default=1000.0)
-    p.add_argument("--storage-cores", type=int, default=48)
-    p.add_argument("--cores", type=int, nargs="+", default=[0, 1, 2, 3, 4, 5])
-    p.set_defaults(func=cmd_all)
-
+    command("all", cmd_all, "everything above", bandwidth, storage_cores, core_sweep)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    args.func(args)
-    return 0
+    return args.func(args) or 0
 
 
 if __name__ == "__main__":

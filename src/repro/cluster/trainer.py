@@ -52,7 +52,7 @@ from repro.metrics.timeline import Timeline
 from repro.preprocessing.pipeline import Pipeline
 from repro.preprocessing.records import split_folds
 from repro.telemetry.spans import Tracer
-from repro.utils.floats import checked
+from repro.utils.floats import checked, flag_type
 from repro.workloads.models import ModelProfile
 
 #: run_epoch(kernel=...) choices: "fast" (default) runs the cursor engine;
@@ -272,9 +272,8 @@ def round_robin_placement(num_samples: int, num_shards: int) -> List[int]:
     return [i % num_shards for i in range(num_samples)]
 
 
-def shard_count(text: str) -> int:
-    """argparse type of a ``--shards`` flag: an integer >= 1."""
-    return int(checked("shards", int(text), 1, integral=True))
+#: argparse type of a ``--shards`` flag: an integer >= 1.
+shard_count = flag_type("shard_count", 1, integral=True)
 
 
 class TrainerSim:

@@ -28,6 +28,7 @@ from repro.harness.telemetry import emit_artifacts, record_epoch_stats
 from repro.preprocessing.pipeline import Pipeline, standard_pipeline
 from repro.telemetry.audit import AuditLog
 from repro.telemetry.registry import MetricsRegistry, use_registry
+from repro.utils.floats import flag_type
 from repro.utils.tables import render_table
 from repro.utils.units import format_bytes, format_seconds
 from repro.workloads.models import ModelProfile, get_model_profile
@@ -296,11 +297,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Run one epoch under each fault class and report the damage."
     )
-    parser.add_argument("--samples", type=int, default=160, help="dataset size")
-    parser.add_argument("--seed", type=int, default=7, help="dataset + fault seed")
-    parser.add_argument(
-        "--batch-size", type=int, default=CHAOS_BATCH_SIZE, help="training batch size"
-    )
+    parser.add_argument("--samples", type=flag_type("samples", 1, integral=True),
+                        default=160, help="dataset size")
+    parser.add_argument("--seed", type=flag_type("seed", 0, integral=True), default=7,
+                        help="dataset + fault seed")
+    parser.add_argument("--batch-size", type=flag_type("batch_size", 1, integral=True),
+                        default=CHAOS_BATCH_SIZE, help="training batch size")
     parser.add_argument(
         "--telemetry-dir",
         help="also write telemetry artifacts (span JSONL, chrome traces, "

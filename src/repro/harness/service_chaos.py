@@ -47,6 +47,7 @@ from repro.service.journal import GrantRecord, read_grants
 from repro.service.server import DecisionService
 from repro.telemetry.exporters import write_jsonl
 from repro.telemetry.spans import Tracer
+from repro.utils.floats import flag_type
 from repro.utils.tables import render_table
 
 #: How long run B's service stays dead before the restart comes up; the
@@ -401,12 +402,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Kill and restart the decision service mid-script and "
         "verify the recovered journal is byte-identical."
     )
-    parser.add_argument("--requests", type=int, default=24,
+    parser.add_argument("--requests", type=flag_type("requests", 1, integral=True), default=24,
                         help="scripted requests per run")
-    parser.add_argument("--seed", type=int, default=7,
+    parser.add_argument("--seed", type=flag_type("seed", 0, integral=True), default=7,
                         help="script + fault-schedule seed")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--cores", type=int, default=24,
+    parser.add_argument("--workers", type=flag_type("workers", 1, integral=True), default=2)
+    parser.add_argument("--cores", type=flag_type("cores", 0, integral=True), default=24,
                         help="storage-core budget (tight, to exercise "
                         "admission rejections)")
     parser.add_argument("--journal-dir", default=None,

@@ -3,13 +3,15 @@
 One frozen dataclass holds every operational knob -- capacity, budgets,
 timeouts, journal location -- so a service's behaviour is fully described
 by its config plus its journal.  Tests construct small configs directly;
-``sophon-repro serve`` builds one from flags.
+``sophon-repro serve`` and the load generator's in-process service build
+one from the flags :func:`add_service_arguments` declares.
 """
 
+import argparse
 import dataclasses
-from typing import Optional
+from typing import Any, Optional
 
-from repro.utils.floats import checked
+from repro.utils.floats import checked, flag_type
 
 #: The development default.  Real deployments pass their own token; the
 #: server refuses to start with an empty one.
@@ -84,7 +86,36 @@ class ServiceConfig:
             ("max_samples", 1), ("plan_cache_size", 0), ("flight_capacity", 1),
         ):
             checked(name, getattr(self, name), low, integral=True)
+        checked("port", self.port, 0, high=65535, integral=True)
         if self.default_deadline_s is not None:
             checked("default_deadline_s", self.default_deadline_s, 0.0, open_low=True)
         checked("retry_after_s", self.retry_after_s, 0.0)
         checked("drain_timeout_s", self.drain_timeout_s, 0.0, open_low=True)
+
+    @classmethod
+    def from_arguments(cls, args: argparse.Namespace, **fields: Any) -> "ServiceConfig":
+        """The config :func:`add_service_arguments`' flags describe, plus ``fields``."""
+        return cls(token=args.token, workers=args.workers, queue_capacity=args.queue_capacity,
+                   total_storage_cores=args.cores, **fields)
+
+
+def token(text: str) -> str:
+    """argparse type of ``--token``: any non-empty string."""
+    if not text:
+        raise ValueError("token must be non-empty")
+    return text
+
+
+def add_service_arguments(parser: argparse.ArgumentParser) -> None:
+    """The capacity flags of a service: ``serve``'s and the load generator's."""
+    parser.add_argument("--token", type=token, default=ServiceConfig.token,
+                        help="bearer token clients must present")
+    parser.add_argument("--workers", type=flag_type("workers", 1, integral=True),
+                        default=ServiceConfig.workers, help="planner worker threads")
+    parser.add_argument("--queue-capacity",
+                        type=flag_type("queue_capacity", 1, integral=True),
+                        default=ServiceConfig.queue_capacity,
+                        help="bounded work queue size (beyond it, requests shed)")
+    parser.add_argument("--cores", type=flag_type("cores", 0, integral=True),
+                        default=ServiceConfig.total_storage_cores,
+                        help="storage-CPU budget admission control protects")

@@ -28,7 +28,7 @@ from repro.service.client import (
     ServiceError,
     ServiceUnavailableError,
 )
-from repro.service.config import DEFAULT_TOKEN, ServiceConfig
+from repro.service.config import DEFAULT_TOKEN, ServiceConfig, add_service_arguments
 from repro.service.server import DecisionService
 from repro.telemetry.registry import get_default_registry
 from repro.telemetry.slo import (
@@ -39,17 +39,20 @@ from repro.telemetry.slo import (
     percentile,
     rate_objective,
 )
+from repro.utils.floats import checked, flag_type
 
 __all__ = [
     "LoadgenConfig",
     "OUTCOMES",
     "RequestResult",
     "SCHEMA",
+    "add_arguments",
     "default_objectives",
     "evaluate_slo",
     "main",
     "percentile",
     "render_summary",
+    "run",
     "run_loadgen",
 ]
 
@@ -60,18 +63,23 @@ SCHEMA = "sophon-bench-service/v1"
 #: Every outcome a request can terminate with, in report order.
 OUTCOMES = ("granted", "replayed", "shed", "deadline", "failed")
 
+#: Longest think time or deadline a run takes, in seconds (an hour).
+#: Far past it, sleeps and socket timeouts overflow.
+MAX_WAIT_S = 3600.0
+
 
 @dataclasses.dataclass(frozen=True)
 class LoadgenConfig:
-    """The load shape one run drives.
+    """The load shape one run drives; every field is :func:`checked`.
 
     clients: concurrent trainer threads.
     requests_per_client: plan requests each client issues.
     pareto_shape: tail index of the think-time distribution (smaller =
         heavier tail; must be > 1 so the mean exists).
-    mean_think_s: average inter-request think time per client.
+    mean_think_s: average inter-request think time per client, at most
+        :data:`MAX_WAIT_S`.
     deadline_s: per-request deadline budget each client enforces (and
-        propagates to the server).
+        propagates to the server), at most :data:`MAX_WAIT_S`.
     release_every: a client releases its job's cores after every N
         grants, freeing budget for the rest of the fleet.
     num_samples_choices / cores_choices: the per-request job shapes,
@@ -89,22 +97,19 @@ class LoadgenConfig:
     cores_choices: Tuple[int, ...] = (4, 8, 12)
 
     def __post_init__(self) -> None:
-        if self.clients < 1:
-            raise ValueError(f"clients must be >= 1, got {self.clients}")
-        if self.requests_per_client < 1:
-            raise ValueError(
-                f"requests_per_client must be >= 1, got {self.requests_per_client}"
-            )
-        if self.pareto_shape <= 1.0:
-            raise ValueError(
-                f"pareto_shape must be > 1 (finite mean), got {self.pareto_shape}"
-            )
-        if self.mean_think_s < 0:
-            raise ValueError(f"mean_think_s must be >= 0, got {self.mean_think_s}")
-        if self.deadline_s <= 0:
-            raise ValueError(f"deadline_s must be > 0, got {self.deadline_s}")
-        if self.release_every < 1:
-            raise ValueError(f"release_every must be >= 1, got {self.release_every}")
+        for name, low in (
+            ("clients", 1), ("requests_per_client", 1), ("seed", 0), ("release_every", 1)
+        ):
+            checked(name, getattr(self, name), low, integral=True)
+        checked("pareto_shape", self.pareto_shape, 1.0, open_low=True)
+        checked("mean_think_s", self.mean_think_s, 0.0, high=MAX_WAIT_S)
+        checked("deadline_s", self.deadline_s, 0.0, open_low=True, high=MAX_WAIT_S)
+        for name in ("num_samples_choices", "cores_choices"):
+            choices = getattr(self, name)
+            if not choices:
+                raise ValueError(f"{name} must be non-empty")
+            for choice in choices:
+                checked(name, choice, 1, integral=True)
 
 
 @dataclasses.dataclass
@@ -331,12 +336,11 @@ def render_summary(report: Dict[str, object]) -> str:
     slo = report.get("slo")
     if isinstance(slo, dict):
         for objective in slo.get("objectives", ()):
-            verdict = "ok" if objective["passed"] else "VIOLATED"
             observed = objective["observed"]
             shown = "n/a" if observed is None else f"{observed:.6g}"
             lines.append(
                 f"  slo {objective['name']}: {shown} vs <= "
-                f"{objective['threshold']:g} [{verdict}]"
+                f"{objective['threshold']:g} [{objective['verdict']}]"
             )
         lines.append(
             f"  slo overall: {'pass' if slo.get('passed') else 'FAIL'}"
@@ -344,39 +348,50 @@ def render_summary(report: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Drive heavy-tailed trainer load at a decision service "
-        "and write BENCH_service.json."
-    )
-    parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--requests", type=int, default=25,
+def address(text: str) -> Tuple[str, int]:
+    """argparse type of ``--address``: ``host:port``, the port in 1..65535."""
+    host, sep, port = text.rpartition(":")
+    if not sep or not host:
+        raise ValueError(f"want host:port, got {text!r}")
+    return host, int(checked("port", int(port), 1, high=65535, integral=True))
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Every loadgen flag but ``--seed``.
+
+    ``sophon-repro loadgen`` mounts these under its own top-level
+    ``--seed``; :func:`main` adds one with the loadgen's default.
+    """
+    parser.add_argument("--clients", type=flag_type("clients", 1, integral=True),
+                        default=LoadgenConfig.clients)
+    parser.add_argument("--requests", type=flag_type("requests", 1, integral=True),
+                        default=LoadgenConfig.requests_per_client,
                         help="plan requests per client")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--mean-think-s", type=float, default=0.002)
-    parser.add_argument("--deadline-s", type=float, default=5.0)
-    parser.add_argument("--queue-capacity", type=int, default=16)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--cores", type=int, default=48,
-                        help="storage-CPU budget admission control protects")
-    parser.add_argument("--address", default=None,
+    parser.add_argument("--mean-think-s", type=flag_type("mean_think_s", 0.0, high=MAX_WAIT_S),
+                        default=LoadgenConfig.mean_think_s)
+    parser.add_argument("--deadline-s",
+                        type=flag_type("deadline_s", 0.0, open_low=True, high=MAX_WAIT_S),
+                        default=LoadgenConfig.deadline_s)
+    add_service_arguments(parser)
+    parser.add_argument("--address", type=address, default=None,
                         help="host:port of a running service (default: spin "
                         "one up in-process)")
-    parser.add_argument("--token", default=DEFAULT_TOKEN)
     parser.add_argument("--out", default="BENCH_service.json",
                         help="where to write the JSON report")
-    parser.add_argument("--slo-p50-s", type=float, default=None,
+    parser.add_argument("--slo-p50-s", type=flag_type("slo_p50_s", 0.0), default=None,
                         help="p50 latency bound (default: deadline/2)")
-    parser.add_argument("--slo-p99-s", type=float, default=None,
+    parser.add_argument("--slo-p99-s", type=flag_type("slo_p99_s", 0.0), default=None,
                         help="p99 latency bound (default: 2x deadline)")
-    parser.add_argument("--slo-error-rate", type=float, default=None,
-                        help="max rate of failed requests (default: 0)")
-    parser.add_argument("--slo-shed-rate", type=float, default=None,
-                        help="max rate of shed requests (default: 0.5)")
+    parser.add_argument("--slo-error-rate", type=flag_type("slo_error_rate", 0.0),
+                        default=None, help="max rate of failed requests (default: 0)")
+    parser.add_argument("--slo-shed-rate", type=flag_type("slo_shed_rate", 0.0),
+                        default=None, help="max rate of shed requests (default: 0.5)")
     parser.add_argument("--no-slo-gate", action="store_true",
                         help="report SLOs but do not fail the run on them")
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
+    """One loadgen run from :func:`add_arguments`' flags; the exit code."""
     config = LoadgenConfig(
         clients=args.clients,
         requests_per_client=args.requests,
@@ -384,7 +399,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         mean_think_s=args.mean_think_s,
         deadline_s=args.deadline_s,
     )
-    objectives = default_objectives(config.deadline_s)
     overrides = {
         "plan_p50": args.slo_p50_s,
         "plan_p99": args.slo_p99_s,
@@ -395,22 +409,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         dataclasses.replace(obj, threshold=overrides[obj.name])
         if overrides.get(obj.name) is not None
         else obj
-        for obj in objectives
+        for obj in default_objectives(config.deadline_s)
     ]
     if args.address is not None:
-        host, _, port = args.address.partition(":")
         report = run_loadgen(
-            (host, int(port)), token=args.token, config=config,
-            objectives=objectives,
+            args.address, token=args.token, config=config, objectives=objectives
         )
     else:
-        service_config = ServiceConfig(
-            token=args.token,
-            workers=args.workers,
-            queue_capacity=args.queue_capacity,
-            total_storage_cores=args.cores,
-        )
-        with DecisionService(service_config) as service:
+        with DecisionService(ServiceConfig.from_arguments(args)) as service:
             report = run_loadgen(
                 service.address, token=args.token, config=config,
                 objectives=objectives,
@@ -431,6 +437,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("FAIL: SLO violated (see the slo lines above)")
         return 1
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Drive heavy-tailed trainer load at a decision service "
+        "and write BENCH_service.json."
+    )
+    parser.add_argument("--seed", type=flag_type("seed", 0, integral=True),
+                        default=LoadgenConfig.seed)
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

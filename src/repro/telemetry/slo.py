@@ -7,9 +7,9 @@ rate bound ("no more than 20% of requests are shed").  The
 a terminal outcome string -- on an injectable
 :data:`~repro.telemetry.clock.Clock`, optionally pruning them to a sliding
 window, and :meth:`~SloEvaluator.evaluate` renders a schema-versioned
-:class:`SloReport` with the observed value, pass/fail verdict, and burn
-rate (observed / threshold; 1.0 means the error budget is spent exactly
-as fast as allowed) per objective.
+:class:`SloReport` with the observed value, :func:`judge`'s verdict (no
+observations is never a pass), and burn rate (observed / threshold; 1.0
+means the error budget is spent exactly as fast as allowed) per objective.
 
 ``repro.service.loadgen`` embeds the report as the ``slo`` section of
 ``BENCH_service.json`` and exits non-zero on violations, which is what
@@ -31,6 +31,11 @@ SCHEMA = "sophon-slo/v1"
 #: Objective kinds.
 LATENCY = "latency"
 RATE = "rate"
+
+#: Objective verdicts; only OK passes.
+OK = "ok"
+VIOLATED = "VIOLATED"
+NO_SAMPLES = "no samples"
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -84,14 +89,26 @@ def rate_objective(name: str, bad_outcomes: Sequence[str], max_rate: float) -> O
     )
 
 
+def judge(observed: Optional[float], threshold: float) -> Tuple[str, Optional[float]]:
+    """(verdict, observed / threshold); no observation is never a pass."""
+    if observed is None:
+        return NO_SAMPLES, None
+    verdict = OK if observed <= threshold else VIOLATED
+    return verdict, observed / threshold if threshold > 0 else None
+
+
 @dataclasses.dataclass(frozen=True)
 class ObjectiveResult:
     """One objective evaluated against the current window."""
 
     objective: Objective
     observed: Optional[float]  # None when the window holds no observations
-    passed: bool
-    burn_rate: Optional[float]  # observed / threshold; None if threshold == 0
+    verdict: str  # OK, VIOLATED or NO_SAMPLES
+    burn_rate: Optional[float]  # observed / threshold; None if either is None or 0
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == OK
 
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
@@ -100,6 +117,7 @@ class ObjectiveResult:
             "threshold": self.objective.threshold,
             "observed": self.observed,
             "passed": self.passed,
+            "verdict": self.verdict,
             "burn_rate": self.burn_rate,
         }
         if self.objective.kind == LATENCY:
@@ -142,9 +160,8 @@ class SloReport:
                 what = f"rate({outcomes}) <= {objective.threshold:g}"
             observed = "n/a" if result.observed is None else f"{result.observed:.6g}"
             burn = "n/a" if result.burn_rate is None else f"{result.burn_rate:.3g}"
-            verdict = "ok" if result.passed else "VIOLATED"
             lines.append(
-                f"  [{verdict:>8}] {objective.name}: {what} "
+                f"  [{result.verdict:>8}] {objective.name}: {what} "
                 f"(observed {observed}, burn rate {burn})"
             )
         lines.append(f"overall: {'pass' if self.passed else 'FAIL'}")
@@ -211,26 +228,19 @@ class SloEvaluator:
         return len(self._observations)
 
     def _evaluate_one(self, objective: Objective) -> ObjectiveResult:
-        observed: Optional[float]
-        if not self._observations:
-            observed = None
-            passed = True  # no data is no violation
-        elif objective.kind == LATENCY:
+        observed: Optional[float] = None
+        if self._observations and objective.kind == LATENCY:
             observed = percentile(
                 [obs.latency_s for obs in self._observations], objective.quantile
             )
-            passed = observed <= objective.threshold
-        else:
+        elif self._observations:
             bad = sum(
                 1 for obs in self._observations if obs.outcome in objective.bad_outcomes
             )
             observed = bad / len(self._observations)
-            passed = observed <= objective.threshold
-        burn_rate: Optional[float] = None
-        if observed is not None and objective.threshold > 0:
-            burn_rate = observed / objective.threshold
+        verdict, burn_rate = judge(observed, objective.threshold)
         return ObjectiveResult(
-            objective=objective, observed=observed, passed=passed, burn_rate=burn_rate
+            objective=objective, observed=observed, verdict=verdict, burn_rate=burn_rate
         )
 
     def evaluate(self) -> SloReport:

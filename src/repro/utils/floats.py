@@ -12,11 +12,13 @@ get named helpers instead:
 
 :func:`checked` is the range check for configuration numbers: NaN passes
 every ``<``/``<=`` comparison and ``inf`` passes most, so each bound is
-checked together with finiteness.
+checked together with finiteness.  :func:`flag_type` makes it the
+argparse ``type=`` of a command-line number.
 """
 
 import math
 import numbers
+from typing import Any, Callable, Optional
 
 
 def is_exact_zero(value: float) -> bool:
@@ -40,10 +42,12 @@ def close(
 
 
 def checked(
-    name: str, value: object, low: float, *, open_low: bool = False, integral: bool = False
+    name: str, value: object, low: float, *,
+    high: Optional[float] = None, open_low: bool = False, integral: bool = False,
 ) -> float:
     """``value`` if it is a finite number >= ``low``; ValueError if not.
 
+    high: also require ``value <= high``.
     open_low: require ``value > low`` instead, for quantities that must be
         positive.
     integral: require an integer (``int`` or a numpy integer), for counts;
@@ -58,7 +62,23 @@ def checked(
     number = int(value) if isinstance(value, numbers.Integral) else float(value)
     finite = isinstance(number, int) or math.isfinite(number)
     below = number <= low if open_low else number < low
-    if not finite or below:
-        relation = ">" if open_low else ">="
-        raise ValueError(f"{name} must be finite and {relation} {low}, got {value!r}")
+    if not finite or below or (high is not None and number > high):
+        bound = f"{'>' if open_low else '>='} {low}" + ("" if high is None else f" and <= {high}")
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
     return number
+
+
+def flag_type(name: str, low: float, **bounds: Any) -> Callable[[str], float]:
+    """An argparse ``type=``: parse a flag's text, then :func:`checked` it.
+
+    ``bounds`` are :func:`checked`'s keywords.  The function is called
+    ``name``, so a bad value exits 2 with argparse's ``invalid <name>
+    value`` usage error, never a traceback.  Integral flags parse with
+    ``int``, so ``"1.5"`` is refused too.
+    """
+
+    def parse(text: str) -> float:
+        return checked(name, int(text) if bounds.get("integral") else float(text), low, **bounds)
+
+    parse.__name__ = name
+    return parse

@@ -2,7 +2,8 @@
 
 Tier-1 runs each gate at its own count.  A CI step sets
 ``SOPHON_IDENTITY_PROFILE=identity-deep`` to run the engine identity
-properties, the bulk-accept fold and the planner oracles at 400 draws.
+properties, the bulk-accept fold, the planner oracles and the
+command-line property at 400 draws.
 """
 
 import os

@@ -78,6 +78,27 @@ class TestLoadgenHelpers:
         with pytest.raises(ValueError, match="clients"):
             LoadgenConfig(clients=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mean_think_s", float("nan")),  # killed every client thread
+            ("mean_think_s", float("inf")),
+            ("mean_think_s", 1e300),  # overflows time.sleep
+            ("deadline_s", float("inf")),  # died in default_objectives
+            ("deadline_s", float("nan")),
+            ("deadline_s", 1e308),
+            ("pareto_shape", float("nan")),
+            ("seed", -1),
+            ("requests_per_client", True),
+            ("release_every", 2.5),
+            ("num_samples_choices", ()),
+            ("cores_choices", (4, 0)),
+        ],
+    )
+    def test_every_field_is_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LoadgenConfig(**{field: value})
+
 
 class TestScriptedOps:
     def test_deterministic_for_a_seed(self):

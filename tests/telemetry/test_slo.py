@@ -1,16 +1,20 @@
 """SLO engine: percentiles, objective validation, burn rates, windows."""
 
+import json
 import math
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.telemetry.clock import ManualClock
 from repro.telemetry.slo import (
     LATENCY,
+    NO_SAMPLES,
     RATE,
     SCHEMA,
     Objective,
     SloEvaluator,
+    judge,
     latency_objective,
     percentile,
     rate_objective,
@@ -126,13 +130,17 @@ class TestSloEvaluator:
         assert result.passed
         assert result.burn_rate is None
 
-    def test_no_data_passes_with_observed_none(self):
-        evaluator = SloEvaluator([latency_objective("p50", 0.5, 1.0)])
+    def test_no_data_is_a_no_samples_verdict_never_a_pass(self):
+        evaluator = SloEvaluator(
+            [latency_objective("p50", 0.5, 1.0), rate_objective("shed", ["shed"], 0.5)]
+        )
         report = evaluator.evaluate()
-        assert report.passed and report.samples == 0
-        assert report.results[0].observed is None
-        assert report.results[0].burn_rate is None
-        assert "n/a" in report.render()
+        assert not report.passed and report.samples == 0
+        for result in report.results:
+            assert result.observed is None and result.burn_rate is None
+            assert result.verdict == NO_SAMPLES and not result.passed
+        assert "n/a" in report.render() and "overall: FAIL" in report.render()
+        assert report.to_dict()["objectives"][0]["verdict"] == NO_SAMPLES
 
     def test_sliding_window_prunes_old_observations(self):
         clock = ManualClock()
@@ -173,3 +181,42 @@ class TestSloEvaluator:
         assert names == ["p50", "shed"]
         assert payload["objectives"][0]["quantile"] == 0.5
         assert payload["objectives"][1]["bad_outcomes"] == ["shed"]
+
+
+class TestJudge:
+    def test_the_one_verdict_rule(self):
+        assert judge(0.5, 1.0) == ("ok", 0.5)
+        assert judge(1.0, 1.0) == ("ok", 1.0)
+        assert judge(2.0, 1.0) == ("VIOLATED", 2.0)
+        assert judge(0.0, 0.0) == ("ok", None)
+        assert judge(None, 1.0) == (NO_SAMPLES, None)
+
+
+class TestSloCommand:
+    """``sophon-repro slo`` judges a saved report with the same rule."""
+
+    def _report(self, tmp_path, observed):
+        objectives = [
+            {"name": "plan_p50", "kind": "latency", "threshold": 2.5, "observed": observed},
+            {"name": "error_rate", "kind": "rate", "threshold": 1.0, "observed": observed},
+        ]
+        path = tmp_path / "BENCH_service.json"
+        slo = {"schema": SCHEMA, "samples": 0, "window_s": None, "objectives": objectives}
+        path.write_text(json.dumps({"requests": 0, "slo": slo}))
+        return str(path)
+
+    def test_a_zero_request_report_is_not_within_budget(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["slo", self._report(tmp_path, None)])
+        assert exited.value.code == 1
+        out = capsys.readouterr().out
+        assert "no samples" in out and "within budget" not in out
+
+    def test_a_met_report_passes_until_an_override_breaks_it(self, tmp_path, capsys):
+        path = self._report(tmp_path, 0.1)
+        assert cli_main(["slo", path]) == 0
+        assert "all objectives within budget" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["slo", path, "--max", "plan_p50=0.05"])
+        assert exited.value.code == 1
+        assert "VIOLATED" in capsys.readouterr().out
